@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +20,7 @@ from typing import Sequence
 import click
 
 from . import __version__
+from .combinatorics import enumerate_compositions
 from .entropy import (
     asymptotic_entropy,
     block_entropy,
@@ -27,12 +28,9 @@ from .entropy import (
     finite_size_corrections,
     bits_to_nats,
 )
-from .oracle import (
-    ResourceLimitError,
-    verify_theorem,
-    verify_uniform_mixture,
-)
+from .oracle import verify_theorem, verify_uniform_mixture
 from .spectrum import (
+    ResourceLimitError,
     SectorConfig,
     Spectrum,
     exact_spectrum,
@@ -52,41 +50,6 @@ CORRECTIONS_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """Validated request shared by the data-producing commands."""
-
-    command: str
-    sector: SectorConfig | None
-    n_min: int
-    n_max: int
-    step: int = 1
-    out_format: str = "json"
-    out_path: Path | None = None
-    exact: bool | None = None
-    cutoff: float = 0.0
-    central_charge: float = 1.0
-    units: str = "bits"
-
-    def __post_init__(self) -> None:
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if self.n_min < 0 or self.n_max < self.n_min:
-            raise ValueError(f"invalid block range [{self.n_min}, {self.n_max}]")
-        if self.cutoff < 0.0:
-            raise ValueError("cutoff must be nonnegative")
-        if (
-            self.sector is not None
-            and self.sector.is_finite
-            and self.n_max > self.sector.L  # type: ignore[operator]
-        ):
-            raise ValueError(f"n exceeds L: n={self.n_max}, L={self.sector.L}")
-
-    @property
-    def block_sizes(self) -> range:
-        return range(self.n_min, self.n_max + 1, self.step)
-
-
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -99,6 +62,17 @@ def _guarded(fn, *args, **kwargs):
         _fail(EXIT_RESOURCE, str(exc))
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
+
+
+def _block_range(sector: SectorConfig | None, n_min: int, n_max: int, step: int = 1) -> range:
+    """Validated block sizes n_min, n_min + step, ... up to n_max."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    if n_min < 0 or n_max < n_min:
+        raise ValueError(f"invalid block range [{n_min}, {n_max}]")
+    if sector is not None and sector.is_finite and n_max > sector.L:  # type: ignore[operator]
+        raise ValueError(f"n exceeds L: n={n_max}, L={sector.L}")
+    return range(n_min, n_max + 1, step)
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -193,40 +167,31 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
     if uniform and (occ is not None or dens is not None or L is not None):
         _fail(EXIT_VALIDATION, "--uniform takes only --d and --n")
     sector = None if uniform else _build_sector(L, d, occ, dens)
-    job = _guarded(
-        JobConfig,
-        command="spectrum",
-        sector=sector,
-        n_min=n,
-        n_max=n,
-        out_format=out_format,
-        out_path=out,
-        exact=exact,
-        cutoff=cutoff,
-    )
+    _guarded(_block_range, sector, n, n)
+    if cutoff < 0.0:
+        _fail(EXIT_VALIDATION, "cutoff must be nonnegative")
     if uniform:
         if d is None:
             _fail(EXIT_VALIDATION, "--uniform needs --d")
         spectrum = _guarded(uniform_mixed_spectrum, n, d)
-    elif job.sector.is_finite:
-        if job.cutoff > 0.0:
+    elif sector.is_finite:
+        if cutoff > 0.0:
             _fail(EXIT_VALIDATION, "--cutoff applies only to --L inf spectra")
-        spectrum = _guarded(exact_spectrum, job.sector, n, exact=job.exact)
+        spectrum = _guarded(exact_spectrum, sector, n, exact=exact)
     else:
-        spectrum = _guarded(
-            thermo_spectrum, job.sector.densities, n, job.cutoff, exact=job.exact
-        )
-    if job.out_format == "json":
+        spectrum = _guarded(thermo_spectrum, sector.densities, n, cutoff, exact=exact)
+    if out_format == "json":
         payload = {"generator": f"permutent {__version__}"}
         payload.update(spectrum_to_json_obj(spectrum))
-        _write_text(job.out_path, json.dumps(payload, indent=2) + "\n")
+        _write_text(out, json.dumps(payload, indent=2) + "\n")
     else:
-        _write_text(job.out_path, _spectrum_csv(spectrum))
+        _write_text(out, _spectrum_csv(spectrum))
     weights = [e.weight for e in spectrum.entries]
+    residual = abs(math.fsum(weights) + spectrum.dropped_mass - 1.0)  # as normalization_residual()
     click.echo(
         f"support {spectrum.support_size}  min_weight {min(weights, default=0.0):.6g}  "
         f"max_weight {max(weights, default=0.0):.6g}  "
-        f"normalization_residual {spectrum.normalization_residual():.3e}",
+        f"normalization_residual {residual:.3e}",
         err=True,
     )
 
@@ -242,16 +207,8 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
 def cmd_entropy(L, d, occ, dens, n, units, out):
     """Exact block entropy with asymptotic / Gaussian / bound comparisons."""
     sector = _build_sector(L, d, occ, dens)
-    job = _guarded(
-        JobConfig,
-        command="entropy",
-        sector=sector,
-        n_min=n,
-        n_max=n,
-        out_path=out,
-        units=units,
-    )
-    report = _guarded(entropy_report, job.sector, n)
+    _guarded(_block_range, sector, n, n)
+    report = _guarded(entropy_report, sector, n)
     obj = report.to_json_obj()
     if units == "nats":
         for key in ("exact_bits", "asymptotic_bits", "gaussian_bits", "sup_bound_bits", "constant_C_bits"):
@@ -299,24 +256,15 @@ def _sweep_rows(sector: SectorConfig, ns: Sequence[int]) -> list[tuple]:
 def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     """Sweep the block size: exact entropy, asymptotic value, sup bound, gap."""
     sector = _build_sector(L, d, occ, dens)
-    job = _guarded(
-        JobConfig,
-        command="sweep",
-        sector=sector,
-        n_min=n_min,
-        n_max=n_max,
-        step=step,
-        out_format=out_format,
-        out_path=out,
-    )
-    rows = _guarded(_sweep_rows, sector, list(job.block_sizes))
+    ns = _guarded(_block_range, sector, n_min, n_max, step)
+    rows = _guarded(_sweep_rows, sector, list(ns))
     occ_field = (
         ";".join(map(str, sector.occupations))
         if sector.is_finite
         else ";".join(str(p) for p in sector.densities)  # type: ignore[union-attr]
     )
     L_field = sector.L if sector.is_finite else "inf"
-    if job.out_format == "csv":
+    if out_format == "csv":
         lines = [SWEEP_CSV_COLUMNS]
         for n, s_exact, s_asym, s_sup, gap in rows:
             asym_field = repr(s_asym) if s_asym is not None else ""
@@ -365,20 +313,9 @@ def cmd_corrections(L, d, central_charge, n_min, n_max, step, out):
         _fail(EXIT_VALIDATION, f"corrections need 0 < n_min <= n_max < L, got [{n_min}, {n_max}]")
     base, extra = divmod(L, d)
     sector = SectorConfig.finite([base + (1 if i < extra else 0) for i in range(d)])
-    job = _guarded(
-        JobConfig,
-        command="corrections",
-        sector=sector,
-        n_min=n_min,
-        n_max=n_max,
-        step=step,
-        out_format="csv",
-        out_path=out,
-        central_charge=central_charge,
-    )
     lines = [CORRECTIONS_CSV_COLUMNS]
-    for n in job.block_sizes:
-        rep = _guarded(finite_size_corrections, sector, n, job.central_charge)
+    for n in _guarded(_block_range, sector, n_min, n_max, step):
+        rep = _guarded(finite_size_corrections, sector, n, central_charge)
         lines.append(
             f"{n / L!r},{rep.delta_per_bits!r},{rep.delta_per_leading_bits!r},"
             f"{rep.delta_cr_bits!r},{rep.delta_cr_leading_bits!r}"
@@ -410,7 +347,7 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     cases = []
     for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
         for L in range(1, max_l + 1):
-            for occupations in _occupancy_grid(L, d):
+            for occupations in enumerate_compositions(L, (L,) * d):
                 for n in range(L + 1):
                     cases.append(("theorem", SectorConfig.finite(occupations), n))
     for d in (2, 3):
@@ -448,15 +385,6 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     click.echo(f"verified {len(reports)} cases, {len(failures)} failures")
     if failures:
         sys.exit(EXIT_MISMATCH)
-
-
-def _occupancy_grid(L: int, d: int):
-    if d == 1:
-        yield (L,)
-        return
-    for first in range(L + 1):
-        for rest in _occupancy_grid(L - first, d - 1):
-            yield (first,) + rest
 
 
 @main.command("figures")

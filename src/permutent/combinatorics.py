@@ -31,7 +31,6 @@ __all__ = [
     "multinomial_log2",
     "enumerate_compositions",
     "bounded_composition_steps",
-    "composition_at",
     "composition_count",
 ]
 
@@ -130,7 +129,7 @@ def _check_parts(n: int, parts: Sequence[int]) -> None:
 
 
 def bounded_composition_steps(
-    total: int, bounds: Sequence[int], start: Sequence[int] | None = None
+    total: int, bounds: Sequence[int]
 ) -> Iterator[tuple[int, list[int]]]:
     """Walk bounded compositions in lexicographic order with change tracking.
 
@@ -139,10 +138,6 @@ def bounded_composition_steps(
     may have changed since the previous item.  This is what lets spectrum
     builders update running products of per-coordinate factors in O(1)
     amortised time instead of recomputing d factors per composition.
-
-    ``start`` resumes the walk at a given composition (inclusive), so the
-    stream can be split into contiguous chunks for data-parallel reduction;
-    partial sums over disjoint chunks combine associatively.
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")
@@ -159,20 +154,11 @@ def bounded_composition_steps(
         suffix[i] = suffix[i + 1] + bounds[i]
     if total > suffix[0]:
         return
-    if start is None:
-        parts = [0] * d
-        rem = total
-        for i in range(d):  # lexicographic minimum pushes mass to the right
-            parts[i] = max(0, rem - suffix[i + 1])
-            rem -= parts[i]
-    else:
-        parts = list(start)
-        if (
-            len(parts) != d
-            or sum(parts) != total
-            or any(k < 0 or k > b for k, b in zip(parts, bounds))
-        ):
-            raise ValueError(f"start {tuple(start)} is not a composition of {total} within bounds")
+    parts = [0] * d
+    rem = total
+    for i in range(d):  # lexicographic minimum pushes mass to the right
+        parts[i] = max(0, rem - suffix[i + 1])
+        rem -= parts[i]
     yield 0, parts
     while True:
         # rightmost position that can absorb one unit from its right tail
@@ -193,44 +179,15 @@ def bounded_composition_steps(
         yield j, parts
 
 
-def enumerate_compositions(
-    total: int, bounds: Sequence[int], start: Sequence[int] | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All vectors k with sum(k) == total and 0 <= k_i <= bounds_i.
 
     Lexicographic order, each composition exactly once.  The stream is empty
     when sum(bounds) < total and holds the single all-zero vector for
-    total == 0.  ``start`` resumes mid-stream (inclusive).
+    total == 0.
     """
-    for _, parts in bounded_composition_steps(total, bounds, start):
+    for _, parts in bounded_composition_steps(total, bounds):
         yield tuple(parts)
-
-
-def composition_at(total: int, bounds: Sequence[int], rank: int) -> tuple[int, ...]:
-    """The rank-th bounded composition in lexicographic order (0-based).
-
-    Unranking in O(d * max(bounds)) counting steps; together with the
-    ``start`` parameter of the enumerators this splits the composition
-    stream into equal contiguous chunks without walking it.
-    """
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    d = len(bounds)
-    if rank >= composition_count(total, bounds):
-        raise ValueError(f"rank {rank} out of range")
-    parts = []
-    remaining = total
-    for i in range(d):
-        tail = bounds[i + 1 :]
-        lo = max(0, remaining - sum(tail))
-        for value in range(lo, min(bounds[i], remaining) + 1):
-            below = composition_count(remaining - value, tail)
-            if rank < below:
-                parts.append(value)
-                remaining -= value
-                break
-            rank -= below
-    return tuple(parts)
 
 
 def composition_count(total: int, bounds: Sequence[int]) -> int:

@@ -129,63 +129,39 @@ def entropy_of_spectrum(spectrum: Spectrum, *, tol: float = 1e-9) -> float:
     return -math.fsum(terms)
 
 
-def _binomial_entropy(m: int, q: float, t: np.ndarray) -> float:
-    """Entropy in bits of Binomial(m, q)."""
-    if m <= 0 or q <= 0.0 or q >= 1.0:
-        return 0.0
-    k = np.arange(m + 1)
-    lw = t[m] - t[k] - t[m - k] + k * math.log2(q) + (m - k) * math.log2(1.0 - q)
-    w = np.exp2(lw)
-    return float(-(w * lw).sum())
+def _hypergeometric_log2_pmf(L: int, K: int, n: int, t: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, log2 pmf over lo..hi) of the marked count in an n-draw from L with K marked."""
+    lo = max(0, n - (L - K))
+    hi = min(K, n)
+    k = np.arange(lo, hi + 1)
+    lw = (
+        t[K]
+        - t[k]
+        - t[K - k]
+        + t[L - K]
+        - t[n - k]
+        - t[L - K - n + k]
+        - (t[L] - t[n] - t[L - n])
+    )
+    return lo, lw
 
 
-def _binomial_pmf(m: int, q: float, t: np.ndarray) -> np.ndarray:
+def _binomial_log2_pmf(m: int, q: float, t: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, log2 pmf over lo..) of Binomial(m, q); a point mass when q is 0 or 1."""
     if q <= 0.0:
-        out = np.zeros(m + 1)
-        out[0] = 1.0
-        return out
+        return 0, np.zeros(1)
     if q >= 1.0:
-        out = np.zeros(m + 1)
-        out[m] = 1.0
-        return out
+        return m, np.zeros(1)
     k = np.arange(m + 1)
-    return np.exp2(t[m] - t[k] - t[m - k] + k * math.log2(q) + (m - k) * math.log2(1.0 - q))
+    return 0, t[m] - t[k] - t[m - k] + k * math.log2(q) + (m - k) * math.log2(1.0 - q)
 
 
-def _hypergeometric_entropy(L: int, K: int, n: int, t: np.ndarray) -> float:
-    """Entropy in bits of the count of marked items in an n-draw from L with K marked."""
-    lo = max(0, n - (L - K))
-    hi = min(K, n)
-    if hi <= lo:
+def _entropy_bits(lw: np.ndarray) -> float:
+    """Entropy in bits of a distribution given by its log2 pmf; 0.0 for a point mass."""
+    if lw.size <= 1:
         return 0.0
-    k = np.arange(lo, hi + 1)
-    lw = (
-        t[K]
-        - t[k]
-        - t[K - k]
-        + t[L - K]
-        - t[n - k]
-        - t[L - K - n + k]
-        - (t[L] - t[n] - t[L - n])
-    )
     w = np.exp2(lw)
     return float(-(w * lw).sum())
-
-
-def _hypergeometric_pmf(L: int, K: int, n: int, t: np.ndarray) -> tuple[int, np.ndarray]:
-    lo = max(0, n - (L - K))
-    hi = min(K, n)
-    k = np.arange(lo, hi + 1)
-    lw = (
-        t[K]
-        - t[k]
-        - t[K - k]
-        + t[L - K]
-        - t[n - k]
-        - t[L - K - n + k]
-        - (t[L] - t[n] - t[L - n])
-    )
-    return lo, np.exp2(lw)
 
 
 def block_entropy(cfg: SectorConfig, n: int) -> float:
@@ -206,18 +182,17 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
         if n == 0 or n == L:
             return 0.0
         t = log2_factorial_table(L)
-        total = _hypergeometric_entropy(L, occupations[0], n, t)
+        total = _entropy_bits(_hypergeometric_log2_pmf(L, occupations[0], n, t)[1])
         merged = occupations[0]
         for j in range(1, d - 1):
             remaining = L - merged
             if remaining <= 0:
                 break
-            lo, pmf = _hypergeometric_pmf(L, merged, n, t)
-            for idx, ws in enumerate(pmf):
-                if ws <= 0.0:
-                    continue
-                s = lo + idx
-                total += float(ws) * _hypergeometric_entropy(remaining, occupations[j], n - s, t)
+            lo, lw = _hypergeometric_log2_pmf(L, merged, n, t)
+            for s, ws in enumerate(np.exp2(lw).tolist(), lo):
+                if ws > 0.0:
+                    _, cond = _hypergeometric_log2_pmf(remaining, occupations[j], n - s, t)
+                    total += ws * _entropy_bits(cond)
             merged += occupations[j]
         return total
 
@@ -225,7 +200,7 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
     if n == 0:
         return 0.0
     t = log2_factorial_table(n)
-    total = _binomial_entropy(n, p[0], t)
+    total = _entropy_bits(_binomial_log2_pmf(n, p[0], t)[1])
     cum = p[0]
     for j in range(1, d - 1):
         rest = 1.0 - cum
@@ -233,10 +208,10 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
             cum += p[j]
             continue
         q = min(p[j] / rest, 1.0)
-        pmf = _binomial_pmf(n, cum, t)
-        for s, ws in enumerate(pmf):
+        lo, lw = _binomial_log2_pmf(n, cum, t)
+        for s, ws in enumerate(np.exp2(lw).tolist(), lo):
             if ws > 0.0:
-                total += float(ws) * _binomial_entropy(n - s, q, t)
+                total += ws * _entropy_bits(_binomial_log2_pmf(n - s, q, t)[1])
         cum += p[j]
     return total
 

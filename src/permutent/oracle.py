@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SectorConfig, dimension_symmetric_subspace, exact_spectrum
+from .spectrum import (
+    ResourceLimitError,
+    SectorConfig,
+    dimension_symmetric_subspace,
+    exact_spectrum,
+)
 
 __all__ = [
     "ResourceLimitError",
@@ -34,10 +39,6 @@ MAX_STATE_AMPLITUDES = 2_000_000
 MAX_DENSITY_DIM = 2000
 JACOBI_CONVERGENCE_TOL = 1e-12
 JACOBI_SWEEP_BUDGET_FACTOR = 100  # rotations allowed: factor * dim^2
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested dense computation exceeds the desk-scale guards."""
 
 
 class EigensolverConvergenceError(RuntimeError):

@@ -15,19 +15,24 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .combinatorics import (
-    LOG2_ZERO,
     binom_exact,
     bounded_composition_steps,
+    composition_count,
     log2_binom,
     log2_factorial_table,
 )
 
 __all__ = [
+    "ResourceLimitError",
     "SectorConfig",
     "SpectrumEntry",
     "Spectrum",
@@ -44,6 +49,14 @@ __all__ = [
 EXACT_AUTO_MAX_L = 300
 
 DENSITY_SUM_TOL = 1e-12
+
+# Largest spectrum a builder materialises; larger requests fail fast before
+# enumerating.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
+MAX_SPECTRUM_SUPPORT = 2_000_000
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested computation exceeds the desk-scale guards."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -200,6 +213,51 @@ def dimension_symmetric_subspace(n: int, d: int) -> int:
     return binom_exact(n + d - 1, d - 1)
 
 
+def _check_support(support: int) -> None:
+    if support > MAX_SPECTRUM_SUPPORT:
+        raise ResourceLimitError(f"spectrum support {support} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+
+
+def _product_spectrum(
+    n: int,
+    bounds: Sequence[int],
+    log_factors: Sequence[Sequence[float]],
+    log_const: float,
+    exact: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int, int] | None,
+) -> list[SpectrumEntry]:
+    """Entries of a product-form spectrum, weight(k) = const * prod_i f_i(k_i).
+
+    ``log_factors[i][k]`` is log2 f_i(k) for k <= bounds[i]; an entry's
+    log2 weight is the left-to-right sum of its per-level logs plus
+    ``log_const``.  ``exact`` is ``(num, den, scale, shared_den)`` with
+    integer tables such that weight(k) = scale * prod num[i][k_i] //
+    prod den[i][k_i] / shared_den, or None for the log domain only.
+    Running prefix sums and products are redone only from the first level
+    the composition walk changed.
+    """
+    d = len(bounds)
+    logs = [0.0] * (d + 1)
+    entries: list[SpectrumEntry] = []
+    if exact is None:
+        for changed, parts in bounded_composition_steps(n, bounds):
+            for i in range(changed, d):
+                logs[i + 1] = logs[i] + log_factors[i][parts[i]]
+            entries.append(SpectrumEntry(tuple(parts), logs[d] + log_const, None))
+        return entries
+    num, den, scale, shared_den = exact
+    nums = [1] * (d + 1)
+    dens = [1] * (d + 1)
+    for changed, parts in bounded_composition_steps(n, bounds):
+        for i in range(changed, d):
+            k = parts[i]
+            logs[i + 1] = logs[i] + log_factors[i][k]
+            nums[i + 1] = nums[i] * num[i][k]
+            dens[i + 1] = dens[i] * den[i][k]
+        weight = Fraction(scale * nums[d] // dens[d], shared_den)
+        entries.append(SpectrumEntry(tuple(parts), logs[d] + log_const, weight))
+    return entries
+
+
 def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> Spectrum:
     """Finite-L block spectrum: prod_i binom(N_i, k_i) / binom(L, n).
 
@@ -218,29 +276,19 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         raise ValueError(f"n exceeds L: n={n}, L={L}")
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
+    _check_support(composition_count(n, occupations))
 
-    d = cfg.d
-    denom_log2 = log2_binom(L, n)
-    denom = binom_exact(L, n) if exact else 0
-    logs = [0.0] * d
-    factors = [1] * d
-    prod = 1
-    entries: list[SpectrumEntry] = []
-    for changed, parts in bounded_composition_steps(n, occupations):
-        if exact:
-            for i in range(changed, d):
-                prod //= factors[i]
-                factors[i] = binom_exact(occupations[i], parts[i])
-                prod *= factors[i]
-                logs[i] = log2_binom(occupations[i], parts[i])
-            weight_exact = Fraction(prod, denom)
-        else:
-            for i in range(changed, d):
-                logs[i] = log2_binom(occupations[i], parts[i])
-            weight_exact = None
-        lw = sum(logs) - denom_log2
-        entries.append(SpectrumEntry(tuple(parts), lw, weight_exact))
-    return Spectrum(entries, n, d, SpectrumSource.FINITE_EXACT, sector=cfg)
+    t = log2_factorial_table(L)
+    log_factors = []
+    for N in occupations:
+        k = np.arange(min(N, n) + 1)
+        log_factors.append((t[N] - t[k] - t[N - k]).tolist())
+    tables = None
+    if exact:
+        binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
+        tables = (binoms, [[1] * (n + 1)] * cfg.d, 1, math.comb(L, n))
+    entries = _product_spectrum(n, occupations, log_factors, -log2_binom(L, n), tables)
+    return Spectrum(entries, n, cfg.d, SpectrumSource.FINITE_EXACT, sector=cfg)
 
 
 def thermo_spectrum(
@@ -263,7 +311,6 @@ def thermo_spectrum(
         raise ValueError("cutoff must be nonnegative")
     dens = tuple(_as_fraction(p) for p in densities)
     cfg = SectorConfig.infinite(dens)
-    d = cfg.d
     exact_possible = sum(dens) == 1
     if exact is None:
         exact = exact_possible and cutoff == 0.0
@@ -273,73 +320,43 @@ def thermo_spectrum(
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
     pf = cfg.density_floats
-    log_p = [math.log2(p) if p > 0 else LOG2_ZERO for p in pf]
-    t = log2_factorial_table(n)
     bounds = tuple(n if p > 0 else 0 for p in pf)
+    _check_support(composition_count(n, bounds))
 
-    def log_weights() -> Iterator[tuple[int, list[int], float]]:
-        # per-coordinate contribution: k_i*log2(p_i) - log2(k_i!)
-        contrib = [0.0] * d
-        for changed, parts in bounded_composition_steps(n, bounds):
-            for i in range(changed, d):
-                k = parts[i]
-                contrib[i] = (k * log_p[i] - float(t[k])) if k else 0.0
-            yield changed, parts, float(t[n]) + sum(contrib)
-
-    threshold = LOG2_ZERO
-    if cutoff > 0.0:
-        max_lw = max(lw for _, _, lw in log_weights())
-        threshold = max_lw + math.log2(cutoff)
-
-    entries: list[SpectrumEntry] = []
-    dropped: list[float] = []
+    t = log2_factorial_table(n)
+    # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0
+    log_factors = [
+        [0.0] + [k * math.log2(p) - float(t[k]) for k in range(1, b + 1)]
+        for p, b in zip(pf, bounds)
+    ]
+    tables = None
     if exact:
-        # common-denominator integers: weight = n!/prod(k_i!) * prod(a_i^{k_i}) / B^n
+        # common-denominator integers: weight = n! * prod(a_i^{k_i}) / prod(k_i!) / B^n
         B = math.lcm(*(p.denominator for p in dens))
-        a = [int(p * B) for p in dens]
-        n_fact = math.factorial(n)
-        fact = [1] * (n + 1)
-        for i in range(1, n + 1):
-            fact[i] = fact[i - 1] * i
-        pows = [[1] * (n + 1) for _ in range(d)]
-        for i in range(d):
-            for j in range(1, n + 1):
-                pows[i][j] = pows[i][j - 1] * a[i]
-        Bn = B**n
-        num_factors = [1] * d
-        den_factors = [1] * d
-        num_prod = 1
-        den_prod = 1
-        for changed, parts, lw in log_weights():
-            for i in range(changed, d):
-                num_prod //= num_factors[i]
-                den_prod //= den_factors[i]
-                num_factors[i] = pows[i][parts[i]]
-                den_factors[i] = fact[parts[i]]
-                num_prod *= num_factors[i]
-                den_prod *= den_factors[i]
-            weight_exact = Fraction(n_fact * num_prod // den_prod, Bn)
-            entries.append(SpectrumEntry(tuple(parts), lw, weight_exact))
-    else:
-        for _, parts, lw in log_weights():
-            if lw >= threshold:
-                entries.append(SpectrumEntry(tuple(parts), lw, None))
-            else:
-                dropped.append(2.0**lw)
-    dropped_mass = math.fsum(dropped)
-    if cutoff > 0.0 and dropped_mass > 10.0 * cutoff:
-        raise ValueError(
-            f"cutoff {cutoff:g} drops {dropped_mass:.3e} of the weight; "
-            "lower the cutoff to keep at least 1 - 10*cutoff"
-        )
+        pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
+        fact = list(accumulate(range(1, n + 1), operator.mul, initial=1))
+        tables = (pows, [fact] * len(dens), fact[n], B**n)
+    entries = _product_spectrum(n, bounds, log_factors, float(t[n]), tables)
+
+    dropped_mass = 0.0
+    if cutoff > 0.0:
+        threshold = max(e.log2_weight for e in entries) + math.log2(cutoff)
+        dropped_mass = math.fsum(2.0**e.log2_weight for e in entries if e.log2_weight < threshold)
+        entries = [e for e in entries if e.log2_weight >= threshold]
+        if dropped_mass > 10.0 * cutoff:
+            raise ValueError(
+                f"cutoff {cutoff:g} drops {dropped_mass:.3e} of the weight; "
+                "lower the cutoff to keep at least 1 - 10*cutoff"
+            )
     return Spectrum(
-        entries, n, d, SpectrumSource.THERMODYNAMIC, sector=cfg, dropped_mass=dropped_mass
+        entries, n, cfg.d, SpectrumSource.THERMODYNAMIC, sector=cfg, dropped_mass=dropped_mass
     )
 
 
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     kappa = dimension_symmetric_subspace(n, d)
+    _check_support(kappa)
     weight = Fraction(1, kappa)
     lw = -log2_binom(n + d - 1, d - 1)
     entries = [

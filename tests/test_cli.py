@@ -8,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from permutent.cli import main
+from permutent.combinatorics import composition_count
+from permutent.spectrum import SpectrumEntry
 
 from _schema import assert_valid
 
@@ -79,6 +81,29 @@ class TestSpectrumCommand:
         result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--n", "1",
                                       "--cutoff", "1e-6"])
         assert result.exit_code == 1
+
+    def test_oversized_support_is_a_resource_error(self, runner):
+        # composition_count(2500, (1000,) * 5) is about 6.0e11
+        result = runner.invoke(main, ["spectrum", "--occ", "1000,1000,1000,1000,1000",
+                                      "--n", "2500"])
+        assert result.exit_code == 3
+        assert "exceeds guard" in result.output
+
+    def test_summary_reads_each_weight_once(self, runner, monkeypatch):
+        reads = 0
+        weight = SpectrumEntry.weight
+
+        def counting(entry):
+            nonlocal reads
+            reads += 1
+            return weight.fget(entry)
+
+        monkeypatch.setattr(SpectrumEntry, "weight", property(counting))
+        result = run_ok(runner, ["spectrum", "--occ", "6,5,4", "--n", "7", "--format", "csv"])
+        support = len(result.stdout.strip().splitlines()) - 1
+        assert support == composition_count(7, (6, 5, 4))
+        assert reads == support
+        assert f"support {support}  " in result.stderr
 
 
 class TestEntropyCommand:

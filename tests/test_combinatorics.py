@@ -8,7 +8,6 @@ from permutent.combinatorics import (
     LOG2_ZERO,
     binom_exact,
     bounded_composition_steps,
-    composition_at,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -190,45 +189,3 @@ class TestEnumeration:
                 total, bounds
             )
 
-
-class TestChunkedEnumeration:
-    def test_unranking_matches_stream_order(self):
-        bounds = (4, 3, 5)
-        total = 7
-        full = list(enumerate_compositions(total, bounds))
-        for rank, parts in enumerate(full):
-            assert composition_at(total, bounds, rank) == parts
-        with pytest.raises(ValueError):
-            composition_at(total, bounds, len(full))
-
-    def test_resume_from_start(self):
-        bounds = (4, 3, 5)
-        total = 7
-        full = list(enumerate_compositions(total, bounds))
-        for rank in (0, 3, len(full) - 1):
-            resumed = list(enumerate_compositions(total, bounds, start=full[rank]))
-            assert resumed == full[rank:]
-        with pytest.raises(ValueError):
-            list(enumerate_compositions(total, bounds, start=(7, 0, 1)))
-
-    def test_chunked_reduction_is_associative(self):
-        # partial Vandermonde sums over contiguous chunks combine to the total
-        bounds = (6, 5, 7, 4)
-        total = 11
-        count = composition_count(total, bounds)
-        chunk_edges = [0, count // 4, count // 2, 3 * count // 4, count]
-        partials = []
-        for lo, hi in zip(chunk_edges, chunk_edges[1:]):
-            if lo == hi:
-                partials.append(0)
-                continue
-            acc = 0
-            stream = enumerate_compositions(total, bounds, start=composition_at(total, bounds, lo))
-            for _ in range(hi - lo):
-                parts = next(stream)
-                term = 1
-                for b, k in zip(bounds, parts):
-                    term *= binom_exact(b, k)
-                acc += term
-            partials.append(acc)
-        assert sum(partials) == binom_exact(sum(bounds), total)

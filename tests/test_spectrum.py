@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import permutent
+from permutent import oracle
 from permutent.spectrum import (
+    MAX_SPECTRUM_SUPPORT,
+    ResourceLimitError,
     SectorConfig,
     SpectrumSource,
     dimension_symmetric_subspace,
@@ -273,6 +277,24 @@ class TestUniformMixedSpectrum:
             s = uniform_mixed_spectrum(n, d)
             assert s.support_size == dimension_symmetric_subspace(n, d)
             assert s.total_weight_exact() == 1
+
+
+class TestSupportGuard:
+    def test_oversized_spectra_raise(self):
+        # C(404, 4) ~ 1.1e9 compositions in both cases
+        with pytest.raises(ResourceLimitError):
+            thermo_spectrum((Fraction(1, 5),) * 5, 400)
+        with pytest.raises(ResourceLimitError):
+            uniform_mixed_spectrum(400, 5)
+        with pytest.raises(ResourceLimitError):
+            exact_spectrum(SectorConfig.finite((1000,) * 5), 2500)
+
+    def test_limit_admits_largest_documented_spectrum(self):
+        assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
+
+    def test_error_class_is_shared(self):
+        assert permutent.ResourceLimitError is ResourceLimitError
+        assert oracle.ResourceLimitError is ResourceLimitError
 
 
 class TestSerialization:
