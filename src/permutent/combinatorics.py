@@ -38,11 +38,16 @@ LOG2_ZERO = float("-inf")
 
 _table_lock = threading.Lock()
 _log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), grown on demand
+_log2_fact_last = np.longdouble(0.0)  # extended-precision value behind _log2_fact[-1]
 
 
 def _ensure_table(n: int) -> np.ndarray:
-    """Grow the log-factorial table to cover 0..n and return it."""
-    global _log2_fact
+    """Grow the log-factorial table to cover 0..n and return it.
+
+    Each growth continues the extended-precision running sum where the last
+    one stopped, so the table does not depend on how it was grown.
+    """
+    global _log2_fact, _log2_fact_last
     table = _log2_fact
     if n < table.shape[0]:
         return table
@@ -54,11 +59,13 @@ def _ensure_table(n: int) -> np.ndarray:
         size = max(n + 1, 2 * old)
         # Accumulate in extended precision so the running sum stays accurate
         # even for tables of ~10^6 entries.
-        ext = np.cumsum(np.log2(np.arange(old, size, dtype=np.longdouble)))
-        ext += np.longdouble(table[old - 1])
+        steps = np.log2(np.arange(old, size, dtype=np.longdouble))
+        steps[0] += _log2_fact_last
+        ext = np.cumsum(steps)
         grown = np.empty(size)
         grown[:old] = table
         grown[old:] = ext.astype(np.float64)
+        _log2_fact_last = ext[-1]
         _log2_fact = grown
         return grown
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from permutent.combinatorics import (
     enumerate_compositions,
     log2_binom,
     log2_factorial,
+    log2_factorial_table,
     multinomial_exact,
     multinomial_log2,
 )
@@ -78,6 +80,13 @@ class TestLog2Binom:
         for n in (0, 1, 5, 100, 5000):
             expected = math.lgamma(n + 1) / math.log(2.0)
             assert log2_factorial(n) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    def test_table_does_not_depend_on_growth_order(self, fresh_log2_table):
+        fresh_log2_table()
+        log2_factorial_table(300)
+        stepwise = log2_factorial_table(2000).copy()
+        fresh_log2_table()
+        assert np.array_equal(stepwise, log2_factorial_table(2000))
 
 
 class TestMultinomial:

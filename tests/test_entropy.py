@@ -53,6 +53,14 @@ class TestEntropyOfSpectrum:
         expected = finite_entropy((40, 40), 20)
         assert entropy_of_spectrum(s) == pytest.approx(expected, abs=1e-10)
 
+    def test_log_domain_result_does_not_depend_on_call_order(self, fresh_log2_table):
+        large = SectorConfig.finite((400,) * 5)
+        fresh_log2_table()
+        alone = entropy_of_spectrum(exact_spectrum(large, 40))
+        fresh_log2_table()
+        exact_spectrum(SectorConfig.finite((60,) * 5), 30)
+        assert entropy_of_spectrum(exact_spectrum(large, 40)) == alone
+
     def test_unnormalized_rejected(self):
         bogus = Spectrum(
             entries=[SpectrumEntry((1, 0), -1.0, None), SpectrumEntry((0, 1), -1.5, None)],
