@@ -26,7 +26,6 @@ __all__ = [
     "build_gaussian",
     "gaussian_entropy",
     "gaussian_log2_weight",
-    "gaussian_model_to_json_obj",
 ]
 
 INVERSION_RESIDUAL_TOL = 1e-12
@@ -159,14 +158,3 @@ def gaussian_log2_weight(model: GaussianModel, parts: Sequence[int]) -> float:
     quad = float(delta @ model.precision @ delta)
     log2_norm = -0.5 * model.log2_det_covariance - model.dim / 2.0 * math.log2(2.0 * math.pi)
     return log2_norm - 0.5 * quad / math.log(2.0)
-
-
-def gaussian_model_to_json_obj(model: GaussianModel) -> dict:
-    return {
-        "dim": model.dim,
-        "n": model.n,
-        "densities": list(model.densities),
-        "mean": [float(x) for x in model.mean],
-        "covariance": [float(x) for x in model.covariance.ravel()],
-        "det_A": model.det_A,
-    }

@@ -197,4 +197,3 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_compositions(total, bounds)) == composition_count(
                 total, bounds
             )
-

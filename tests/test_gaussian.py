@@ -11,7 +11,6 @@ from permutent.gaussian import (
     composition_moments,
     gaussian_entropy,
     gaussian_log2_weight,
-    gaussian_model_to_json_obj,
 )
 from permutent.spectrum import SectorConfig, exact_spectrum, thermo_spectrum
 
@@ -174,10 +173,3 @@ class TestLocalLimit:
             deviations.append(abs(top.weight - approx) * n**sigma)
         assert deviations[0] < 1.0
         assert deviations[0] > deviations[1] > deviations[2] > deviations[3]
-
-
-def test_serialization_keys():
-    model = build_gaussian((0.5, 0.5), 10)
-    obj = gaussian_model_to_json_obj(model)
-    assert set(obj) == {"dim", "n", "densities", "mean", "covariance", "det_A"}
-    assert obj["covariance"] == [2.5]
