@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .combinatorics import (
     binom_exact,
     bounded_composition_steps,
@@ -237,23 +235,20 @@ def _product_spectrum(
     """
     d = len(bounds)
     logs = [0.0] * (d + 1)
-    entries: list[SpectrumEntry] = []
-    if exact is None:
-        for changed, parts in bounded_composition_steps(n, bounds):
-            for i in range(changed, d):
-                logs[i + 1] = logs[i] + log_factors[i][parts[i]]
-            entries.append(SpectrumEntry(tuple(parts), logs[d] + log_const, None))
-        return entries
-    num, den, scale, shared_den = exact
     nums = [1] * (d + 1)
     dens = [1] * (d + 1)
+    if exact is not None:
+        num, den, scale, shared_den = exact
+    entries: list[SpectrumEntry] = []
     for changed, parts in bounded_composition_steps(n, bounds):
         for i in range(changed, d):
-            k = parts[i]
-            logs[i + 1] = logs[i] + log_factors[i][k]
-            nums[i + 1] = nums[i] * num[i][k]
-            dens[i + 1] = dens[i] * den[i][k]
-        weight = Fraction(scale * nums[d] // dens[d], shared_den)
+            logs[i + 1] = logs[i] + log_factors[i][parts[i]]
+        weight = None
+        if exact is not None:
+            for i in range(changed, d):
+                nums[i + 1] = nums[i] * num[i][parts[i]]
+                dens[i + 1] = dens[i] * den[i][parts[i]]
+            weight = Fraction(scale * nums[d] // dens[d], shared_den)
         entries.append(SpectrumEntry(tuple(parts), logs[d] + log_const, weight))
     return entries
 
@@ -278,11 +273,7 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         exact = L <= EXACT_AUTO_MAX_L
     _check_support(composition_count(n, occupations))
 
-    t = log2_factorial_table(L)
-    log_factors = []
-    for N in occupations:
-        k = np.arange(min(N, n) + 1)
-        log_factors.append((t[N] - t[k] - t[N - k]).tolist())
+    log_factors = [[log2_binom(N, k) for k in range(min(N, n) + 1)] for N in occupations]
     tables = None
     if exact:
         binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
