@@ -106,6 +106,11 @@ class TestBlockEntropy:
         cfg = SectorConfig.finite((5, 5))
         assert block_entropy(cfg, 0) == 0.0
         assert block_entropy(cfg, 10) == 0.0
+        # one occupied level: every conditional is a point mass, whose
+        # entropy must come out as +0.0, not -0.0
+        for pure in (SectorConfig.finite((0, 5, 0)), SectorConfig.infinite((0, 1, 0))):
+            s = block_entropy(pure, 3)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_duality(self):
         cfg = SectorConfig.finite((7, 6, 5))
