@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutent.entropy import (
     asymptotic_entropy,
@@ -16,6 +18,7 @@ from permutent.entropy import (
     fit_prefactor,
     max_entropy_bound,
 )
+from permutent.oracle import build_state, dense_eigenvalues, partial_trace
 from permutent.spectrum import (
     SectorConfig,
     Spectrum,
@@ -118,6 +121,49 @@ class TestBlockEntropy:
             assert block_entropy(cfg, n) == pytest.approx(
                 block_entropy(cfg, cfg.L - n), abs=1e-9
             )
+
+
+def _block_size(data, L):
+    """0, L or a random block size in between, drawn evenly."""
+    return data.draw(st.one_of(st.just(0), st.just(L), st.integers(min_value=0, max_value=L)))
+
+
+class TestEntropyRoutes:
+    """Chain rule, spectrum and dense oracle agree, empty levels and n in {0, L} included."""
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_finite_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        occupations = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d).filter(any)
+        )
+        cfg = SectorConfig.finite(occupations)
+        n = _block_size(data, cfg.L)
+        chain = block_entropy(cfg, n)
+        assert chain == pytest.approx(entropy_of_spectrum(exact_spectrum(cfg, n)), abs=1e-10)
+        if d**cfg.L <= 729:
+            dense = dense_eigenvalues(partial_trace(build_state(cfg), n))
+            assert chain == pytest.approx(-math.fsum(v * math.log2(v) for v in dense), abs=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_thermodynamic_limit(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=d, max_size=d).filter(any)
+        )
+        # all mass in level 0 is drawn on its own, as it is rare among the counts
+        counts = data.draw(st.sampled_from([counts, [1] + [0] * (d - 1)]))
+        densities = [Fraction(c, sum(counts)) for c in counts]
+        n = _block_size(data, 30)
+        chain = block_entropy(SectorConfig.infinite(densities), n)
+        assert chain == pytest.approx(
+            entropy_of_spectrum(thermo_spectrum(densities, n)), abs=1e-10
+        )
+
+    def test_all_mass_in_level_zero(self):
+        assert block_entropy(SectorConfig.infinite((1, 0, 0)), 5) == 0.0
 
 
 class TestAsymptoticEntropy:

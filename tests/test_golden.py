@@ -20,7 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
 # file name -> CLI arguments; "{out}" is replaced by an output path, and the
-# file written there (not stdout) is then the golden output.
+# file written there (not stdout) is then the golden output.  "{dir}" is
+# replaced by that path's directory, for commands that write into an output
+# directory; the golden output is then the file of the golden name in it.
+FIGURES = ["figures", "--points", "8", "--max-l", "30", "--out-dir", "{dir}"]
 GOLDEN = {
     "spectrum_occ_6_5_4_n7.json": ["spectrum", "--occ", "6,5,4", "--n", "7"],
     "spectrum_occ_400_300_200_n12.csv": [
@@ -40,6 +43,10 @@ GOLDEN = {
     "sweep_occ_40_30_20_10.csv": [
         "sweep", "--occ", "40,30,20,10", "--n-min", "0", "--n-max", "100", "--step", "5",
     ],
+    "sweep_occ_40_30_20_10.svg": [
+        "sweep", "--occ", "40,30,20,10", "--n-min", "0", "--n-max", "100", "--step", "5",
+        "--format", "svg",
+    ],
     "sweep_inf_empty_level.csv": [
         "sweep", "--L", "inf", "--dens", "1/2,1/4,1/4,0", "--n-min", "0", "--n-max", "200",
         "--step", "10",
@@ -48,11 +55,13 @@ GOLDEN = {
     "verify_small_grid.json": [
         "verify", "--d2-max-l", "3", "--d3-max-l", "3", "--uniform-max-l", "2", "--out", "{out}",
     ],
+    "entropy_scaling_d3.svg": FIGURES,
+    "entropy_scaling_by_spin.svg": FIGURES,
 }
 
 
 def run_cli(args: list[str], out: Path) -> bytes:
-    argv = [a.replace("{out}", str(out)) for a in args]
+    argv = [a.replace("{out}", str(out)).replace("{dir}", str(out.parent)) for a in args]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PERMUTENT_THREADS", None)
     result = subprocess.run(
@@ -63,7 +72,7 @@ def run_cli(args: list[str], out: Path) -> bytes:
         check=False,
     )
     assert result.returncode == 0, result.stderr.decode()
-    return out.read_bytes() if "{out}" in args else result.stdout
+    return out.read_bytes() if "{out}" in args or "{dir}" in args else result.stdout
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
