@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -186,12 +185,11 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
         _write_text(out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(out, _spectrum_csv(spectrum))
-    weights = [e.weight for e in spectrum.entries]
-    residual = abs(math.fsum(weights) + spectrum.dropped_mass - 1.0)  # as normalization_residual()
+    weights = spectrum.weights
     click.echo(
         f"support {spectrum.support_size}  min_weight {min(weights, default=0.0):.6g}  "
         f"max_weight {max(weights, default=0.0):.6g}  "
-        f"normalization_residual {residual:.3e}",
+        f"normalization_residual {spectrum.normalization_residual():.3e}",
         err=True,
     )
 

@@ -115,18 +115,10 @@ def entropy_of_spectrum(spectrum: Spectrum, *, tol: float = 1e-9) -> float:
     residual = spectrum.normalization_residual()
     if residual > tol:
         raise ValueError(f"spectrum is not normalized: residual {residual:.3e} > {tol:g}")
-    terms = []
-    for e in spectrum.entries:
-        if e.weight_exact is not None:
-            w = float(e.weight_exact)
-            if w > 0.0:
-                terms.append(w * math.log2(w))
-        else:
-            lw = e.log2_weight
-            w = 2.0**lw
-            if w > 0.0:
-                terms.append(w * lw)
-    return -math.fsum(terms)
+    weights = spectrum.weights
+    if spectrum.is_exact:
+        return -math.fsum(w * math.log2(w) for w in weights if w > 0.0)
+    return -math.fsum(w * e.log2_weight for w, e in zip(weights, spectrum.entries) if w > 0.0)
 
 
 def _hypergeometric_log2_pmf(L: int, K: int, n: int, t: np.ndarray) -> tuple[int, np.ndarray]:

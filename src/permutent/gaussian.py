@@ -58,9 +58,7 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     if not entries:
         raise ValueError("empty spectrum has no moments")
     if spectrum.is_exact:
-        den = 1
-        for e in entries:
-            den = math.lcm(den, e.weight_exact.denominator)  # type: ignore[union-attr]
+        den = math.lcm(*(e.weight_exact.denominator for e in entries))  # type: ignore[union-attr]
         s0 = 0
         s1 = [0] * d
         s2 = [[0] * d for _ in range(d)]
@@ -85,7 +83,7 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 cov[i, j] = cov[j, i] = float(central)
         return mean, cov
     ks = np.array([e.parts for e in entries], dtype=np.float64)
-    w = np.array([2.0**e.log2_weight for e in entries])
+    w = np.array(spectrum.weights)
     total = w.sum()
     mean = (w @ ks) / total
     centered = ks - mean

@@ -225,7 +225,7 @@ def verify_theorem(
     dense = dense_eigenvalues(rho, tol=1e-8)
     if perturb and dense:
         dense[0] += perturb
-    formula = sorted((e.weight for e in exact_spectrum(cfg, n).entries), reverse=True)
+    formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
     width = max(len(dense), len(formula))
     padded_dense = dense + [0.0] * (width - len(dense))
     padded_formula = formula + [0.0] * (width - len(formula))

@@ -14,12 +14,13 @@ state the spectrum is flat over all compositions of n.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .combinatorics import (
     binom_exact,
@@ -183,23 +184,13 @@ class Spectrum:
     def is_exact(self) -> bool:
         return bool(self.entries) and all(e.weight_exact is not None for e in self.entries)
 
-    def weights(self) -> Iterator[float]:
-        for e in self.entries:
-            yield e.weight
-
-    def total_weight(self) -> float:
-        return math.fsum(self.weights())
-
-    def total_weight_exact(self) -> Fraction | None:
-        if not self.is_exact:
-            return None
-        total = Fraction(0)
-        for e in self.entries:
-            total += e.weight_exact  # type: ignore[operator]
-        return total
+    @functools.cached_property
+    def weights(self) -> list[float]:
+        """One float weight per entry, converted once and kept."""
+        return [e.weight for e in self.entries]
 
     def normalization_residual(self) -> float:
-        return abs(self.total_weight() + self.dropped_mass - 1.0)
+        return abs(math.fsum(self.weights) + self.dropped_mass - 1.0)
 
 
 def dimension_symmetric_subspace(n: int, d: int) -> int:

@@ -64,6 +64,20 @@ class TestEntropyOfSpectrum:
         exact_spectrum(SectorConfig.finite((60,) * 5), 30)
         assert entropy_of_spectrum(exact_spectrum(large, 40)) == alone
 
+    def test_converts_each_exact_weight_once(self, monkeypatch):
+        s = exact_spectrum(SectorConfig.finite((6, 5, 4)), 7)
+        conversions = 0
+        to_float = Fraction.__float__
+
+        def counting(value):
+            nonlocal conversions
+            conversions += 1
+            return to_float(value)
+
+        monkeypatch.setattr(Fraction, "__float__", counting)
+        entropy_of_spectrum(s)
+        assert conversions == s.support_size == 26
+
     def test_unnormalized_rejected(self):
         bogus = Spectrum(
             entries=[SpectrumEntry((1, 0), -1.0, None), SpectrumEntry((0, 1), -1.5, None)],

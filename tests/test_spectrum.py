@@ -136,7 +136,7 @@ class TestExactSpectrum:
             cfg = random_sector(rng)
             n = rng.randint(0, min(cfg.L, 40))
             s = exact_spectrum(cfg, n)
-            assert s.total_weight_exact() == 1
+            assert sum(e.weight_exact for e in s.entries) == 1
             assert all(e.weight_exact > 0 for e in s.entries)
 
     def test_log_mode_agrees_with_exact(self):
@@ -212,7 +212,7 @@ class TestThermoSpectrum:
 
     def test_exact_normalization(self):
         s = thermo_spectrum((Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)), 17)
-        assert s.total_weight_exact() == 1
+        assert sum(e.weight_exact for e in s.entries) == 1
 
     def test_matches_reference_weights(self):
         s = thermo_spectrum((0.2, 0.3, 0.5), 6, exact=False)
@@ -243,7 +243,7 @@ class TestThermoSpectrum:
     def test_zero_density_supported(self):
         s = thermo_spectrum((HALF, HALF, Fraction(0)), 4)
         assert all(e.parts[2] == 0 for e in s.entries)
-        assert s.total_weight_exact() == 1
+        assert sum(e.weight_exact for e in s.entries) == 1
 
     def test_cutoff_reports_dropped_mass(self):
         cutoff = 1e-8
@@ -251,7 +251,7 @@ class TestThermoSpectrum:
         trimmed = thermo_spectrum((0.2, 0.3, 0.5), 60, cutoff=cutoff, exact=False)
         assert trimmed.support_size < full.support_size
         assert trimmed.dropped_mass > 0.0
-        assert trimmed.total_weight() >= 1.0 - 10.0 * cutoff
+        assert math.fsum(trimmed.weights) >= 1.0 - 10.0 * cutoff
         assert trimmed.normalization_residual() < 1e-10
 
     def test_cutoff_incompatible_with_exact(self):
@@ -276,7 +276,7 @@ class TestUniformMixedSpectrum:
         for n, d in ((0, 2), (5, 3), (12, 4)):
             s = uniform_mixed_spectrum(n, d)
             assert s.support_size == dimension_symmetric_subspace(n, d)
-            assert s.total_weight_exact() == 1
+            assert sum(e.weight_exact for e in s.entries) == 1
 
 
 class TestSupportGuard:
