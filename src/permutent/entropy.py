@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -161,50 +162,52 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
 
     Agrees with ``entropy_of_spectrum(exact_spectrum(cfg, n))`` respectively
     ``thermo_spectrum`` to floating-point accuracy, at O(d * n^2) cost.
+    ``before(j)`` is the pmf of the count s in levels 0..j-1 and
+    ``given(j, s)`` that of the count in level j given s; the two sector
+    kinds differ only in these pmf families.
     """
     if n < 0:
         raise ValueError("block size must be nonnegative")
-    d = cfg.d
     if cfg.is_finite:
-        occupations = cfg.occupations
-        assert occupations is not None
-        L = sum(occupations)
+        levels = cfg.occupations
+        assert levels is not None
+        L = sum(levels)
         if n > L:
             raise ValueError(f"n exceeds L: n={n}, L={L}")
         if n == 0 or n == L:
             return 0.0
         t = log2_factorial_table(L)
-        total = _entropy_bits(_hypergeometric_log2_pmf(L, occupations[0], n, t)[1])
-        merged = occupations[0]
-        for j in range(1, d - 1):
-            remaining = L - merged
-            if remaining <= 0:
-                break
-            lo, lw = _hypergeometric_log2_pmf(L, merged, n, t)
-            for s, ws in enumerate(np.exp2(lw).tolist(), lo):
-                if ws > 0.0:
-                    _, cond = _hypergeometric_log2_pmf(remaining, occupations[j], n - s, t)
-                    total += ws * _entropy_bits(cond)
-            merged += occupations[j]
-        return total
+        merged = list(accumulate(levels, initial=0))
 
-    p = cfg.density_floats
-    if n == 0:
-        return 0.0
-    t = log2_factorial_table(n)
-    total = _entropy_bits(_binomial_log2_pmf(n, p[0], t)[1])
-    cum = p[0]
-    for j in range(1, d - 1):
-        rest = 1.0 - cum
-        if rest <= 0.0 or p[j] <= 0.0:
-            cum += p[j]
+        def before(j: int) -> tuple[int, np.ndarray]:
+            return _hypergeometric_log2_pmf(L, merged[j], n, t)
+
+        def given(j: int, s: int) -> tuple[int, np.ndarray]:
+            return _hypergeometric_log2_pmf(L - merged[j], levels[j], n - s, t)
+
+    else:
+        levels = cfg.density_floats
+        if n == 0:
+            return 0.0
+        t = log2_factorial_table(n)
+        cum = list(accumulate(levels, initial=0))
+
+        def before(j: int) -> tuple[int, np.ndarray]:
+            return _binomial_log2_pmf(n, cum[j], t)
+
+        def given(j: int, s: int) -> tuple[int, np.ndarray]:
+            return _binomial_log2_pmf(n - s, min(levels[j] / (1.0 - cum[j]), 1.0), t)
+
+    total = _entropy_bits(before(1)[1])
+    for j in range(1, cfg.d - 1):
+        if levels[j] <= 0:
             continue
-        q = min(p[j] / rest, 1.0)
-        lo, lw = _binomial_log2_pmf(n, cum, t)
+        lo, lw = before(j)
+        # at s == n level j holds nothing, so its term is zero; skipping it
+        # also avoids 1 - cum[j] == 0 when the earlier levels hold all mass
         for s, ws in enumerate(np.exp2(lw).tolist(), lo):
-            if ws > 0.0:
-                total += ws * _entropy_bits(_binomial_log2_pmf(n - s, q, t)[1])
-        cum += p[j]
+            if ws > 0.0 and s < n:
+                total += ws * _entropy_bits(given(j, s)[1])
     return total
 
 
