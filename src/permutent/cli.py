@@ -128,6 +128,12 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text)
 
 
+def _write_json(path: Path | None, obj: dict) -> None:
+    """Write obj as indented JSON, headed by the generator version."""
+    payload = {"generator": f"permutent {__version__}", **obj}
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
 def _thread_count() -> int:
     raw = os.environ.get("PERMUTENT_THREADS", "1")
     try:
@@ -180,9 +186,7 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
     else:
         spectrum = _guarded(thermo_spectrum, sector.densities, n, cutoff, exact=exact)
     if out_format == "json":
-        payload = {"generator": f"permutent {__version__}"}
-        payload.update(spectrum_to_json_obj(spectrum))
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+        _write_json(out, spectrum_to_json_obj(spectrum))
     else:
         _write_text(out, _spectrum_csv(spectrum))
     weights = spectrum.weights
@@ -212,15 +216,16 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
         for key in ("exact_bits", "asymptotic_bits", "gaussian_bits", "sup_bound_bits", "constant_C_bits"):
             if obj[key] is not None:
                 obj[key.replace("_bits", "_nats")] = bits_to_nats(obj.pop(key))
-    payload = {
-        "generator": f"permutent {__version__}",
-        "L": sector.L if sector.is_finite else "inf",
-        "d": sector.d,
-        "n": n,
-        "units": units,
-        "report": obj,
-    }
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    _write_json(
+        out,
+        {
+            "L": sector.L if sector.is_finite else "inf",
+            "d": sector.d,
+            "n": n,
+            "units": units,
+            "report": obj,
+        },
+    )
 
 
 def _sweep_row(sector: SectorConfig, n: int) -> tuple[int, float, float | None, float, float | None]:
@@ -373,13 +378,10 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
             click.echo(f"MISMATCH {kind}: config={report.config} n={report.n} "
                        f"max_abs_dev={report.max_abs_dev:.3e}", err=True)
     if out is not None:
-        payload = {
-            "generator": f"permutent {__version__}",
-            "tolerance": tol,
-            "cases": [r.to_json_obj() for r in reports],
-            "pass": not failures,
-        }
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+        _write_json(
+            out,
+            {"tolerance": tol, "cases": [r.to_json_obj() for r in reports], "pass": not failures},
+        )
     click.echo(f"verified {len(reports)} cases, {len(failures)} failures")
     if failures:
         sys.exit(EXIT_MISMATCH)
@@ -399,42 +401,12 @@ def cmd_figures(out_dir, points, max_l):
     series: list[Series] = []
     for L in sizes:
         sector = SectorConfig.finite((L // 3,) * 3)
-        curve_ns = _sample_range(1, L - 1, 160)
-        series.append(
-            Series(
-                label=f"asymptotic L={L}",
-                xs=[float(n) for n in curve_ns],
-                ys=[asymptotic_entropy(sector, n) for n in curve_ns],
-                style="line",
-            )
-        )
-        point_ns = _sample_range(0, L, points)
-        series.append(
-            Series(
-                label=f"exact L={L}",
-                xs=[float(n) for n in point_ns],
-                ys=[block_entropy(sector, n) for n in point_ns],
-                style="points",
-            )
+        series += _scaling_series(
+            sector, f"L={L}", _sample_range(1, L - 1, 160), _sample_range(0, L, points)
         )
     inf_sector = SectorConfig.infinite((Fraction(1, 3),) * 3)
     inf_ns = _sample_range(1, max_l, points)
-    series.append(
-        Series(
-            label="asymptotic L=inf",
-            xs=[float(n) for n in inf_ns],
-            ys=[asymptotic_entropy(inf_sector, n) for n in inf_ns],
-            style="line",
-        )
-    )
-    series.append(
-        Series(
-            label="exact L=inf",
-            xs=[float(n) for n in inf_ns],
-            ys=[block_entropy(inf_sector, n) for n in inf_ns],
-            style="points",
-        )
-    )
+    series += _scaling_series(inf_sector, "L=inf", inf_ns, inf_ns)
     chart1 = render_chart(
         series,
         title="Block entropy at d=3, equal occupations",
@@ -447,23 +419,8 @@ def cmd_figures(out_dir, points, max_l):
     L = 120
     for d in (2, 3, 4, 5):
         sector = SectorConfig.finite((L // d,) * d)
-        curve_ns = _sample_range(1, L - 1, 160)
-        series2.append(
-            Series(
-                label=f"asymptotic d={d}",
-                xs=[float(n) for n in curve_ns],
-                ys=[asymptotic_entropy(sector, n) for n in curve_ns],
-                style="line",
-            )
-        )
-        point_ns = _sample_range(0, L, points)
-        series2.append(
-            Series(
-                label=f"exact d={d}",
-                xs=[float(n) for n in point_ns],
-                ys=[block_entropy(sector, n) for n in point_ns],
-                style="points",
-            )
+        series2 += _scaling_series(
+            sector, f"d={d}", _sample_range(1, L - 1, 160), _sample_range(0, L, points)
         )
     chart2 = render_chart(
         series2,
@@ -474,6 +431,26 @@ def cmd_figures(out_dir, points, max_l):
     (out_dir / "entropy_scaling_by_spin.svg").write_text(chart2)
     click.echo(f"wrote {out_dir / 'entropy_scaling_d3.svg'}", err=True)
     click.echo(f"wrote {out_dir / 'entropy_scaling_by_spin.svg'}", err=True)
+
+
+def _scaling_series(
+    sector: SectorConfig, tag: str, curve_ns: Sequence[int], point_ns: Sequence[int]
+) -> list[Series]:
+    """The asymptotic curve over curve_ns and the exact points over point_ns."""
+    return [
+        Series(
+            label=f"asymptotic {tag}",
+            xs=[float(n) for n in curve_ns],
+            ys=[asymptotic_entropy(sector, n) for n in curve_ns],
+            style="line",
+        ),
+        Series(
+            label=f"exact {tag}",
+            xs=[float(n) for n in point_ns],
+            ys=[block_entropy(sector, n) for n in point_ns],
+            style="points",
+        ),
+    ]
 
 
 def _sample_range(lo: int, hi: int, count: int) -> list[int]:
