@@ -92,15 +92,6 @@ class CorrectionReport:
     delta_per_leading_bits: float
     delta_cr_leading_bits: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "delta_per_bits": self.delta_per_bits,
-            "delta_cr_bits": self.delta_cr_bits,
-            "central_charge": self.central_charge,
-            "delta_per_leading_bits": self.delta_per_leading_bits,
-            "delta_cr_leading_bits": self.delta_cr_leading_bits,
-        }
-
 
 @dataclass
 class EffectiveSpin:
@@ -257,13 +248,13 @@ def max_entropy_bound(n: int, d: int) -> float:
     return log2_binom(n + d - 1, d - 1)
 
 
-def effective_spin(densities: Sequence, zero_tol: float = ZERO_DENSITY_TOL) -> EffectiveSpin:
+def effective_spin(densities: Sequence) -> EffectiveSpin:
     """Count vanished levels: z zero densities reduce sigma to sigma - z/2."""
     p = tuple(float(x) for x in densities)
     if not p:
         raise ValueError("density vector is empty")
     sigma = (len(p) - 1) / 2.0
-    reduced = tuple(x for x in p if x > zero_tol)
+    reduced = tuple(x for x in p if x > ZERO_DENSITY_TOL)
     z = len(p) - len(reduced)
     if not reduced:
         raise ValueError("all densities vanish within tolerance")
@@ -321,7 +312,7 @@ def fit_prefactor(points: Sequence[tuple[int, float]]) -> float:
     return sxy / sxx
 
 
-def entropy_report(cfg: SectorConfig, n: int, *, gamma: float | None = None) -> EntropyReport:
+def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
     """Assemble exact entropy plus all closed-form comparisons for one block size.
 
     Levels with vanishing density are dropped (effective-spin reduction)
@@ -350,7 +341,6 @@ def entropy_report(cfg: SectorConfig, n: int, *, gamma: float | None = None) -> 
         gaussian_bits=gauss,
         sup_bound_bits=max_entropy_bound(n, cfg.d),
         constant_C_bits=C,
-        prefactor_gamma=gamma,
         asymptotic_valid=valid,
     )
 

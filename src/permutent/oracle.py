@@ -147,14 +147,14 @@ def dense_eigenvalues(
     rho: DenseDensityMatrix | np.ndarray,
     tol: float = 1e-12,
     *,
-    convergence_tol: float = JACOBI_CONVERGENCE_TOL,
     max_rotations: int | None = None,
 ) -> list[float]:
     """Eigenvalues above tol, descending, via cyclic threshold Jacobi rotations.
 
     Sweeps rotate every pair whose off-diagonal entry exceeds the per-pair
     threshold until the off-diagonal Frobenius norm drops below
-    convergence_tol * trace, or the rotation budget (100 * dim^2) runs out.
+    JACOBI_CONVERGENCE_TOL * trace, or the rotation budget (100 * dim^2)
+    runs out.
     """
     a = rho.entries if isinstance(rho, DenseDensityMatrix) else rho
     a = np.array(a, dtype=np.float64)
@@ -173,7 +173,7 @@ def dense_eigenvalues(
         m = keep.size
 
     trace = float(np.trace(a))
-    target = convergence_tol * max(trace, np.finfo(float).tiny)
+    target = JACOBI_CONVERGENCE_TOL * max(trace, np.finfo(float).tiny)
     budget = max_rotations if max_rotations is not None else JACOBI_SWEEP_BUDGET_FACTOR * m * m
     if m > 1:
         pair_threshold = target / math.sqrt(m * (m - 1))

@@ -29,7 +29,6 @@ class Series:
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
     style: str = "line"  # "line" or "points"
-    color: str | None = None
 
 
 def _nice_ticks(lo: float, hi: float, max_ticks: int = 7) -> list[float]:
@@ -139,7 +138,7 @@ def render_chart(
     legend_x = MARGIN_LEFT + plot_w + 14
     legend_y = MARGIN_TOP + 8
     for index, s in enumerate(series):
-        color = s.color or PALETTE[index % len(PALETTE)]
+        color = PALETTE[index % len(PALETTE)]
         points = [
             (sx(x), sy(y)) for x, y in zip(s.xs, s.ys) if math.isfinite(x) and math.isfinite(y)
         ]
