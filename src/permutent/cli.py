@@ -169,7 +169,7 @@ def main() -> None:
 @click.option("--cutoff", type=float, default=0.0, help="Relative weight cutoff (L = inf only).")
 def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
     """Compute one block spectrum and write it as JSON or CSV."""
-    if uniform and (occ is not None or dens is not None or L is not None):
+    if uniform and (any(v is not None for v in (L, occ, dens, exact)) or cutoff != 0.0):
         _fail(EXIT_VALIDATION, "--uniform takes only --d and --n")
     sector = None if uniform else _build_sector(L, d, occ, dens)
     _guarded(_block_range, sector, n, n)

@@ -67,6 +67,14 @@ class TestSpectrumCommand:
         assert payload["header"]["source"] == "uniform-mixed"
         assert [rec["weight"] for rec in payload["entries"]] == ["1/3"] * 3
 
+    @pytest.mark.parametrize(
+        "flag", [["--cutoff", "0.5"], ["--exact"], ["--no-exact"]], ids=["cutoff", "exact", "no-exact"]
+    )
+    def test_uniform_rejects_sector_flags(self, runner, flag):
+        result = runner.invoke(main, ["spectrum", "--uniform", "--d", "2", "--n", "2", *flag])
+        assert result.exit_code == 1
+        assert "--uniform takes only --d and --n" in result.output
+
     def test_conflicting_flags(self, runner):
         result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--dens", "1/2,1/2",
                                       "--n", "1"])
