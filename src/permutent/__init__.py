@@ -11,8 +11,6 @@ from .combinatorics import (
     composition_count,
     enumerate_compositions,
     log2_binom,
-    multinomial_exact,
-    multinomial_log2,
 )
 from .entropy import (
     CorrectionReport,
@@ -67,8 +65,6 @@ __all__ = [
     "composition_count",
     "enumerate_compositions",
     "log2_binom",
-    "multinomial_exact",
-    "multinomial_log2",
     "SectorConfig",
     "Spectrum",
     "SpectrumEntry",

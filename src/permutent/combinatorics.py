@@ -25,10 +25,7 @@ __all__ = [
     "LOG2_ZERO",
     "binom_exact",
     "log2_binom",
-    "log2_factorial",
     "log2_factorial_table",
-    "multinomial_exact",
-    "multinomial_log2",
     "enumerate_compositions",
     "bounded_composition_steps",
     "composition_count",
@@ -70,19 +67,8 @@ def _ensure_table(n: int) -> np.ndarray:
         return grown
 
 
-def log2_factorial(n: int) -> float:
-    """log2(n!) from the shared table."""
-    if n < 0:
-        raise ValueError("factorial argument must be nonnegative")
-    return float(_ensure_table(n)[n])
-
-
 def log2_factorial_table(n: int) -> np.ndarray:
-    """Read-only view of the log-factorial table covering 0..n.
-
-    Vectorised consumers index this directly instead of calling
-    :func:`log2_factorial` per element.
-    """
+    """Read-only view of the log-factorial table covering 0..n: entry m is log2(m!)."""
     table = _ensure_table(n)
     view = table[: n + 1].view()
     view.setflags(write=False)
@@ -99,40 +85,18 @@ def binom_exact(n: int, k: int) -> int:
 
 
 def log2_binom(n: int, k: int) -> float:
-    """log2 of the binomial coefficient; LOG2_ZERO when k outside [0, n]."""
+    """log2 of the binomial coefficient; LOG2_ZERO when k outside [0, n].
+
+    Where numpy's longdouble is 80-bit extended precision, the error is at
+    most 2 ulp of log2(n!), checked up to n = 10^6 (where that ulp is 3.7e-9
+    bits); where longdouble is plain float64 the table is less accurate.
+    """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return LOG2_ZERO
     t = _ensure_table(n)
     return float(t[n] - t[k] - t[n - k])
-
-
-def multinomial_exact(n: int, parts: Sequence[int]) -> int:
-    """Exact multinomial coefficient n! / prod(parts_i!)."""
-    _check_parts(n, parts)
-    out = 1
-    acc = 0
-    for k in parts:
-        acc += k
-        out *= math.comb(acc, k)
-    return out
-
-
-def multinomial_log2(n: int, parts: Sequence[int]) -> float:
-    """log2 of the multinomial coefficient n! / prod(parts_i!)."""
-    _check_parts(n, parts)
-    t = _ensure_table(n)
-    return float(t[n] - sum(t[k] for k in parts))
-
-
-def _check_parts(n: int, parts: Sequence[int]) -> None:
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got n={n}")
-    if any(k < 0 for k in parts):
-        raise ValueError("multinomial parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts sum to {sum(parts)}, expected {n}")
 
 
 def bounded_composition_steps(

@@ -12,10 +12,7 @@ from permutent.combinatorics import (
     composition_count,
     enumerate_compositions,
     log2_binom,
-    log2_factorial,
     log2_factorial_table,
-    multinomial_exact,
-    multinomial_log2,
 )
 
 from _oracles import brute_compositions, pascal_binom, poly_composition_count
@@ -79,7 +76,17 @@ class TestLog2Binom:
     def test_log2_factorial_matches_lgamma(self):
         for n in (0, 1, 5, 100, 5000):
             expected = math.lgamma(n + 1) / math.log(2.0)
-            assert log2_factorial(n) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            assert log2_factorial_table(n)[n] == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63,
+        reason="longdouble is not 80-bit extended here, so the 2-ulp bound does not apply",
+    )
+    def test_accuracy_at_a_million_sites(self):
+        L = 10**6
+        ulp = math.ulp(log2_factorial_table(L)[L])
+        for k in (1, 2, 10, 1000, 20000, L - 7):
+            assert abs(log2_binom(L, k) - math.log2(math.comb(L, k))) <= 2 * ulp, k
 
     def test_table_does_not_depend_on_growth_order(self, fresh_log2_table):
         fresh_log2_table()
@@ -87,36 +94,6 @@ class TestLog2Binom:
         stepwise = log2_factorial_table(2000).copy()
         fresh_log2_table()
         assert np.array_equal(stepwise, log2_factorial_table(2000))
-
-
-class TestMultinomial:
-    def test_reduces_to_binomial(self):
-        assert multinomial_log2(4, (2, 2)) == pytest.approx(math.log2(6), abs=1e-12)
-
-    def test_three_singletons(self):
-        assert multinomial_log2(3, (1, 1, 1)) == pytest.approx(math.log2(6), abs=1e-12)
-
-    def test_against_exact_big_integer(self):
-        exact = math.log2(multinomial_exact(30, (10, 10, 10)))
-        assert abs(multinomial_log2(30, (10, 10, 10)) - exact) <= 1e-10 * abs(exact)
-
-    def test_exact_value(self):
-        n = 12
-        parts = (3, 4, 5)
-        expected = math.factorial(n) // (
-            math.factorial(3) * math.factorial(4) * math.factorial(5)
-        )
-        assert multinomial_exact(n, parts) == expected
-
-    def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multinomial_log2(5, (2, 2))
-        with pytest.raises(ValueError):
-            multinomial_exact(5, (2, 2))
-
-    def test_negative_part_rejected(self):
-        with pytest.raises(ValueError):
-            multinomial_exact(1, (2, -1))
 
 
 class TestEnumeration:
