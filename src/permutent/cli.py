@@ -135,11 +135,21 @@ def _write_json(path: Path | None, obj: dict) -> None:
 
 
 def _thread_count() -> int:
+    """Sweep workers from PERMUTENT_THREADS, clamped to 1..cpu_count with a warning."""
     raw = os.environ.get("PERMUTENT_THREADS", "1")
+    cpus = os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
-        return 1
+        requested = 0
+    threads = min(max(1, requested), cpus)
+    if requested != threads:
+        click.echo(
+            f"warning: PERMUTENT_THREADS={raw!r} is not an integer in [1, {cpus}]; "
+            f"using {threads}",
+            err=True,
+        )
+    return threads
 
 
 def _spectrum_csv(spectrum: Spectrum) -> str:
