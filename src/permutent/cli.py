@@ -226,16 +226,8 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
         for key in ("exact_bits", "asymptotic_bits", "gaussian_bits", "sup_bound_bits", "constant_C_bits"):
             if obj[key] is not None:
                 obj[key.replace("_bits", "_nats")] = bits_to_nats(obj.pop(key))
-    _write_json(
-        out,
-        {
-            "L": sector.L if sector.is_finite else "inf",
-            "d": sector.d,
-            "n": n,
-            "units": units,
-            "report": obj,
-        },
-    )
+    L_field = sector.L if sector.is_finite else "inf"
+    _write_json(out, {"L": L_field, "d": sector.d, "n": n, "units": units, "report": obj})
 
 
 def _sweep_row(sector: SectorConfig, n: int) -> tuple[int, float, float | None, float, float | None]:
