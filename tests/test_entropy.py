@@ -179,6 +179,14 @@ class TestEntropyRoutes:
     def test_all_mass_in_level_zero(self):
         assert block_entropy(SectorConfig.infinite((1, 0, 0)), 5) == 0.0
 
+    def test_float_saturated_sector_is_pure(self):
+        # level 0 rounds to density 1.0, so 1 - cum[j] is 0.0 for the later
+        # levels; no conditional entropy may be evaluated there
+        tiny = Fraction(1, 2**61)
+        cfg = SectorConfig.infinite((1 - 2 * tiny, tiny, tiny))
+        for n in (0, 5, 50):
+            assert block_entropy(cfg, n) == 0.0
+
 
 class TestAsymptoticEntropy:
     def test_two_level_infinite_value(self):
