@@ -8,9 +8,7 @@ resource-guard violations with 3.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +22,7 @@ from .entropy import (
     asymptotic_entropy,
     block_entropy,
     entropy_report,
+    entropy_reports,
     finite_size_corrections,
     bits_to_nats,
 )
@@ -134,24 +133,6 @@ def _write_json(path: Path | None, obj: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _thread_count() -> int:
-    """Sweep workers from PERMUTENT_THREADS, clamped to 1..cpu_count with a warning."""
-    raw = os.environ.get("PERMUTENT_THREADS", "1")
-    cpus = os.cpu_count() or 1
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    threads = min(max(1, requested), cpus)
-    if requested != threads:
-        click.echo(
-            f"warning: PERMUTENT_THREADS={raw!r} is not an integer in [1, {cpus}]; "
-            f"using {threads}",
-            err=True,
-        )
-    return threads
-
-
 def _spectrum_csv(spectrum: Spectrum) -> str:
     lines = ["composition,log2_weight,weight"]
     for e in spectrum.entries:
@@ -230,24 +211,6 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
     _write_json(out, {"L": L_field, "d": sector.d, "n": n, "units": units, "report": obj})
 
 
-def _sweep_row(sector: SectorConfig, n: int) -> tuple[int, float, float | None, float, float | None]:
-    report = entropy_report(sector, n)
-    gap = (
-        report.exact_bits - report.asymptotic_bits
-        if report.asymptotic_bits is not None
-        else None
-    )
-    return n, report.exact_bits, report.asymptotic_bits, report.sup_bound_bits, gap
-
-
-def _sweep_rows(sector: SectorConfig, ns: Sequence[int]) -> list[tuple]:
-    threads = _thread_count()
-    if threads == 1 or len(ns) < 4:
-        return [_sweep_row(sector, n) for n in ns]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_sweep_row, [sector] * len(ns), ns))
-
-
 @main.command("sweep")
 @click.option("--L", "L", default=None)
 @click.option("--d", "d", type=int, default=None)
@@ -262,7 +225,7 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     """Sweep the block size: exact entropy, asymptotic value, sup bound, gap."""
     sector = _build_sector(L, d, occ, dens)
     ns = _guarded(_block_range, sector, n_min, n_max, step)
-    rows = _guarded(_sweep_rows, sector, list(ns))
+    reports = _guarded(entropy_reports, sector, ns)
     occ_field = (
         ";".join(map(str, sector.occupations))
         if sector.is_finite
@@ -271,24 +234,28 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     L_field = sector.L if sector.is_finite else "inf"
     if out_format == "csv":
         lines = [SWEEP_CSV_COLUMNS]
-        for n, s_exact, s_asym, s_sup, gap in rows:
+        for n, rep in zip(ns, reports):
+            s_asym = rep.asymptotic_bits
             asym_field = repr(s_asym) if s_asym is not None else ""
-            gap_field = repr(gap) if gap is not None else ""
+            gap_field = repr(rep.exact_bits - s_asym) if s_asym is not None else ""
             lines.append(
-                f"{L_field},{sector.d},{n},{occ_field},{s_exact!r},{asym_field},{s_sup!r},{gap_field}"
+                f"{L_field},{sector.d},{n},{occ_field},{rep.exact_bits!r},{asym_field},"
+                f"{rep.sup_bound_bits!r},{gap_field}"
             )
         _write_text(out, "\n".join(lines) + "\n")
     else:
+        asym_rows = [(n, rep.asymptotic_bits) for n, rep in zip(ns, reports)
+                     if rep.asymptotic_bits is not None]
         exact_series = Series(
             label="exact",
-            xs=[float(r[0]) for r in rows],
-            ys=[r[1] for r in rows],
+            xs=[float(n) for n in ns],
+            ys=[rep.exact_bits for rep in reports],
             style="points",
         )
         asym_series = Series(
             label="asymptotic",
-            xs=[float(r[0]) for r in rows if r[2] is not None],
-            ys=[r[2] for r in rows if r[2] is not None],
+            xs=[float(n) for n, _ in asym_rows],
+            ys=[s for _, s in asym_rows],
             style="line",
         )
         svg = render_chart(

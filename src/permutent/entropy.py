@@ -1,18 +1,20 @@
 """Entropy functionals over block spectra and the closed-form expressions.
 
 Exact block entropies come either from a materialised spectrum
-(:func:`entropy_of_spectrum`) or from :func:`block_entropy`, which computes
+(:func:`entropy_of_spectrum`) or from :func:`block_entropies`, which computes
 the same number through the chain rule over coordinates: conditioned on the
 partial sum of the earlier levels, each occupation count is hypergeometric
 (finite L) or binomial (thermodynamic limit).  The chain route costs
 O(d * n^2) and stays exact, so sweeps over large blocks do not need to touch
-the (possibly astronomically large) composition support.
+the (possibly astronomically large) composition support; a sweep computes
+each conditional entropy once.
 
 All entropies are in bits; "nats" exist only as an output formatting option.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,6 +31,7 @@ __all__ = [
     "EffectiveSpin",
     "entropy_of_spectrum",
     "block_entropy",
+    "block_entropies",
     "asymptotic_entropy",
     "asymptotic_validity",
     "max_entropy_bound",
@@ -36,6 +39,7 @@ __all__ = [
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
+    "entropy_reports",
     "bits_to_nats",
 ]
 
@@ -148,58 +152,74 @@ def _entropy_bits(lw: np.ndarray) -> float:
     return float(-(w * lw).sum())
 
 
-def block_entropy(cfg: SectorConfig, n: int) -> float:
-    """Exact block entropy via the conditional (chain-rule) decomposition.
+def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
+    """Exact block entropies at each n in ns via the conditional (chain-rule) decomposition.
 
     Agrees with ``entropy_of_spectrum(exact_spectrum(cfg, n))`` respectively
     ``thermo_spectrum`` to floating-point accuracy, at O(d * n^2) cost.
-    ``before(j)`` is the pmf of the count s in levels 0..j-1 and
-    ``given(j, s)`` that of the count in level j given s; the two sector
-    kinds differ only in these pmf families.
+    ``before(j, n)`` is the pmf of the count s in levels 0..j-1 and
+    ``given(j, r)`` that of the count in level j given r = n - s sites left;
+    the two sector kinds differ only in these pmf families.  The conditional
+    entropies do not depend on n, so each one is computed once per call, when
+    first needed, and shared by all block sizes in ns.
     """
-    if n < 0:
+    ns = list(ns)
+    if any(n < 0 for n in ns):
         raise ValueError("block size must be nonnegative")
     if cfg.is_finite:
         levels = cfg.occupations
         assert levels is not None
         L = sum(levels)
-        if n > L:
-            raise ValueError(f"n exceeds L: n={n}, L={L}")
-        if n == 0 or n == L:
-            return 0.0
+        for n in ns:
+            if n > L:
+                raise ValueError(f"n exceeds L: n={n}, L={L}")
+        pure = {0, L}
         t = log2_factorial_table(L)
         merged = list(accumulate(levels, initial=0))
 
-        def before(j: int) -> tuple[int, np.ndarray]:
+        def before(j: int, n: int) -> tuple[int, np.ndarray]:
             return _hypergeometric_log2_pmf(L, merged[j], n, t)
 
-        def given(j: int, s: int) -> tuple[int, np.ndarray]:
-            return _hypergeometric_log2_pmf(L - merged[j], levels[j], n - s, t)
+        def given(j: int, r: int) -> tuple[int, np.ndarray]:
+            return _hypergeometric_log2_pmf(L - merged[j], levels[j], r, t)
 
     else:
         levels = cfg.density_floats
-        if n == 0:
-            return 0.0
-        t = log2_factorial_table(n)
+        pure = {0}
+        t = log2_factorial_table(max(ns, default=0))
         cum = list(accumulate(levels, initial=0))
 
-        def before(j: int) -> tuple[int, np.ndarray]:
+        def before(j: int, n: int) -> tuple[int, np.ndarray]:
             return _binomial_log2_pmf(n, cum[j], t)
 
-        def given(j: int, s: int) -> tuple[int, np.ndarray]:
-            return _binomial_log2_pmf(n - s, min(levels[j] / (1.0 - cum[j]), 1.0), t)
+        def given(j: int, r: int) -> tuple[int, np.ndarray]:
+            return _binomial_log2_pmf(r, min(levels[j] / (1.0 - cum[j]), 1.0), t)
 
-    total = _entropy_bits(before(1)[1])
-    for j in range(1, cfg.d - 1):
-        if levels[j] <= 0:
-            continue
-        lo, lw = before(j)
-        # at s == n level j holds nothing, so its term is zero; skipping it
-        # also avoids 1 - cum[j] == 0 when the earlier levels hold all mass
-        for s, ws in enumerate(np.exp2(lw).tolist(), lo):
-            if ws > 0.0 and s < n:
-                total += ws * _entropy_bits(given(j, s)[1])
-    return total
+    @functools.cache
+    def given_entropy(j: int, r: int) -> float:
+        return _entropy_bits(given(j, r)[1])
+
+    def entropy(n: int) -> float:
+        if n in pure:
+            return 0.0
+        total = _entropy_bits(before(1, n)[1])
+        for j in range(1, cfg.d - 1):
+            if levels[j] <= 0:
+                continue
+            lo, lw = before(j, n)
+            # at s == n level j holds nothing, so its term is zero; skipping it
+            # also avoids 1 - cum[j] == 0 when the earlier levels hold all mass
+            for s, ws in enumerate(np.exp2(lw).tolist(), lo):
+                if ws > 0.0 and s < n:
+                    total += ws * given_entropy(j, n - s)
+        return total
+
+    return [entropy(n) for n in ns]
+
+
+def block_entropy(cfg: SectorConfig, n: int) -> float:
+    """Exact block entropy of one block size; see :func:`block_entropies`."""
+    return block_entropies(cfg, [n])[0]
 
 
 def _positive_densities(cfg: SectorConfig) -> tuple[float, ...]:
@@ -312,8 +332,8 @@ def fit_prefactor(points: Sequence[tuple[int, float]]) -> float:
     return sxy / sxx
 
 
-def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
-    """Assemble exact entropy plus all closed-form comparisons for one block size.
+def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]:
+    """Exact entropy plus all closed-form comparisons at each block size in ns.
 
     Levels with vanishing density are dropped (effective-spin reduction)
     before evaluating the asymptotic and Gaussian forms, which require
@@ -321,28 +341,39 @@ def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
     """
     from .gaussian import build_gaussian, gaussian_entropy
 
-    exact = block_entropy(cfg, n)
-    asym: float | None = None
-    gauss: float | None = None
-    C: float | None = None
-    valid = False
+    ns = list(ns)
     reduced_cfg = _drop_empty_levels(cfg)
+    C: float | None = None
     if reduced_cfg is not None:
-        L = reduced_cfg.L
-        in_range = (0 < n < L) if reduced_cfg.is_finite else n >= 1  # type: ignore[operator]
         C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced_cfg.density_fractions)
-        valid = asymptotic_validity(reduced_cfg, n)
-        if in_range:
-            asym = asymptotic_entropy(reduced_cfg, n)
-            gauss = gaussian_entropy(build_gaussian(reduced_cfg.density_fractions, n))
-    return EntropyReport(
-        exact_bits=exact,
-        asymptotic_bits=asym,
-        gaussian_bits=gauss,
-        sup_bound_bits=max_entropy_bound(n, cfg.d),
-        constant_C_bits=C,
-        asymptotic_valid=valid,
-    )
+    reports = []
+    for n, exact in zip(ns, block_entropies(cfg, ns)):
+        asym: float | None = None
+        gauss: float | None = None
+        valid = False
+        if reduced_cfg is not None:
+            L = reduced_cfg.L
+            in_range = (0 < n < L) if reduced_cfg.is_finite else n >= 1  # type: ignore[operator]
+            valid = asymptotic_validity(reduced_cfg, n)
+            if in_range:
+                asym = asymptotic_entropy(reduced_cfg, n)
+                gauss = gaussian_entropy(build_gaussian(reduced_cfg.density_fractions, n))
+        reports.append(
+            EntropyReport(
+                exact_bits=exact,
+                asymptotic_bits=asym,
+                gaussian_bits=gauss,
+                sup_bound_bits=max_entropy_bound(n, cfg.d),
+                constant_C_bits=C,
+                asymptotic_valid=valid,
+            )
+        )
+    return reports
+
+
+def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
+    """The report of one block size; see :func:`entropy_reports`."""
+    return entropy_reports(cfg, [n])[0]
 
 
 def _drop_empty_levels(cfg: SectorConfig) -> SectorConfig | None:

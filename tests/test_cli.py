@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +7,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from permutent import cli
 from permutent.cli import main
 from permutent.combinatorics import composition_count
 from permutent.spectrum import SpectrumEntry
@@ -176,21 +174,6 @@ class TestSweepCommand:
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
 
-    @pytest.mark.parametrize(
-        "raw, threads, warns",
-        [(None, 1, False), ("1", 1, False), ("3", 3, False), ("4", 4, False), ("5", 4, True),
-         ("64", 4, True), ("0", 1, True), ("-2", 1, True), ("two", 1, True), ("1.5", 1, True)],
-    )
-    def test_thread_count(self, monkeypatch, capsys, raw, threads, warns):
-        # a fixed CPU count; no worker pool is started here
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        if raw is None:
-            monkeypatch.delenv("PERMUTENT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PERMUTENT_THREADS", raw)
-        assert cli._thread_count() == threads
-        assert ("warning: PERMUTENT_THREADS" in capsys.readouterr().err) == warns
-
     def test_deterministic_bytes(self, runner, tmp_path):
         args = ["sweep", "--occ", "12,12,12", "--n-min", "0", "--n-max", "36"]
         first = tmp_path / "a.csv"
@@ -218,14 +201,6 @@ class TestSweepCommand:
                             "--out", str(out)])
             values[d] = float(out.read_text().strip().splitlines()[1].split(",")[4])
         assert values[2] < values[3] < values[4] < values[5]
-
-    def test_parallel_matches_serial(self, runner, tmp_path):
-        args = ["sweep", "--occ", "8,8,8", "--n-min", "0", "--n-max", "24"]
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        run_ok(runner, args + ["--out", str(serial)], env={"PERMUTENT_THREADS": "1"})
-        run_ok(runner, args + ["--out", str(parallel)], env={"PERMUTENT_THREADS": "2"})
-        assert serial.read_bytes() == parallel.read_bytes()
 
 
 class TestCorrectionsCommand:

@@ -10,6 +10,7 @@ from permutent.entropy import (
     asymptotic_entropy,
     asymptotic_validity,
     bits_to_nats,
+    block_entropies,
     block_entropy,
     effective_spin,
     entropy_of_spectrum,
@@ -176,6 +177,24 @@ class TestEntropyRoutes:
             entropy_of_spectrum(thermo_spectrum(densities, n)), abs=1e-10
         )
 
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_shared_conditionals_change_no_bit(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d).filter(any)
+        )
+        if data.draw(st.booleans()):
+            cfg = SectorConfig.finite(counts)
+            L = cfg.L
+        else:
+            cfg = SectorConfig.infinite([Fraction(c, sum(counts)) for c in counts])
+            L = 40
+        ns = data.draw(st.lists(st.one_of(st.just(0), st.just(L), st.integers(0, L)), max_size=12))
+        # shared across the block sizes of one call, the conditional
+        # entropies must give the same bits as separate calls
+        assert block_entropies(cfg, ns) == [block_entropies(cfg, [n])[0] for n in ns]
+
     def test_all_mass_in_level_zero(self):
         assert block_entropy(SectorConfig.infinite((1, 0, 0)), 5) == 0.0
 
@@ -186,6 +205,7 @@ class TestEntropyRoutes:
         cfg = SectorConfig.infinite((1 - 2 * tiny, tiny, tiny))
         for n in (0, 5, 50):
             assert block_entropy(cfg, n) == 0.0
+        assert block_entropies(cfg, [0, 5, 50]) == [0.0, 0.0, 0.0]
 
 
 class TestAsymptoticEntropy:

@@ -63,7 +63,6 @@ GOLDEN = {
 def run_cli(args: list[str], out: Path) -> bytes:
     argv = [a.replace("{out}", str(out)).replace("{dir}", str(out.parent)) for a in args]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("PERMUTENT_THREADS", None)
     result = subprocess.run(
         [sys.executable, "-m", "permutent.cli", *argv],
         capture_output=True,
