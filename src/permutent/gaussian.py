@@ -25,11 +25,7 @@ __all__ = [
     "composition_moments",
     "build_gaussian",
     "gaussian_entropy",
-    "gaussian_log2_weight",
 ]
-
-INVERSION_RESIDUAL_TOL = 1e-12
-INVERSION_RESIDUAL_HARD = 1e-9
 
 
 @dataclass
@@ -39,7 +35,6 @@ class GaussianModel:
     dim: int
     mean: np.ndarray
     covariance: np.ndarray
-    precision: np.ndarray
     det_A: float
     log2_det_covariance: float
     densities: tuple[float, ...]
@@ -114,23 +109,11 @@ def build_gaussian(densities: Sequence, n: int) -> GaussianModel:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"covariance is not positive definite: {exc}") from exc
     log2_det_cov = 2.0 * float(np.log2(np.diag(chol)).sum())
-    chol_inv = np.linalg.inv(chol)
-    precision = chol_inv.T @ chol_inv
-    eye = np.eye(dim)
-    residual = float(np.abs(precision @ cov - eye).max())
-    if residual > INVERSION_RESIDUAL_TOL:
-        # one Newton refinement step for the inverse
-        precision = precision @ (2.0 * eye - cov @ precision)
-        precision = 0.5 * (precision + precision.T)
-        residual = float(np.abs(precision @ cov - eye).max())
-        if residual > INVERSION_RESIDUAL_HARD:
-            raise ValueError(f"covariance inversion residual {residual:.3e} too large")
     det_A = 2.0 ** (-log2_det_cov)
     return GaussianModel(
         dim=dim,
         mean=mean,
         covariance=cov,
-        precision=precision,
         det_A=det_A,
         log2_det_covariance=log2_det_cov,
         densities=p,
@@ -146,13 +129,3 @@ def gaussian_entropy(model: GaussianModel) -> float:
     """
     sigma = model.dim / 2.0
     return sigma * math.log2(2.0 * math.pi * math.e) + 0.5 * model.log2_det_covariance
-
-
-def gaussian_log2_weight(model: GaussianModel, parts: Sequence[int]) -> float:
-    """log2 of the Gaussian density evaluated at a full composition label."""
-    if len(parts) != model.dim + 1:
-        raise ValueError("composition length must equal the full level count")
-    delta = np.asarray(parts[1:], dtype=np.float64) - model.mean
-    quad = float(delta @ model.precision @ delta)
-    log2_norm = -0.5 * model.log2_det_covariance - model.dim / 2.0 * math.log2(2.0 * math.pi)
-    return log2_norm - 0.5 * quad / math.log(2.0)

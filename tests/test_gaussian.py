@@ -10,7 +10,6 @@ from permutent.gaussian import (
     build_gaussian,
     composition_moments,
     gaussian_entropy,
-    gaussian_log2_weight,
 )
 from permutent.spectrum import SectorConfig, exact_spectrum, thermo_spectrum
 
@@ -103,11 +102,6 @@ class TestBuildGaussian:
                     expected = n ** (d - 1) * math.prod(p)
                     assert 1.0 / model.det_A == pytest.approx(expected, rel=1e-8)
 
-    def test_precision_inverts_covariance(self):
-        model = build_gaussian((0.1, 0.2, 0.3, 0.4), 25)
-        identity = model.precision @ model.covariance
-        assert np.abs(identity - np.eye(model.dim)).max() < 1e-9
-
     def test_mean_vector(self):
         model = build_gaussian((0.2, 0.3, 0.5), 40)
         assert np.allclose(model.mean, [12.0, 20.0])
@@ -157,19 +151,3 @@ class TestGaussianEntropy:
             assert 1.0 / model.det_A == pytest.approx(
                 1.0 / build_gaussian(base, n).det_A, rel=1e-9
             )
-
-
-class TestLocalLimit:
-    def test_density_approaches_weights(self):
-        # scaled deviation at the max-weight composition shrinks with n
-        densities = (THIRD, THIRD, THIRD)
-        sigma = 1.0
-        deviations = []
-        for n in (50, 100, 200, 400):
-            spec = thermo_spectrum(densities, n, exact=False)
-            top = max(spec.entries, key=lambda e: e.log2_weight)
-            model = build_gaussian(densities, n)
-            approx = 2.0 ** gaussian_log2_weight(model, top.parts)
-            deviations.append(abs(top.weight - approx) * n**sigma)
-        assert deviations[0] < 1.0
-        assert deviations[0] > deviations[1] > deviations[2] > deviations[3]
