@@ -71,7 +71,6 @@ class EntropyReport:
     gaussian_bits: float | None
     sup_bound_bits: float
     constant_C_bits: float | None
-    prefactor_gamma: float | None = None
     asymptotic_valid: bool = True
 
     def to_json_obj(self) -> dict:
@@ -81,7 +80,6 @@ class EntropyReport:
             "gaussian_bits": self.gaussian_bits,
             "sup_bound_bits": self.sup_bound_bits,
             "constant_C_bits": self.constant_C_bits,
-            "prefactor_gamma": self.prefactor_gamma,
             "asymptotic_valid": self.asymptotic_valid,
         }
 

@@ -397,7 +397,6 @@ class TestEntropyReport:
         assert report.sup_bound_bits == pytest.approx(max_entropy_bound(60, 3), abs=1e-12)
         assert report.constant_C_bits == pytest.approx(0.5 * math.log2(1.0 / 27.0), abs=1e-12)
         assert report.exact_bits <= report.sup_bound_bits + 1e-9
-        assert report.prefactor_gamma is None
 
     def test_boundary_has_no_asymptotics(self):
         report = entropy_report(SectorConfig.finite((5, 5)), 0)
@@ -431,7 +430,6 @@ class TestEntropyReport:
             "gaussian_bits",
             "sup_bound_bits",
             "constant_C_bits",
-            "prefactor_gamma",
             "asymptotic_valid",
         }
 
