@@ -7,7 +7,6 @@ an independent brute-force partial-trace oracle.  See the README for the CLI.
 
 from .combinatorics import (
     LOG2_ZERO,
-    binom_exact,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -18,10 +17,12 @@ from .entropy import (
     EntropyReport,
     asymptotic_entropy,
     asymptotic_validity,
+    block_entropies,
     block_entropy,
     effective_spin,
     entropy_of_spectrum,
     entropy_report,
+    entropy_reports,
     finite_size_corrections,
     fit_prefactor,
     max_entropy_bound,
@@ -61,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LOG2_ZERO",
-    "binom_exact",
     "composition_count",
     "enumerate_compositions",
     "log2_binom",
@@ -79,6 +79,7 @@ __all__ = [
     "EffectiveSpin",
     "entropy_of_spectrum",
     "block_entropy",
+    "block_entropies",
     "asymptotic_entropy",
     "asymptotic_validity",
     "max_entropy_bound",
@@ -86,6 +87,7 @@ __all__ = [
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
+    "entropy_reports",
     "GaussianModel",
     "composition_moments",
     "build_gaussian",

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "LOG2_ZERO",
-    "binom_exact",
     "log2_binom",
     "log2_factorial_table",
     "enumerate_compositions",
@@ -73,15 +72,6 @@ def log2_factorial_table(n: int) -> np.ndarray:
     view = table[: n + 1].view()
     view.setflags(write=False)
     return view
-
-
-def binom_exact(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 when k lies outside [0, n]."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def log2_binom(n: int, k: int) -> float:

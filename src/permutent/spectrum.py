@@ -23,7 +23,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
-    binom_exact,
     bounded_composition_steps,
     composition_count,
     log2_binom,
@@ -199,7 +198,7 @@ def dimension_symmetric_subspace(n: int, d: int) -> int:
         raise ValueError("block size must be nonnegative")
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    return binom_exact(n + d - 1, d - 1)
+    return math.comb(n + d - 1, d - 1)
 
 
 def _check_support(support: int) -> None:
