@@ -5,9 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permutent
 from permutent import oracle
+from permutent.combinatorics import enumerate_compositions
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
@@ -277,6 +280,41 @@ class TestUniformMixedSpectrum:
             s = uniform_mixed_spectrum(n, d)
             assert s.support_size == dimension_symmetric_subspace(n, d)
             assert sum(e.weight_exact for e in s.entries) == 1
+
+
+class TestEntryOrder:
+    """Every builder labels its entries in the order of the reference enumerator."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_finite_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        occ = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d).filter(any)
+        )
+        L = sum(occ)
+        n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
+        exact = data.draw(st.booleans())
+        spec = exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
+        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, occ))
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_thermodynamic_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=d, max_size=d).filter(any)
+        )
+        dens = [Fraction(c, sum(counts)) for c in counts]
+        n = data.draw(st.integers(min_value=0, max_value=9))
+        spec = thermo_spectrum(dens, n, exact=data.draw(st.booleans()))
+        bounds = [n if c else 0 for c in counts]
+        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, bounds))
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=5))
+    def test_uniform_mixture(self, n, d):
+        spec = uniform_mixed_spectrum(n, d)
+        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, (n,) * d))
 
 
 class TestSupportGuard:
