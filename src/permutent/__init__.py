@@ -6,7 +6,6 @@ an independent brute-force partial-trace oracle.  See the README for the CLI.
 """
 
 from .combinatorics import (
-    LOG2_ZERO,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LOG2_ZERO",
     "composition_count",
     "enumerate_compositions",
     "log2_binom",

@@ -8,9 +8,6 @@ compositions.  Two numeric representations are kept side by side:
   and moderate system sizes, and
 * base-2 logarithms backed by a lazily grown table of log-factorials, used
   as the overflow-safe performance path for arbitrary sizes.
-
-A weight of exactly zero is represented in the log domain by ``LOG2_ZERO``
-(``-inf``).
 """
 
 from __future__ import annotations
@@ -22,15 +19,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "LOG2_ZERO",
     "log2_binom",
     "log2_factorial_table",
     "enumerate_compositions",
-    "bounded_composition_steps",
     "composition_count",
 ]
-
-LOG2_ZERO = float("-inf")
 
 _table_lock = threading.Lock()
 _log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), grown on demand
@@ -75,30 +68,25 @@ def log2_factorial_table(n: int) -> np.ndarray:
 
 
 def log2_binom(n: int, k: int) -> float:
-    """log2 of the binomial coefficient; LOG2_ZERO when k outside [0, n].
+    """log2 of the binomial coefficient, for 0 <= k <= n.
 
     Where numpy's longdouble is 80-bit extended precision, the error is at
     most 2 ulp of log2(n!), checked up to n = 10^6 (where that ulp is 3.7e-9
     bits); where longdouble is plain float64 the table is less accurate.
     """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return LOG2_ZERO
+    if not 0 <= k <= n:
+        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
     t = _ensure_table(n)
     return float(t[n] - t[k] - t[n - k])
 
 
-def bounded_composition_steps(
-    total: int, bounds: Sequence[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Walk bounded compositions in lexicographic order with change tracking.
+def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All vectors k with sum(k) == total and 0 <= k_i <= bounds_i.
 
-    Yields ``(first_changed, parts)`` where ``parts`` is the *live* working
-    list (callers must copy before storing) and all indices >= first_changed
-    may have changed since the previous item.  This is what lets spectrum
-    builders update running products of per-coordinate factors in O(1)
-    amortised time instead of recomputing d factors per composition.
+    Lexicographic order, each composition exactly once.  The stream is empty
+    when sum(bounds) < total and holds the single all-zero vector for
+    total == 0.  Iterative next-composition steps, independent of the
+    spectrum builders' walk so the two can check each other.
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")
@@ -107,7 +95,7 @@ def bounded_composition_steps(
     d = len(bounds)
     if d == 0:
         if total == 0:
-            yield 0, []
+            yield ()
         return
     # suffix[i] = bounds[i] + ... + bounds[d-1]
     suffix = [0] * (d + 1)
@@ -120,7 +108,7 @@ def bounded_composition_steps(
     for i in range(d):  # lexicographic minimum pushes mass to the right
         parts[i] = max(0, rem - suffix[i + 1])
         rem -= parts[i]
-    yield 0, parts
+    yield tuple(parts)
     while True:
         # rightmost position that can absorb one unit from its right tail
         tail = 0
@@ -137,17 +125,6 @@ def bounded_composition_steps(
         for i in range(j + 1, d):
             parts[i] = max(0, rem - suffix[i + 1])
             rem -= parts[i]
-        yield j, parts
-
-
-def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vectors k with sum(k) == total and 0 <= k_i <= bounds_i.
-
-    Lexicographic order, each composition exactly once.  The stream is empty
-    when sum(bounds) < total and holds the single all-zero vector for
-    total == 0.
-    """
-    for _, parts in bounded_composition_steps(total, bounds):
         yield tuple(parts)
 
 

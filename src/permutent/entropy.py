@@ -111,8 +111,10 @@ def entropy_of_spectrum(spectrum: Spectrum, *, tol: float = 1e-9) -> float:
         raise ValueError(f"spectrum is not normalized: residual {residual:.3e} > {tol:g}")
     weights = spectrum.weights
     if spectrum.is_exact:
-        return -math.fsum(w * math.log2(w) for w in weights if w > 0.0)
-    return -math.fsum(w * e.log2_weight for w, e in zip(weights, spectrum.entries) if w > 0.0)
+        terms = (w * math.log2(w) for w in weights if w > 0.0)
+    else:
+        terms = (w * e.log2_weight for w, e in zip(weights, spectrum.entries) if w > 0.0)
+    return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a point mass
 
 
 def _hypergeometric_log2_pmf(L: int, K: int, n: int, t: np.ndarray) -> tuple[int, np.ndarray]:

@@ -23,7 +23,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
-    bounded_composition_steps,
     composition_count,
     log2_binom,
     log2_factorial_table,
@@ -55,18 +54,6 @@ MAX_SPECTRUM_SUPPORT = 2_000_000
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the desk-scale guards."""
-
-
-def _as_fraction(value) -> Fraction:
-    # Fraction(float) is the exact binary value of the float, so no silent
-    # precision change happens here.
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret density {value!r} as a number")
 
 
 @dataclass(frozen=True)
@@ -110,7 +97,7 @@ class SectorConfig:
 
     @classmethod
     def infinite(cls, densities: Sequence) -> "SectorConfig":
-        dens = tuple(_as_fraction(p) for p in densities)
+        dens = tuple(Fraction(p) for p in densities)
         return cls(d=len(dens), densities=dens)
 
     @property
@@ -220,26 +207,37 @@ def _product_spectrum(
     ``log_const``.  ``exact`` is ``(num, den, scale, shared_den)`` with
     integer tables such that weight(k) = scale * prod num[i][k_i] //
     prod den[i][k_i] / shared_den, or None for the log domain only.
-    Running prefix sums and products are redone only from the first level
-    the composition walk changed.
+
+    A depth-first walk over the levels with an explicit stack, children
+    pushed in reverse so entries come out in lexicographic order.  Once no
+    sites are left every later level takes 0, whose factor is exactly 1
+    (log2 +0.0) in all three sources, so the entry is emitted there.
     """
     d = len(bounds)
-    logs = [0.0] * (d + 1)
-    nums = [1] * (d + 1)
-    dens = [1] * (d + 1)
-    if exact is not None:
-        num, den, scale, shared_den = exact
+    suffix = list(accumulate(reversed(bounds), initial=0))[::-1]  # suffix[i] = sum(bounds[i:])
+    zeros = [(0,) * (d - i) for i in range(d + 1)]
+    units = [[1] * (b + 1) for b in bounds]  # the log domain carries unit integers
+    num, den, scale, shared_den = exact or (units, units, 1, 1)
     entries: list[SpectrumEntry] = []
-    for changed, parts in bounded_composition_steps(n, bounds):
-        for i in range(changed, d):
-            logs[i + 1] = logs[i] + log_factors[i][parts[i]]
-        weight = None
-        if exact is not None:
-            for i in range(changed, d):
-                nums[i + 1] = nums[i] * num[i][parts[i]]
-                dens[i + 1] = dens[i] * den[i][parts[i]]
-            weight = Fraction(scale * nums[d] // dens[d], shared_den)
-        entries.append(SpectrumEntry(tuple(parts), logs[d] + log_const, weight))
+    stack = [(0, n, (), 0.0, 1, 1)]
+    while stack:
+        i, left, parts, log_sum, nums, dens = stack.pop()
+        if left == 0 or i == d - 1:
+            if left == 0:
+                parts += zeros[i]
+            else:  # the last level takes what is left
+                parts += (left,)
+                log_sum += log_factors[i][left]
+                nums *= num[i][left]
+                dens *= den[i][left]
+            weight = None if exact is None else Fraction(scale * nums // dens, shared_den)
+            entries.append(SpectrumEntry(parts, log_sum + log_const, weight))
+            continue
+        log_f, num_f, den_f = log_factors[i], num[i], den[i]
+        for k in range(min(bounds[i], left), max(0, left - suffix[i + 1]) - 1, -1):
+            stack.append(
+                (i + 1, left - k, parts + (k,), log_sum + log_f[k], nums * num_f[k], dens * den_f[k])
+            )
     return entries
 
 
@@ -290,7 +288,7 @@ def thermo_spectrum(
         raise ValueError(f"block size must be nonnegative, got {n}")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    dens = tuple(_as_fraction(p) for p in densities)
+    dens = tuple(Fraction(p) for p in densities)
     cfg = SectorConfig.infinite(dens)
     exact_possible = sum(dens) == 1
     if exact is None:
@@ -338,12 +336,10 @@ def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     kappa = dimension_symmetric_subspace(n, d)
     _check_support(kappa)
-    weight = Fraction(1, kappa)
-    lw = -log2_binom(n + d - 1, d - 1)
-    entries = [
-        SpectrumEntry(tuple(parts), lw, weight)
-        for _, parts in bounded_composition_steps(n, (n,) * d)
-    ]
+    units = [[1] * (n + 1)] * d
+    entries = _product_spectrum(
+        n, (n,) * d, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), (units, units, 1, kappa)
+    )
     return Spectrum(entries, n, d, SpectrumSource.UNIFORM_MIXED, sector=None)
 
 

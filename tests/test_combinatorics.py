@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutent.combinatorics import (
-    LOG2_ZERO,
-    bounded_composition_steps,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -44,9 +42,11 @@ class TestLog2Binom:
         exact = math.log2(math.comb(1000, 500))
         assert abs(log2_binom(1000, 500) - exact) <= 1e-10 * abs(exact)
 
-    def test_out_of_range_is_zero_log(self):
-        assert log2_binom(5, 9) == LOG2_ZERO
-        assert log2_binom(5, -1) == LOG2_ZERO
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            log2_binom(5, 9)
+        with pytest.raises(ValueError):
+            log2_binom(5, -1)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -146,15 +146,6 @@ class TestEnumeration:
                 term *= math.comb(b, k)
             acc += term
         assert acc == math.comb(L, total)
-
-    def test_step_generator_reports_changed_prefix(self):
-        previous = None
-        for changed, parts in bounded_composition_steps(6, (3, 2, 4, 1)):
-            snapshot = list(parts)
-            if previous is not None:
-                assert snapshot[:changed] == previous[:changed]
-                assert snapshot > previous  # strict lexicographic increase
-            previous = snapshot
 
     def test_wide_bounds_count_uses_polynomial_path(self):
         bounds = (1,) * 18

@@ -130,6 +130,17 @@ class TestBlockEntropy:
             s = block_entropy(pure, 3)
             assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
+    def test_point_mass_spectra_have_positive_zero_entropy(self):
+        for spec in (
+            exact_spectrum(SectorConfig.finite((5, 5)), 0),
+            exact_spectrum(SectorConfig.finite((5, 5)), 0, exact=False),
+            thermo_spectrum((0, 1, 0), 3),
+            thermo_spectrum((0, 1, 0), 3, exact=False),
+            uniform_mixed_spectrum(0, 3),
+        ):
+            s = entropy_of_spectrum(spec)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
     def test_duality(self):
         cfg = SectorConfig.finite((7, 6, 5))
         for n in range(cfg.L + 1):

@@ -78,6 +78,8 @@ class TestSectorConfig:
             SectorConfig.infinite((HALF, HALF, HALF))
         with pytest.raises(ValueError):
             SectorConfig.infinite((Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(TypeError):
+            SectorConfig.infinite((None, 1))
 
 
 class TestDimension:
@@ -274,6 +276,11 @@ class TestUniformMixedSpectrum:
     def test_two_qutrits(self):
         s = uniform_mixed_spectrum(2, 3)
         assert sorted(e.weight_exact for e in s.entries) == [Fraction(1, 6)] * 6
+
+    def test_empty_block_log_weight_is_positive_zero(self):
+        for d in range(2, 6):
+            (entry,) = uniform_mixed_spectrum(0, d).entries
+            assert entry.log2_weight == 0.0 and math.copysign(1.0, entry.log2_weight) == 1.0
 
     def test_support_is_symmetric_subspace_dimension(self):
         for n, d in ((0, 2), (5, 3), (12, 4)):
