@@ -131,6 +131,15 @@ class TestEnumeration:
         assert composition_count(total, bounds) == expected
 
     @given(st.data())
+    @settings(max_examples=200)
+    def test_count_matches_polynomial_oracle_at_any_width(self, data):
+        bounds = data.draw(
+            st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=24).map(tuple)
+        )
+        total = data.draw(st.integers(min_value=0, max_value=sum(bounds) + 3))
+        assert composition_count(total, bounds) == poly_composition_count(total, bounds)
+
+    @given(st.data())
     @settings(max_examples=100)
     def test_vandermonde_normalization(self, data):
         # sum over compositions of prod binom(N_i, k_i) equals binom(sum N, n)
@@ -147,9 +156,10 @@ class TestEnumeration:
             acc += term
         assert acc == math.comb(L, total)
 
-    def test_wide_bounds_count_uses_polynomial_path(self):
-        bounds = (1,) * 18
-        assert composition_count(9, bounds) == math.comb(18, 9)
+    def test_wide_bounds_count(self):
+        assert composition_count(9, (1,) * 18) == math.comb(18, 9)
+        assert composition_count(10, (10,) * 16) == math.comb(25, 15)
+        assert composition_count(20_000, (20_000,) * 20) == math.comb(20_019, 19)
 
     def test_sum_covering_sixty(self):
         bounds = (20, 20, 20)

@@ -333,6 +333,8 @@ class TestSupportGuard:
             uniform_mixed_spectrum(400, 5)
         with pytest.raises(ResourceLimitError):
             exact_spectrum(SectorConfig.finite((1000,) * 5), 2500)
+        with pytest.raises(ResourceLimitError):
+            thermo_spectrum((Fraction(1, 20),) * 20, 20_000)
 
     def test_limit_admits_largest_documented_spectrum(self):
         assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
