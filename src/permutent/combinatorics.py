@@ -133,32 +133,19 @@ def composition_count(total: int, bounds: Sequence[int]) -> int:
 
     Equals the coefficient of x^total in prod_i (1 + x + ... + x^bounds_i);
     deliberately computed by a different route than the enumerator so the two
-    can check each other.
+    can check each other.  The level subsets S, each signed (-1)^|S|, are
+    grouped by their shift sum_{i in S} (bounds_i + 1), built one level at a
+    time and kept only up to total: O(d * min(2^d, total + 1)) work at any d.
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")
     d = len(bounds)
     if d == 0:
         return 1 if total == 0 else 0
-    if d <= 16:
-        count = 0
-        for mask in range(1 << d):
-            shift = total
-            sign = 1
-            for i in range(d):
-                if mask >> i & 1:
-                    shift -= bounds[i] + 1
-                    sign = -sign
-            if shift >= 0:
-                count += sign * math.comb(shift + d - 1, d - 1)
-        return count
-    # wide vectors: direct polynomial coefficient via prefix convolution
-    coeffs = [1]
+    signed = {0: 1}  # shift -> signed count of the level subsets with that shift
     for b in bounds:
-        width = min(total, len(coeffs) - 1 + b)
-        nxt = [0] * (width + 1)
-        for i, c in enumerate(coeffs):
-            for j in range(min(b, width - i) + 1):
-                nxt[i + j] += c
-        coeffs = nxt
-    return coeffs[total] if total < len(coeffs) else 0
+        for shift, count in list(signed.items()):
+            shifted = shift + b + 1
+            if shifted <= total:
+                signed[shifted] = signed.get(shifted, 0) - count
+    return sum(count * math.comb(total - shift + d - 1, d - 1) for shift, count in signed.items())

@@ -73,16 +73,6 @@ class EntropyReport:
     constant_C_bits: float | None
     asymptotic_valid: bool = True
 
-    def to_json_obj(self) -> dict:
-        return {
-            "exact_bits": self.exact_bits,
-            "asymptotic_bits": self.asymptotic_bits,
-            "gaussian_bits": self.gaussian_bits,
-            "sup_bound_bits": self.sup_bound_bits,
-            "constant_C_bits": self.constant_C_bits,
-            "asymptotic_valid": self.asymptotic_valid,
-        }
-
 
 @dataclass
 class CorrectionReport:

@@ -41,8 +41,9 @@ __all__ = [
     "spectrum_to_json_obj",
 ]
 
-# Exact rational weights are kept automatically up to this system size;
-# beyond it the log-domain path is the default.
+# Exact rational weights are kept automatically up to this system size (L for
+# finite sectors, the block size n at L = inf); beyond it the log-domain path
+# is the default.
 EXACT_AUTO_MAX_L = 300
 
 DENSITY_SUM_TOL = 1e-12
@@ -282,7 +283,8 @@ def thermo_spectrum(
     All compositions of n are finite in number, so ``cutoff=0`` (keep
     everything) is the default.  A positive cutoff drops entries below
     cutoff * max_weight, reports the dropped mass on the result, and is only
-    available on the log-domain path.
+    available on the log-domain path.  With ``exact=None`` and no cutoff,
+    rational weights are kept for n <= 300 when the densities sum to exactly 1.
     """
     if n < 0:
         raise ValueError(f"block size must be nonnegative, got {n}")
@@ -292,7 +294,7 @@ def thermo_spectrum(
     cfg = SectorConfig.infinite(dens)
     exact_possible = sum(dens) == 1
     if exact is None:
-        exact = exact_possible and cutoff == 0.0
+        exact = exact_possible and cutoff == 0.0 and n <= EXACT_AUTO_MAX_L
     if exact and not exact_possible:
         raise ValueError("exact weights need densities summing to exactly 1")
     if exact and cutoff > 0.0:

@@ -86,9 +86,10 @@ class TestSpectrumCommand:
         assert result.exit_code == 1
 
     def test_cutoff_rejected_for_finite(self, runner):
-        result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--n", "1",
-                                      "--cutoff", "1e-6"])
-        assert result.exit_code == 1
+        for cutoff in ("1e-6", "-1"):
+            result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--n", "1",
+                                          "--cutoff", cutoff])
+            assert result.exit_code == 1
 
     def test_oversized_support_is_a_resource_error(self, runner):
         # composition_count(2500, (1000,) * 5) is about 6.0e11
@@ -134,6 +135,11 @@ class TestEntropyCommand:
         assert nats["report"]["exact_nats"] == pytest.approx(
             bits["report"]["exact_bits"] * math.log(2.0), abs=1e-12
         )
+
+    def test_block_too_large_fails_validation(self, runner):
+        result = runner.invoke(main, ["entropy", "--occ", "3,3", "--n", "7"])
+        assert result.exit_code == 1
+        assert "n exceeds L" in result.output
 
 
 class TestSweepCommand:

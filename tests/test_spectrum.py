@@ -160,6 +160,8 @@ class TestExactSpectrum:
         assert small.is_exact
         big = exact_spectrum(SectorConfig.finite((200, 200)), 5)
         assert not big.is_exact
+        assert thermo_spectrum((HALF, HALF), 300).is_exact
+        assert not thermo_spectrum((HALF, HALF), 301).is_exact
 
     def test_relabeling_symmetry(self):
         base = exact_spectrum(SectorConfig.finite((5, 3, 2)), 4)
