@@ -33,7 +33,6 @@ from .gaussian import (
     gaussian_entropy,
 )
 from .oracle import (
-    DenseDensityMatrix,
     DenseState,
     EigensolverConvergenceError,
     MatchReport,
@@ -91,7 +90,6 @@ __all__ = [
     "build_gaussian",
     "gaussian_entropy",
     "DenseState",
-    "DenseDensityMatrix",
     "MatchReport",
     "ResourceLimitError",
     "EigensolverConvergenceError",

@@ -2,12 +2,14 @@
 
 Outputs are deterministic: identical invocations produce byte-identical
 files (no timestamps; the generator version string is the only metadata).
-Validation problems exit with code 1, verification mismatches with 2,
-resource-guard violations with 3.
+Usage, validation and write errors exit with code 1, verification
+mismatches with 2, resource-guard violations with 3; the command group maps
+the library's exceptions to these codes in one place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -27,7 +29,7 @@ from .entropy import (
     finite_size_corrections,
     bits_to_nats,
 )
-from .oracle import verify_theorem, verify_uniform_mixture
+from .oracle import MatchReport, verify_theorem, verify_uniform_mixture
 from .spectrum import (
     ResourceLimitError,
     SectorConfig,
@@ -49,18 +51,29 @@ CORRECTIONS_CSV_COLUMNS = (
 )
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guarded(fn, *args, **kwargs):
+@contextlib.contextmanager
+def _exit_codes():
+    """Usage errors exit 1 with click's message; library errors print one error: line."""
     try:
-        return fn(*args, **kwargs)
-    except ResourceLimitError as exc:
-        _fail(EXIT_RESOURCE, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_VALIDATION
+        raise
+    except (ResourceLimitError, ValueError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_VALIDATION)
+
+
+class _Group(click.Group):
+    """Command group that applies the documented exit codes to every failure."""
+
+    def make_context(self, *args, **kwargs):
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
 
 
 def _block_range(n_min: int, n_max: int, step: int = 1) -> range:
@@ -72,49 +85,38 @@ def _block_range(n_min: int, n_max: int, step: int = 1) -> range:
     return range(n_min, n_max + 1, step)
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, parse: type, example: str) -> tuple:
+    """Comma-separated values, each read by ``parse`` (surrounding blanks allowed)."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        _fail(EXIT_VALIDATION, f"{flag} expects comma-separated integers, got {text!r}")
-    raise AssertionError  # unreachable
-
-
-def _parse_density_list(text: str) -> tuple[Fraction, ...]:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            values.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            _fail(EXIT_VALIDATION, f"cannot parse density {part!r} (use fractions like 1/3)")
-    return tuple(values)
+        return tuple(parse(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} expects comma-separated values like {example}, got {text!r}")
 
 
 def _build_sector(L: str | None, d: int | None, occ: str | None, dens: str | None) -> SectorConfig:
     if occ is not None and dens is not None:
-        _fail(EXIT_VALIDATION, "--occ and --dens are mutually exclusive")
+        raise ValueError("--occ and --dens are mutually exclusive")
     infinite = L is not None and L.strip().lower() == "inf"
     if infinite:
         if dens is None:
-            _fail(EXIT_VALIDATION, "--L inf needs --dens")
-        densities = _parse_density_list(dens)
+            raise ValueError("--L inf needs --dens")
+        densities = _parse_list(dens, "--dens", Fraction, "1/3,2/3")
         if d is not None and d != len(densities):
-            _fail(EXIT_VALIDATION, f"--d {d} conflicts with {len(densities)} densities")
-        return _guarded(SectorConfig.infinite, densities)
+            raise ValueError(f"--d {d} conflicts with {len(densities)} densities")
+        return SectorConfig.infinite(densities)
     if occ is None:
-        _fail(EXIT_VALIDATION, "finite sectors need --occ (or pass --L inf with --dens)")
-    occupations = _parse_int_list(occ, "--occ")
+        raise ValueError("finite sectors need --occ (or pass --L inf with --dens)")
+    occupations = _parse_list(occ, "--occ", int, "3,4")
     if d is not None and d != len(occupations):
-        _fail(EXIT_VALIDATION, f"--d {d} conflicts with {len(occupations)} occupations")
-    cfg = _guarded(SectorConfig.finite, occupations)
+        raise ValueError(f"--d {d} conflicts with {len(occupations)} occupations")
+    cfg = SectorConfig.finite(occupations)
     if L is not None:
         try:
             L_value = int(L)
         except ValueError:
-            _fail(EXIT_VALIDATION, f"--L must be an integer or 'inf', got {L!r}")
+            raise ValueError(f"--L must be an integer or 'inf', got {L!r}")
         if L_value != cfg.L:
-            _fail(EXIT_VALIDATION, f"--L {L_value} conflicts with occupations summing to {cfg.L}")
+            raise ValueError(f"--L {L_value} conflicts with occupations summing to {cfg.L}")
     return cfg
 
 
@@ -140,7 +142,7 @@ def _spectrum_csv(spectrum: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="permutent")
 def main() -> None:
     """Entanglement spectra and entropies of permutation-invariant spin states."""
@@ -160,18 +162,18 @@ def main() -> None:
 def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
     """Compute one block spectrum and write it as JSON or CSV."""
     if uniform and (any(v is not None for v in (L, occ, dens, exact)) or cutoff != 0.0):
-        _fail(EXIT_VALIDATION, "--uniform takes only --d and --n")
+        raise ValueError("--uniform takes only --d and --n")
     sector = None if uniform else _build_sector(L, d, occ, dens)
     if uniform:
         if d is None:
-            _fail(EXIT_VALIDATION, "--uniform needs --d")
-        spectrum = _guarded(uniform_mixed_spectrum, n, d)
+            raise ValueError("--uniform needs --d")
+        spectrum = uniform_mixed_spectrum(n, d)
     elif sector.is_finite:
         if cutoff != 0.0:
-            _fail(EXIT_VALIDATION, "--cutoff applies only to --L inf spectra")
-        spectrum = _guarded(exact_spectrum, sector, n, exact=exact)
+            raise ValueError("--cutoff applies only to --L inf spectra")
+        spectrum = exact_spectrum(sector, n, exact=exact)
     else:
-        spectrum = _guarded(thermo_spectrum, sector.densities, n, cutoff, exact=exact)
+        spectrum = thermo_spectrum(sector.densities, n, cutoff, exact=exact)
     if out_format == "json":
         _write_json(out, spectrum_to_json_obj(spectrum))
     else:
@@ -196,7 +198,7 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
 def cmd_entropy(L, d, occ, dens, n, units, out):
     """Exact block entropy with asymptotic / Gaussian / bound comparisons."""
     sector = _build_sector(L, d, occ, dens)
-    obj = dataclasses.asdict(_guarded(entropy_report, sector, n))
+    obj = dataclasses.asdict(entropy_report(sector, n))
     if units == "nats":
         for key in ("exact_bits", "asymptotic_bits", "gaussian_bits", "sup_bound_bits", "constant_C_bits"):
             if obj[key] is not None:
@@ -218,8 +220,8 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
 def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     """Sweep the block size: exact entropy, asymptotic value, sup bound, gap."""
     sector = _build_sector(L, d, occ, dens)
-    ns = _guarded(_block_range, n_min, n_max, step)
-    reports = _guarded(entropy_reports, sector, ns)
+    ns = _block_range(n_min, n_max, step)
+    reports = entropy_reports(sector, ns)
     occ_field = (
         ";".join(map(str, sector.occupations))
         if sector.is_finite
@@ -272,14 +274,14 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
 def cmd_corrections(L, d, central_charge, n_min, n_max, step, out):
     """Finite-size corrections and their leading-order expansions as CSV."""
     if d < 2:
-        _fail(EXIT_VALIDATION, "--d must be >= 2")
+        raise ValueError("--d must be >= 2")
     if not (0 < n_min <= n_max < L):
-        _fail(EXIT_VALIDATION, f"corrections need 0 < n_min <= n_max < L, got [{n_min}, {n_max}]")
+        raise ValueError(f"corrections need 0 < n_min <= n_max < L, got [{n_min}, {n_max}]")
     base, extra = divmod(L, d)
     sector = SectorConfig.finite([base + (1 if i < extra else 0) for i in range(d)])
     lines = [CORRECTIONS_CSV_COLUMNS]
-    for n in _guarded(_block_range, n_min, n_max, step):
-        rep = _guarded(finite_size_corrections, sector, n, central_charge)
+    for n in _block_range(n_min, n_max, step):
+        rep = finite_size_corrections(sector, n, central_charge)
         lines.append(
             f"{n / L!r},{rep.delta_per_bits!r},{rep.delta_per_leading_bits!r},"
             f"{rep.delta_cr_bits!r},{rep.delta_cr_leading_bits!r}"
@@ -300,44 +302,30 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     from .oracle import MAX_DENSITY_DIM, MAX_STATE_AMPLITUDES
 
     for d, max_l in ((2, d2_max_l), (3, d3_max_l), (2, uniform_max_l), (3, uniform_max_l)):
-        if max_l < 1:
-            continue
-        if d**max_l > MAX_STATE_AMPLITUDES or d**max_l > MAX_DENSITY_DIM:
-            _fail(
-                EXIT_RESOURCE,
+        if max_l >= 1 and (d**max_l > MAX_STATE_AMPLITUDES or d**max_l > MAX_DENSITY_DIM):
+            raise ResourceLimitError(
                 f"grid d={d}, L<={max_l} exceeds the dense guards "
-                f"(d^L <= {MAX_DENSITY_DIM} for full-block traces)",
+                f"(d^L <= {MAX_DENSITY_DIM} for full-block traces)"
             )
-    cases = []
-    for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
-        for L in range(1, max_l + 1):
-            for occupations in enumerate_compositions(L, (L,) * d):
-                for n in range(L + 1):
-                    cases.append(("theorem", SectorConfig.finite(occupations), n))
-    for d in (2, 3):
-        for L in range(1, uniform_max_l + 1):
-            for n in range(L + 1):
-                cases.append(("uniform", (L, d), n))
-    if not cases:
+    if max(d2_max_l, d3_max_l, uniform_max_l) < 1:
         click.echo("warning: empty verification grid, nothing checked", err=True)
         click.echo("verified 0 cases, 0 failures")
         return
     reports = []
-    failures = []
-    first = True
-    for kind, target, n in cases:
-        if kind == "theorem":
-            perturb = inject_fault if first else 0.0
-            report = _guarded(verify_theorem, target, n, tol, perturb=perturb)
-            first = False
-        else:
-            L, d = target
-            report = _guarded(verify_uniform_mixture, L, d, n, tol)
-        reports.append(report)
-        if not report.passed:
-            failures.append(report)
-            click.echo(f"MISMATCH {kind}: config={report.config} n={report.n} "
-                       f"max_abs_dev={report.max_abs_dev:.3e}", err=True)
+    for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
+        for L in range(1, max_l + 1):
+            for occupations in enumerate_compositions(L, (L,) * d):
+                for n in range(L + 1):
+                    perturb = 0.0 if reports else inject_fault  # the first theorem case only
+                    cfg = SectorConfig.finite(occupations)
+                    reports.append(verify_theorem(cfg, n, tol, perturb=perturb))
+                    _echo_mismatch("theorem", reports[-1])
+    for d in (2, 3):
+        for L in range(1, uniform_max_l + 1):
+            for n in range(L + 1):
+                reports.append(verify_uniform_mixture(L, d, n, tol))
+                _echo_mismatch("uniform", reports[-1])
+    failures = [r for r in reports if not r.passed]
     if out is not None:
         _write_json(
             out,
@@ -348,6 +336,12 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
         sys.exit(EXIT_MISMATCH)
 
 
+def _echo_mismatch(kind: str, report: MatchReport) -> None:
+    if not report.passed:
+        click.echo(f"MISMATCH {kind}: config={report.config} n={report.n} "
+                   f"max_abs_dev={report.max_abs_dev:.3e}", err=True)
+
+
 @main.command("figures")
 @click.option("--out-dir", type=click.Path(path_type=Path), required=True)
 @click.option("--points", type=int, default=40, help="Exact points sampled per curve.")
@@ -355,7 +349,7 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
 def cmd_figures(out_dir, points, max_l):
     """Write the two standard scaling charts as deterministic SVG files."""
     if points < 2:
-        _fail(EXIT_VALIDATION, "--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     sizes = [L for L in (30, 60, 120, 240) if L <= max_l]

@@ -52,6 +52,9 @@ ASYMPTOTIC_VALIDITY_FLOOR = 10.0
 
 ZERO_DENSITY_TOL = 1e-12
 
+# Largest |sum of weights + dropped mass - 1| entropy_of_spectrum accepts.
+NORMALIZATION_TOL = 1e-9
+
 
 def bits_to_nats(bits: float) -> float:
     return bits * LN2
@@ -91,14 +94,16 @@ class EffectiveSpin:
 
     sigma_eff: float
     z: int
-    reduced_densities: tuple[float, ...]
+    reduced_densities: tuple
 
 
-def entropy_of_spectrum(spectrum: Spectrum, *, tol: float = 1e-9) -> float:
+def entropy_of_spectrum(spectrum: Spectrum) -> float:
     """Von Neumann entropy -sum(w log2 w) in bits, with 0*log(0) == 0."""
     residual = spectrum.normalization_residual()
-    if residual > tol:
-        raise ValueError(f"spectrum is not normalized: residual {residual:.3e} > {tol:g}")
+    if residual > NORMALIZATION_TOL:
+        raise ValueError(
+            f"spectrum is not normalized: residual {residual:.3e} > {NORMALIZATION_TOL:g}"
+        )
     weights = spectrum.weights
     if spectrum.is_exact:
         terms = (w * math.log2(w) for w in weights if w > 0.0)
@@ -259,12 +264,15 @@ def max_entropy_bound(n: int, d: int) -> float:
 
 
 def effective_spin(densities: Sequence) -> EffectiveSpin:
-    """Count vanished levels: z zero densities reduce sigma to sigma - z/2."""
-    p = tuple(float(x) for x in densities)
+    """Count vanished levels: z zero densities reduce sigma to sigma - z/2.
+
+    The surviving densities are returned as given, so exact inputs stay exact.
+    """
+    p = tuple(densities)
     if not p:
         raise ValueError("density vector is empty")
     sigma = (len(p) - 1) / 2.0
-    reduced = tuple(x for x in p if x > ZERO_DENSITY_TOL)
+    reduced = tuple(x for x in p if float(x) > ZERO_DENSITY_TOL)
     z = len(p) - len(reduced)
     if not reduced:
         raise ValueError("all densities vanish within tolerance")
@@ -332,20 +340,23 @@ def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]
     from .gaussian import build_gaussian, gaussian_entropy
 
     ns = list(ns)
-    reduced_cfg = _drop_empty_levels(cfg)
+    L = cfg.L  # None at L = inf; dropping empty levels leaves it unchanged
+    reduced = effective_spin(cfg.density_fractions).reduced_densities
+    reduced_cfg: SectorConfig | None = None
     C: float | None = None
-    if reduced_cfg is not None:
-        C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced_cfg.density_fractions)
+    if len(reduced) >= 2:
+        reduced_cfg = (
+            SectorConfig.finite(p * L for p in reduced) if L else SectorConfig.infinite(reduced)
+        )
+        C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced)
     reports = []
     for n, exact in zip(ns, block_entropies(cfg, ns)):
         asym: float | None = None
         gauss: float | None = None
         valid = False
         if reduced_cfg is not None:
-            L = reduced_cfg.L
-            in_range = (0 < n < L) if reduced_cfg.is_finite else n >= 1  # type: ignore[operator]
             valid = asymptotic_validity(reduced_cfg, n)
-            if in_range:
+            if (0 < n < L) if L else n >= 1:
                 asym = asymptotic_entropy(reduced_cfg, n)
                 gauss = gaussian_entropy(build_gaussian(reduced_cfg.density_fractions, n))
         reports.append(
@@ -364,16 +375,3 @@ def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]
 def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
     """The report of one block size; see :func:`entropy_reports`."""
     return entropy_reports(cfg, [n])[0]
-
-
-def _drop_empty_levels(cfg: SectorConfig) -> SectorConfig | None:
-    """Sector with zero-density levels removed; None if < 2 levels survive."""
-    if cfg.is_finite:
-        occ = tuple(N for N in cfg.occupations if N > 0)  # type: ignore[union-attr]
-        if len(occ) < 2:
-            return None
-        return SectorConfig.finite(occ)
-    dens = tuple(p for p in cfg.density_fractions if float(p) > ZERO_DENSITY_TOL)
-    if len(dens) < 2:
-        return None
-    return SectorConfig.infinite(dens)

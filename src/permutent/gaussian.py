@@ -37,8 +37,6 @@ class GaussianModel:
     covariance: np.ndarray
     det_A: float
     log2_det_covariance: float
-    densities: tuple[float, ...]
-    n: int
 
 
 def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -111,13 +109,7 @@ def build_gaussian(densities: Sequence, n: int) -> GaussianModel:
     log2_det_cov = 2.0 * float(np.log2(np.diag(chol)).sum())
     det_A = 2.0 ** (-log2_det_cov)
     return GaussianModel(
-        dim=dim,
-        mean=mean,
-        covariance=cov,
-        det_A=det_A,
-        log2_det_covariance=log2_det_cov,
-        densities=p,
-        n=n,
+        dim=dim, mean=mean, covariance=cov, det_A=det_A, log2_det_covariance=log2_det_cov
     )
 
 

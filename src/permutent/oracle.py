@@ -11,7 +11,8 @@ the verify_* comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "ResourceLimitError",
     "EigensolverConvergenceError",
     "DenseState",
-    "DenseDensityMatrix",
     "MatchReport",
     "build_state",
     "partial_trace",
@@ -55,15 +55,6 @@ class DenseState:
 
 
 @dataclass
-class DenseDensityMatrix:
-    """Reduced density matrix of the first n sites, dimension d^n."""
-
-    entries: np.ndarray
-    n: int
-    d: int
-
-
-@dataclass
 class MatchReport:
     """Outcome of one formula-vs-dense comparison."""
 
@@ -75,14 +66,9 @@ class MatchReport:
     passed: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "config": self.config,
-            "n": self.n,
-            "max_abs_dev": self.max_abs_dev,
-            "support_size_formula": self.support_size_formula,
-            "support_size_dense": self.support_size_dense,
-            "pass": self.passed,
-        }
+        obj = asdict(self)
+        obj["pass"] = obj.pop("passed")
+        return obj
 
 
 def _digit_counts(dim: int, L: int, d: int) -> list[np.ndarray]:
@@ -122,8 +108,8 @@ def build_state(cfg: SectorConfig) -> DenseState:
     return DenseState(amplitudes, L, d)
 
 
-def partial_trace(state: DenseState, n: int) -> DenseDensityMatrix:
-    """Trace out the last L-n sites: rho[a, b] = sum_e psi[a+e] psi[b+e].
+def partial_trace(state: DenseState, n: int) -> np.ndarray:
+    """Trace out the last L-n sites: rho[a, b] = sum_e psi[a+e] psi[b+e], a d^n x d^n array.
 
     Site 0 is the most significant digit, so the first n sites select the
     leading block of each index string.
@@ -134,8 +120,7 @@ def partial_trace(state: DenseState, n: int) -> DenseDensityMatrix:
     if dim_block > MAX_DENSITY_DIM:
         raise ResourceLimitError(f"block dimension {dim_block} exceeds guard {MAX_DENSITY_DIM}")
     stacked = state.amplitudes.reshape(dim_block, -1)
-    rho = stacked @ stacked.T
-    return DenseDensityMatrix(np.asarray(rho), n, state.d)
+    return stacked @ stacked.T
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -143,21 +128,15 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.sqrt((off * off).sum()))
 
 
-def dense_eigenvalues(
-    rho: DenseDensityMatrix | np.ndarray,
-    tol: float = 1e-12,
-    *,
-    max_rotations: int | None = None,
-) -> list[float]:
+def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
     """Eigenvalues above tol, descending, via cyclic threshold Jacobi rotations.
 
     Sweeps rotate every pair whose off-diagonal entry exceeds the per-pair
     threshold until the off-diagonal Frobenius norm drops below
-    JACOBI_CONVERGENCE_TOL * trace, or the rotation budget (100 * dim^2)
-    runs out.
+    JACOBI_CONVERGENCE_TOL * trace, or the rotation budget
+    (JACOBI_SWEEP_BUDGET_FACTOR * dim^2) runs out.
     """
-    a = rho.entries if isinstance(rho, DenseDensityMatrix) else rho
-    a = np.array(a, dtype=np.float64)
+    a = np.array(rho, dtype=np.float64)
     m = a.shape[0]
     if a.ndim != 2 or a.shape[1] != m:
         raise ValueError("density matrix must be square")
@@ -174,7 +153,7 @@ def dense_eigenvalues(
 
     trace = float(np.trace(a))
     target = JACOBI_CONVERGENCE_TOL * max(trace, np.finfo(float).tiny)
-    budget = max_rotations if max_rotations is not None else JACOBI_SWEEP_BUDGET_FACTOR * m * m
+    budget = JACOBI_SWEEP_BUDGET_FACTOR * m * m
     if m > 1:
         pair_threshold = target / math.sqrt(m * (m - 1))
         rotations = 0
@@ -220,18 +199,12 @@ def verify_theorem(
     ``perturb`` shifts the largest dense eigenvalue by the given amount before
     the comparison; it exists purely as a self-test hook for the harness.
     """
-    state = build_state(cfg)
-    rho = partial_trace(state, n)
-    dense = dense_eigenvalues(rho, tol=1e-8)
+    dense = dense_eigenvalues(partial_trace(build_state(cfg), n), tol=1e-8)
     if perturb and dense:
         dense[0] += perturb
     formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
-    width = max(len(dense), len(formula))
-    padded_dense = dense + [0.0] * (width - len(dense))
-    padded_formula = formula + [0.0] * (width - len(formula))
-    max_dev = max(
-        (abs(x - y) for x, y in zip(padded_dense, padded_formula)), default=0.0
-    )
+    pairs = zip_longest(dense, formula, fillvalue=0.0)  # the shorter list padded with zeros
+    max_dev = max((abs(x - y) for x, y in pairs), default=0.0)
     return MatchReport(
         config={"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())},
         n=n,
@@ -259,14 +232,8 @@ def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchR
     compares every nonzero eigenvalue against 1/kappa(n).
     """
     sectors = list(_occupancy_vectors(L, d))
-    rho_accum: np.ndarray | None = None
-    for occupations in sectors:
-        state = build_state(SectorConfig.finite(occupations))
-        block = partial_trace(state, n).entries
-        rho_accum = block if rho_accum is None else rho_accum + block
-    assert rho_accum is not None
-    rho_accum /= len(sectors)
-    dense = dense_eigenvalues(DenseDensityMatrix(rho_accum, n, d), tol=1e-8)
+    rho = sum(partial_trace(build_state(SectorConfig.finite(occ)), n) for occ in sectors)
+    dense = dense_eigenvalues(rho / len(sectors), tol=1e-8)
     kappa_n = dimension_symmetric_subspace(n, d)
     flat = 1.0 / kappa_n
     max_dev = max((abs(v - flat) for v in dense), default=0.0)

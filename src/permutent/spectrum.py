@@ -59,33 +59,29 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """One symmetry sector: local dimension d plus occupations or densities.
+    """One symmetry sector: occupations or densities, one per level.
 
     Finite systems carry integer occupations (N_0 ... N_{d-1}) with
-    L = sum(N).  The thermodynamic limit is a distinct variant carrying
-    densities that sum to one; it is not modelled as a large-L sentinel.
+    L = sum(N); the local dimension d is the number of levels.  The
+    thermodynamic limit is a distinct variant carrying densities that sum to
+    one; it is not modelled as a large-L sentinel.
     """
 
-    d: int
     occupations: tuple[int, ...] | None = None
     densities: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if (self.occupations is None) == (self.densities is None):
             raise ValueError("exactly one of occupations/densities must be set")
+        if self.d < 2:
+            raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.occupations is not None:
-            if len(self.occupations) != self.d:
-                raise ValueError("occupation vector length must equal d")
             if any(n < 0 for n in self.occupations):
                 raise ValueError("occupations must be nonnegative")
             if sum(self.occupations) < 1:
                 raise ValueError("finite sector needs at least one site")
         else:
             assert self.densities is not None
-            if len(self.densities) != self.d:
-                raise ValueError("density vector length must equal d")
             if any(p < 0 for p in self.densities):
                 raise ValueError("densities must be nonnegative")
             if abs(float(sum(self.densities)) - 1.0) > DENSITY_SUM_TOL:
@@ -93,13 +89,16 @@ class SectorConfig:
 
     @classmethod
     def finite(cls, occupations: Sequence[int]) -> "SectorConfig":
-        occ = tuple(int(n) for n in occupations)
-        return cls(d=len(occ), occupations=occ)
+        return cls(occupations=tuple(int(n) for n in occupations))
 
     @classmethod
     def infinite(cls, densities: Sequence) -> "SectorConfig":
-        dens = tuple(Fraction(p) for p in densities)
-        return cls(d=len(dens), densities=dens)
+        return cls(densities=tuple(Fraction(p) for p in densities))
+
+    @property
+    def d(self) -> int:
+        """Local dimension: the number of levels."""
+        return len(self.occupations or self.densities or ())
 
     @property
     def is_finite(self) -> bool:
@@ -189,7 +188,35 @@ def dimension_symmetric_subspace(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
-def _check_support(support: int) -> None:
+def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
+    """A lower bound on composition_count(n, bounds) in O(d log d) steps.
+
+    Levels are taken largest bound first while the taken bounds sum to at most
+    n and the others to at least n; every choice of parts on the taken levels
+    then extends to a composition.  Stops once the product passes the guard.
+    """
+    rest = sum(bounds)
+    if n > rest:
+        return 0
+    taken = 0
+    product = 1
+    for b in sorted(bounds, reverse=True):
+        taken += b
+        rest -= b
+        if taken > n or rest < n or product > MAX_SPECTRUM_SUPPORT:
+            break
+        product *= b + 1
+    return product
+
+
+def _check_support(n: int, bounds: Sequence[int]) -> None:
+    """Refuse more than MAX_SPECTRUM_SUPPORT entries, from the cheap lower bound first."""
+    at_least = _support_lower_bound(n, bounds)
+    if at_least > MAX_SPECTRUM_SUPPORT:
+        raise ResourceLimitError(
+            f"spectrum support of at least {at_least} exceeds guard {MAX_SPECTRUM_SUPPORT}"
+        )
+    support = composition_count(n, bounds)
     if support > MAX_SPECTRUM_SUPPORT:
         raise ResourceLimitError(f"spectrum support {support} exceeds guard {MAX_SPECTRUM_SUPPORT}")
 
@@ -260,7 +287,7 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         raise ValueError(f"n exceeds L: n={n}, L={L}")
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
-    _check_support(composition_count(n, occupations))
+    _check_support(n, occupations)
 
     log_factors = [[log2_binom(N, k) for k in range(min(N, n) + 1)] for N in occupations]
     tables = None
@@ -302,7 +329,7 @@ def thermo_spectrum(
 
     pf = cfg.density_floats
     bounds = tuple(n if p > 0 else 0 for p in pf)
-    _check_support(composition_count(n, bounds))
+    _check_support(n, bounds)
 
     t = log2_factorial_table(n)
     # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0
@@ -337,10 +364,11 @@ def thermo_spectrum(
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     kappa = dimension_symmetric_subspace(n, d)
-    _check_support(kappa)
+    bounds = (n,) * d
+    _check_support(n, bounds)
     units = [[1] * (n + 1)] * d
     entries = _product_spectrum(
-        n, (n,) * d, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), (units, units, 1, kappa)
+        n, bounds, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), (units, units, 1, kappa)
     )
     return Spectrum(entries, n, d, SpectrumSource.UNIFORM_MIXED, sector=None)
 

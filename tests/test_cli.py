@@ -280,6 +280,41 @@ class TestFiguresCommand:
         assert runner.invoke(main, ["figures", "--out-dir", "x", "--points", "1"]).exit_code == 1
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--occ", "3,3", "--n", "abc"],
+            ["verify", "--d2-max-l", "x"],
+            ["spectrum", "--occ", "3,3", "--n", "1", "--bogus"],
+            ["--bogus", "spectrum"],
+            ["bogus"],
+        ],
+        ids=["bad-int", "bad-verify-int", "unknown-option", "unknown-group-option",
+             "unknown-command"],
+    )
+    def test_usage_errors_exit_1(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.stderr
+
+    def test_unwritable_out_is_one_error_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--n", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_figures_out_dir_over_a_file(self, runner, tmp_path):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        result = runner.invoke(main, ["figures", "--out-dir", str(taken), "--max-l", "30"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+
+
 def test_version_flag(runner):
     result = run_ok(runner, ["--version"])
     assert "permutent" in result.output

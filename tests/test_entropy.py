@@ -322,6 +322,12 @@ class TestEffectiveSpin:
         assert eff.sigma_eff == 1.0
         assert eff.z == 2
 
+    def test_fraction_inputs_returned_unchanged(self):
+        densities = (THIRD, Fraction(0), Fraction(2, 3))
+        eff = effective_spin(densities)
+        assert eff.reduced_densities == (THIRD, Fraction(2, 3))
+        assert all(a is b for a, b in zip(eff.reduced_densities, densities[::2]))
+
     def test_all_vanished_rejected(self):
         with pytest.raises(ValueError):
             effective_spin((0.0, 0.0))
@@ -428,6 +434,13 @@ class TestEntropyReport:
         assert mixed.exact_bits == pytest.approx(pure.exact_bits, abs=1e-12)
         # the sup bound keeps the full local dimension
         assert mixed.sup_bound_bits > pure.sup_bound_bits
+
+    def test_density_below_tolerance_is_dropped(self):
+        tiny = Fraction(1, 10**13)  # below ZERO_DENSITY_TOL = 1e-12
+        mixed = entropy_report(SectorConfig.infinite((HALF, tiny, HALF - tiny)), 80)
+        reduced = entropy_report(SectorConfig.infinite((HALF, HALF - tiny)), 80)
+        assert mixed.asymptotic_bits == reduced.asymptotic_bits
+        assert mixed.constant_C_bits == reduced.constant_C_bits
 
     def test_validity_flag_matches_product_rule(self):
         cfg = SectorConfig.infinite((THIRD, THIRD, THIRD))

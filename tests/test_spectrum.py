@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permutent
-from permutent import oracle
-from permutent.combinatorics import enumerate_compositions
+from permutent import oracle, spectrum
+from permutent.combinatorics import composition_count, enumerate_compositions
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
@@ -65,11 +65,11 @@ class TestSectorConfig:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            SectorConfig(d=1, occupations=(3,))
+            SectorConfig(occupations=(3,))
         with pytest.raises(ValueError):
-            SectorConfig(d=2, occupations=(1, 1), densities=(HALF, HALF))
+            SectorConfig(occupations=(1, 1), densities=(HALF, HALF))
         with pytest.raises(ValueError):
-            SectorConfig(d=2)
+            SectorConfig()
         with pytest.raises(ValueError):
             SectorConfig.finite((2, -1))
         with pytest.raises(ValueError):
@@ -337,6 +337,23 @@ class TestSupportGuard:
             exact_spectrum(SectorConfig.finite((1000,) * 5), 2500)
         with pytest.raises(ResourceLimitError):
             thermo_spectrum((Fraction(1, 20),) * 20, 20_000)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+        st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=400)
+    def test_lower_bound_never_exceeds_count(self, bounds, n):
+        assert spectrum._support_lower_bound(n, bounds) <= composition_count(n, bounds)
+
+    def test_lower_bound_refuses_without_counting(self, monkeypatch):
+        def fail(total, bounds):
+            raise AssertionError("composition_count called")
+
+        monkeypatch.setattr(spectrum, "composition_count", fail)
+        # the three largest levels alone admit 401 * 400 * 399 ~ 6.4e7 compositions
+        with pytest.raises(ResourceLimitError, match="at least"):
+            exact_spectrum(SectorConfig.finite(range(1, 401)), 40_100)
 
     def test_limit_admits_largest_documented_spectrum(self):
         assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
