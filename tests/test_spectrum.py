@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import permutent
 from permutent import oracle, spectrum
 from permutent.combinatorics import composition_count, enumerate_compositions
+from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
@@ -324,6 +325,45 @@ class TestEntryOrder:
     def test_uniform_mixture(self, n, d):
         spec = uniform_mixed_spectrum(n, d)
         assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, (n,) * d))
+
+
+class TestExactAgainstLogDomain:
+    """The exact and log-domain paths of one sector agree entry by entry."""
+
+    @staticmethod
+    def assert_paths_agree(build):
+        exact, log_only = build(True), build(False)
+        assert exact.is_exact and not log_only.is_exact
+        assert [e.parts for e in exact.entries] == [e.parts for e in log_only.entries]
+        assert [e.log2_weight.hex() for e in exact.entries] == [
+            e.log2_weight.hex() for e in log_only.entries
+        ]
+        for a, b in zip(exact.weights, log_only.weights):
+            assert abs(b - a) <= 1e-10 * a
+        assert abs(entropy_of_spectrum(exact) - entropy_of_spectrum(log_only)) <= 1e-10
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_finite_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        occ = data.draw(
+            st.lists(st.integers(min_value=0, max_value=12), min_size=d, max_size=d).filter(any)
+        )
+        L = sum(occ)
+        n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
+        cfg = SectorConfig.finite(occ)
+        self.assert_paths_agree(lambda exact: exact_spectrum(cfg, n, exact=exact))
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_thermodynamic_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=5))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=d, max_size=d).filter(any)
+        )
+        dens = [Fraction(c, sum(counts)) for c in counts]
+        n = data.draw(st.integers(min_value=0, max_value=14))
+        self.assert_paths_agree(lambda exact: thermo_spectrum(dens, n, exact=exact))
 
 
 class TestSupportGuard:
