@@ -47,7 +47,6 @@ from .spectrum import (
     SectorConfig,
     Spectrum,
     SpectrumEntry,
-    SpectrumSource,
     dimension_symmetric_subspace,
     exact_spectrum,
     spectrum_to_json_obj,
@@ -65,7 +64,6 @@ __all__ = [
     "SectorConfig",
     "Spectrum",
     "SpectrumEntry",
-    "SpectrumSource",
     "dimension_symmetric_subspace",
     "exact_spectrum",
     "thermo_spectrum",

@@ -136,7 +136,7 @@ def _write_json(path: Path | None, obj: dict) -> None:
 
 def _spectrum_csv(spectrum: Spectrum) -> str:
     lines = ["composition,log2_weight,weight"]
-    for e in spectrum.entries:
+    for e in spectrum.rows():
         exact = str(e.weight_exact) if e.weight_exact is not None else ""
         lines.append(f"{';'.join(map(str, e.parts))},{e.log2_weight!r},{exact}")
     return "\n".join(lines) + "\n"

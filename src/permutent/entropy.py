@@ -108,7 +108,7 @@ def entropy_of_spectrum(spectrum: Spectrum) -> float:
     if spectrum.is_exact:
         terms = (w * math.log2(w) for w in weights if w > 0.0)
     else:
-        terms = (w * e.log2_weight for w, e in zip(weights, spectrum.entries) if w > 0.0)
+        terms = (w * lw for w, lw in zip(weights, spectrum.log2_weights.tolist()) if w > 0.0)
     return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a point mass
 
 

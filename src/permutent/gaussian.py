@@ -42,31 +42,25 @@ class GaussianModel:
 def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix of the composition under the weights.
 
-    When the spectrum carries exact rational weights the sums are accumulated
-    exactly (integers over a common denominator) and only the final division
-    rounds; otherwise plain compensated float summation is used.
+    When the spectrum carries exact weights the sums are accumulated exactly,
+    as integers over its shared denominator, and only the final division
+    rounds; otherwise plain float summation is used.
     """
     d = spectrum.d
-    entries = spectrum.entries
-    if not entries:
+    if spectrum.support_size == 0:
         raise ValueError("empty spectrum has no moments")
-    if spectrum.is_exact:
-        den = math.lcm(*(e.weight_exact.denominator for e in entries))  # type: ignore[union-attr]
-        s0 = 0
+    if spectrum.numerators is not None:
+        den = spectrum.denominator
+        if sum(spectrum.numerators) != den:
+            raise ValueError("exact spectrum weights do not sum to 1")
         s1 = [0] * d
         s2 = [[0] * d for _ in range(d)]
-        for e in entries:
-            w = e.weight_exact
-            scaled = w.numerator * (den // w.denominator)  # type: ignore[union-attr]
-            s0 += scaled
-            parts = e.parts
+        for parts, num in zip(spectrum.compositions.tolist(), spectrum.numerators):
             for i in range(d):
-                wk = scaled * parts[i]
+                wk = num * parts[i]
                 s1[i] += wk
                 for j in range(i, d):
                     s2[i][j] += wk * parts[j]
-        if s0 != den:
-            raise ValueError("exact spectrum weights do not sum to 1")
         mean_frac = [Fraction(s1[i], den) for i in range(d)]
         mean = np.array([float(m) for m in mean_frac])
         cov = np.empty((d, d))
@@ -75,7 +69,7 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 central = Fraction(s2[i][j], den) - mean_frac[i] * mean_frac[j]
                 cov[i, j] = cov[j, i] = float(central)
         return mean, cov
-    ks = np.array([e.parts for e in entries], dtype=np.float64)
+    ks = spectrum.compositions.astype(np.float64)
     w = np.array(spectrum.weights)
     total = w.sum()
     mean = (w @ ks) / total

@@ -13,14 +13,14 @@ state the spectrum is flat over all compositions of n.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, repeat
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .combinatorics import (
     composition_count,
@@ -33,7 +33,6 @@ __all__ = [
     "SectorConfig",
     "SpectrumEntry",
     "Spectrum",
-    "SpectrumSource",
     "dimension_symmetric_subspace",
     "exact_spectrum",
     "thermo_spectrum",
@@ -51,6 +50,8 @@ DENSITY_SUM_TOL = 1e-12
 # Largest spectrum a builder materialises; larger requests fail fast before
 # enumerating.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
 MAX_SPECTRUM_SUPPORT = 2_000_000
+
+_comb = np.frompyfunc(math.comb, 2, 1)  # elementwise binomials as Python integers
 
 
 class ResourceLimitError(RuntimeError):
@@ -125,55 +126,61 @@ class SectorConfig:
         return tuple(float(p) for p in self.density_fractions)
 
 
-class SpectrumSource(enum.Enum):
-    FINITE_EXACT = "finite-exact"
-    THERMODYNAMIC = "thermodynamic"
-    UNIFORM_MIXED = "uniform-mixed"
-
-
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """One eigenvalue: its composition label and log2 / exact weight."""
 
-    __slots__ = ("parts", "log2_weight", "weight_exact")
-
-    def __init__(self, parts: tuple[int, ...], log2_weight: float, weight_exact: Fraction | None):
-        self.parts = parts
-        self.log2_weight = log2_weight
-        self.weight_exact = weight_exact
-
-    @property
-    def weight(self) -> float:
-        if self.weight_exact is not None:
-            return float(self.weight_exact)
-        return 2.0 ** self.log2_weight
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpectrumEntry({self.parts}, 2**{self.log2_weight:.6g})"
+    parts: tuple[int, ...]
+    log2_weight: float
+    weight_exact: Fraction | None
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
-    """Block spectrum: entries over compositions of the block size."""
+    """Block spectrum as columns, one row per composition of the block size.
 
-    entries: list[SpectrumEntry]
+    ``compositions`` is the int64 (support, d) matrix in lexicographic order
+    and ``log2_weights`` the float column beside it.  Exact spectra carry
+    integer ``numerators`` over one shared ``denominator``; log-domain
+    spectra carry None.
+    """
+
+    compositions: np.ndarray
+    log2_weights: np.ndarray
     block_size: int
-    d: int
-    source: SpectrumSource
     sector: SectorConfig | None = None
+    numerators: list[int] | None = None
+    denominator: int = 1
     dropped_mass: float = 0.0
 
     @property
+    def d(self) -> int:
+        return self.compositions.shape[1]
+
+    @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.log2_weights)
 
     @property
     def is_exact(self) -> bool:
-        return bool(self.entries) and all(e.weight_exact is not None for e in self.entries)
+        return self.numerators is not None
 
     @functools.cached_property
     def weights(self) -> list[float]:
-        """One float weight per entry, converted once and kept."""
-        return [e.weight for e in self.entries]
+        """One float weight per row, converted once and kept."""
+        if self.numerators is not None:
+            return [num / self.denominator for num in self.numerators]
+        return [2.0**x for x in self.log2_weights.tolist()]
+
+    def rows(self) -> Iterator[SpectrumEntry]:
+        """The rows one at a time, exact weights as reduced fractions."""
+        nums = repeat(None) if self.numerators is None else self.numerators
+        den = self.denominator
+        for parts, lw, num in zip(self.compositions.tolist(), self.log2_weights.tolist(), nums):
+            yield SpectrumEntry(tuple(parts), lw, None if num is None else Fraction(num, den))
+
+    @property
+    def entries(self) -> list[SpectrumEntry]:
+        return list(self.rows())
 
     def normalization_residual(self) -> float:
         return abs(math.fsum(self.weights) + self.dropped_mass - 1.0)
@@ -209,8 +216,8 @@ def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
     return product
 
 
-def _check_support(n: int, bounds: Sequence[int]) -> None:
-    """Refuse more than MAX_SPECTRUM_SUPPORT entries, from the cheap lower bound first."""
+def _check_support(n: int, bounds: Sequence[int]) -> int:
+    """The support size, refused above MAX_SPECTRUM_SUPPORT (cheap lower bound first)."""
     at_least = _support_lower_bound(n, bounds)
     if at_least > MAX_SPECTRUM_SUPPORT:
         raise ResourceLimitError(
@@ -219,6 +226,7 @@ def _check_support(n: int, bounds: Sequence[int]) -> None:
     support = composition_count(n, bounds)
     if support > MAX_SPECTRUM_SUPPORT:
         raise ResourceLimitError(f"spectrum support {support} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+    return support
 
 
 def _product_spectrum(
@@ -226,47 +234,47 @@ def _product_spectrum(
     bounds: Sequence[int],
     log_factors: Sequence[Sequence[float]],
     log_const: float,
-    exact: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int, int] | None,
-) -> list[SpectrumEntry]:
-    """Entries of a product-form spectrum, weight(k) = const * prod_i f_i(k_i).
+    exact_tables: Sequence[Sequence[int]] | None,
+    multinomial: bool = False,
+) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
+    """Columns of a product-form spectrum, weight(k) = const * prod_i f_i(k_i).
 
-    ``log_factors[i][k]`` is log2 f_i(k) for k <= bounds[i]; an entry's
-    log2 weight is the left-to-right sum of its per-level logs plus
-    ``log_const``.  ``exact`` is ``(num, den, scale, shared_den)`` with
-    integer tables such that weight(k) = scale * prod num[i][k_i] //
-    prod den[i][k_i] / shared_den, or None for the log domain only.
+    Returns the composition matrix, the log2 weights and, unless
+    ``exact_tables`` is None, the integer numerators.  ``log_factors[i][k]``
+    is log2 f_i(k) for k <= bounds[i]; a row's log2 weight is the
+    left-to-right sum of its per-level logs plus ``log_const``.  A row's
+    numerator is the product of its ``exact_tables[i][k_i]``, times
+    multinomial(n; k) with ``multinomial``, taken as the chain of binomials
+    binom(left_i, k_i) over the sites left before each level.
 
-    A depth-first walk over the levels with an explicit stack, children
-    pushed in reverse so entries come out in lexicographic order.  Once no
-    sites are left every later level takes 0, whose factor is exactly 1
-    (log2 +0.0) in all three sources, so the entry is emitted there.
+    Built one level at a time: every prefix row is repeated once per
+    admissible part of the next level, in ascending order, so the rows come
+    out in lexicographic order.  Each level keeps the index of every row's
+    prefix, and the matrix is filled from them at the end.
     """
-    d = len(bounds)
     suffix = list(accumulate(reversed(bounds), initial=0))[::-1]  # suffix[i] = sum(bounds[i:])
-    zeros = [(0,) * (d - i) for i in range(d + 1)]
-    units = [[1] * (b + 1) for b in bounds]  # the log domain carries unit integers
-    num, den, scale, shared_den = exact or (units, units, 1, 1)
-    entries: list[SpectrumEntry] = []
-    stack = [(0, n, (), 0.0, 1, 1)]
-    while stack:
-        i, left, parts, log_sum, nums, dens = stack.pop()
-        if left == 0 or i == d - 1:
-            if left == 0:
-                parts += zeros[i]
-            else:  # the last level takes what is left
-                parts += (left,)
-                log_sum += log_factors[i][left]
-                nums *= num[i][left]
-                dens *= den[i][left]
-            weight = None if exact is None else Fraction(scale * nums // dens, shared_den)
-            entries.append(SpectrumEntry(parts, log_sum + log_const, weight))
-            continue
-        log_f, num_f, den_f = log_factors[i], num[i], den[i]
-        for k in range(min(bounds[i], left), max(0, left - suffix[i + 1]) - 1, -1):
-            stack.append(
-                (i + 1, left - k, parts + (k,), log_sum + log_f[k], nums * num_f[k], dens * den_f[k])
-            )
-    return entries
+    left = np.array([n])
+    log_sum = np.zeros(1)
+    nums = None if exact_tables is None else np.ones(1, dtype=object)
+    links = []
+    for i, (b, log_f) in enumerate(zip(bounds, map(np.asarray, log_factors))):
+        lo = np.maximum(0, left - suffix[i + 1])
+        counts = np.minimum(b, left) - lo + 1
+        prefix = np.repeat(np.arange(left.size), counts)
+        k = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        links.append((prefix, k))
+        log_sum = log_sum[prefix] + log_f[k]
+        if nums is not None:
+            nums = nums[prefix] * np.array(exact_tables[i], dtype=object)[k]
+            if multinomial and i < len(bounds) - 1:  # the last level's binomial is 1
+                nums *= _comb(left[prefix], k)
+        left = left[prefix] - k
+    compositions = np.empty((left.size, len(bounds)), dtype=np.int64)
+    row = np.arange(left.size)
+    for i, (prefix, k) in reversed(list(enumerate(links))):
+        compositions[:, i] = k[row]
+        row = prefix[row]
+    return compositions, log_sum + log_const, None if nums is None else nums.tolist()
 
 
 def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> Spectrum:
@@ -290,12 +298,14 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
     _check_support(n, occupations)
 
     log_factors = [[log2_binom(N, k) for k in range(min(N, n) + 1)] for N in occupations]
-    tables = None
+    binoms, denominator = None, 1
     if exact:
+        denominator = math.comb(L, n)
         binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
-        tables = (binoms, [[1] * (n + 1)] * cfg.d, 1, math.comb(L, n))
-    entries = _product_spectrum(n, occupations, log_factors, -log2_binom(L, n), tables)
-    return Spectrum(entries, n, cfg.d, SpectrumSource.FINITE_EXACT, sector=cfg)
+    compositions, log2_weights, numerators = _product_spectrum(
+        n, occupations, log_factors, -log2_binom(L, n), binoms
+    )
+    return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator)
 
 
 def thermo_spectrum(
@@ -337,68 +347,62 @@ def thermo_spectrum(
         [0.0] + [k * math.log2(p) - float(t[k]) for k in range(1, b + 1)]
         for p, b in zip(pf, bounds)
     ]
-    tables = None
+    pows, denominator = None, 1
     if exact:
-        # common-denominator integers: weight = n! * prod(a_i^{k_i}) / prod(k_i!) / B^n
+        # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
         B = math.lcm(*(p.denominator for p in dens))
+        denominator = B**n
         pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
-        fact = list(accumulate(range(1, n + 1), operator.mul, initial=1))
-        tables = (pows, [fact] * len(dens), fact[n], B**n)
-    entries = _product_spectrum(n, bounds, log_factors, float(t[n]), tables)
+    compositions, log2_weights, numerators = _product_spectrum(
+        n, bounds, log_factors, float(t[n]), pows, multinomial=True
+    )
 
     dropped_mass = 0.0
     if cutoff > 0.0:
-        threshold = max(e.log2_weight for e in entries) + math.log2(cutoff)
-        dropped_mass = math.fsum(2.0**e.log2_weight for e in entries if e.log2_weight < threshold)
-        entries = [e for e in entries if e.log2_weight >= threshold]
+        threshold = log2_weights.max() + math.log2(cutoff)
+        keep = log2_weights >= threshold
+        dropped_mass = math.fsum(2.0**x for x in log2_weights[~keep].tolist())
+        compositions, log2_weights = compositions[keep], log2_weights[keep]
         if dropped_mass > 10.0 * cutoff:
             raise ValueError(
                 f"cutoff {cutoff:g} drops {dropped_mass:.3e} of the weight; "
                 "lower the cutoff to keep at least 1 - 10*cutoff"
             )
-    return Spectrum(
-        entries, n, cfg.d, SpectrumSource.THERMODYNAMIC, sector=cfg, dropped_mass=dropped_mass
-    )
+    return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator, dropped_mass)
 
 
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     kappa = dimension_symmetric_subspace(n, d)
     bounds = (n,) * d
-    _check_support(n, bounds)
-    units = [[1] * (n + 1)] * d
-    entries = _product_spectrum(
-        n, bounds, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), (units, units, 1, kappa)
+    support = _check_support(n, bounds)
+    compositions, log2_weights, _ = _product_spectrum(
+        n, bounds, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), None
     )
-    return Spectrum(entries, n, d, SpectrumSource.UNIFORM_MIXED, sector=None)
+    return Spectrum(compositions, log2_weights, n, numerators=[1] * support, denominator=kappa)
 
 
 def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
     """JSON-ready dict: header plus one record per entry."""
     sector = spectrum.sector
     if sector is None:
-        L_field: int | str | None = None
-        occ = None
-        dens = None
+        L_field, occ, dens, source = None, None, None, "uniform-mixed"
     elif sector.is_finite:
-        L_field = sector.L
-        occ = list(sector.occupations)  # type: ignore[arg-type]
-        dens = None
+        L_field, occ, dens, source = sector.L, list(sector.occupations), None, "finite-exact"
     else:
-        L_field = "inf"
-        occ = None
         dens = [str(p) for p in sector.densities]  # type: ignore[union-attr]
+        L_field, occ, source = "inf", None, "thermodynamic"
     header = {
         "L": L_field,
         "d": spectrum.d,
         "occupations": occ,
         "densities": dens,
         "n": spectrum.block_size,
-        "source": spectrum.source.value,
+        "source": source,
         "dropped_mass": spectrum.dropped_mass,
     }
     records = []
-    for e in spectrum.entries:
+    for e in spectrum.rows():
         rec: dict = {"composition": list(e.parts), "log2_weight": e.log2_weight}
         if e.weight_exact is not None:
             rec["weight"] = str(e.weight_exact)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,3 +19,27 @@ def fresh_log2_table(monkeypatch):
         monkeypatch.setattr(combinatorics, "_log2_fact_last", np.longdouble(0.0))
 
     return reset
+
+
+class ConversionCounter:
+    """Copies spectra with exact numerators that count their conversions to float."""
+
+    def __init__(self):
+        self.conversions = 0
+        counter = self
+
+        class Numerator(int):
+            def __truediv__(self, other):
+                counter.conversions += 1
+                return int(self) / other
+
+        self._numerator = Numerator
+
+    def wrap(self, spectrum):
+        numerators = [self._numerator(num) for num in spectrum.numerators]
+        return dataclasses.replace(spectrum, numerators=numerators)
+
+
+@pytest.fixture
+def conversion_counter():
+    return ConversionCounter()

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from permutent import cli
 from permutent.cli import main
 from permutent.combinatorics import composition_count
-from permutent.spectrum import SpectrumEntry
 
 from _schema import assert_valid
 
@@ -98,20 +98,15 @@ class TestSpectrumCommand:
         assert result.exit_code == 3
         assert "exceeds guard" in result.output
 
-    def test_summary_reads_each_weight_once(self, runner, monkeypatch):
-        reads = 0
-        weight = SpectrumEntry.weight
-
-        def counting(entry):
-            nonlocal reads
-            reads += 1
-            return weight.fget(entry)
-
-        monkeypatch.setattr(SpectrumEntry, "weight", property(counting))
+    def test_summary_reads_each_weight_once(self, runner, monkeypatch, conversion_counter):
+        build = cli.exact_spectrum
+        monkeypatch.setattr(
+            cli, "exact_spectrum", lambda *args, **kw: conversion_counter.wrap(build(*args, **kw))
+        )
         result = run_ok(runner, ["spectrum", "--occ", "6,5,4", "--n", "7", "--format", "csv"])
         support = len(result.stdout.strip().splitlines()) - 1
         assert support == composition_count(7, (6, 5, 4))
-        assert reads == support
+        assert conversion_counter.conversions == support
         assert f"support {support}  " in result.stderr
 
 

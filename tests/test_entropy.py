@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,6 @@ from permutent.oracle import build_state, dense_eigenvalues, partial_trace
 from permutent.spectrum import (
     SectorConfig,
     Spectrum,
-    SpectrumEntry,
-    SpectrumSource,
     exact_spectrum,
     thermo_spectrum,
     uniform_mixed_spectrum,
@@ -66,26 +65,16 @@ class TestEntropyOfSpectrum:
         exact_spectrum(SectorConfig.finite((60,) * 5), 30)
         assert entropy_of_spectrum(exact_spectrum(large, 40)) == alone
 
-    def test_converts_each_exact_weight_once(self, monkeypatch):
-        s = exact_spectrum(SectorConfig.finite((6, 5, 4)), 7)
-        conversions = 0
-        to_float = Fraction.__float__
-
-        def counting(value):
-            nonlocal conversions
-            conversions += 1
-            return to_float(value)
-
-        monkeypatch.setattr(Fraction, "__float__", counting)
+    def test_converts_each_exact_weight_once(self, conversion_counter):
+        s = conversion_counter.wrap(exact_spectrum(SectorConfig.finite((6, 5, 4)), 7))
         entropy_of_spectrum(s)
-        assert conversions == s.support_size == 26
+        assert conversion_counter.conversions == s.support_size == 26
 
     def test_unnormalized_rejected(self):
         bogus = Spectrum(
-            entries=[SpectrumEntry((1, 0), -1.0, None), SpectrumEntry((0, 1), -1.5, None)],
+            compositions=np.array([[1, 0], [0, 1]]),
+            log2_weights=np.array([-1.0, -1.5]),
             block_size=1,
-            d=2,
-            source=SpectrumSource.FINITE_EXACT,
         )
         with pytest.raises(ValueError, match="not normalized"):
             entropy_of_spectrum(bogus)

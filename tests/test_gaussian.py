@@ -69,9 +69,9 @@ class TestCompositionMoments:
         assert np.allclose(c1, c2, atol=1e-9)
 
     def test_empty_spectrum_rejected(self):
-        from permutent.spectrum import Spectrum, SpectrumSource
+        from permutent.spectrum import Spectrum
 
-        empty = Spectrum([], 3, 2, SpectrumSource.THERMODYNAMIC)
+        empty = Spectrum(np.empty((0, 2), dtype=np.int64), np.empty(0), 3)
         with pytest.raises(ValueError):
             composition_moments(empty)
 

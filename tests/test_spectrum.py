@@ -16,7 +16,6 @@ from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
     SectorConfig,
-    SpectrumSource,
     dimension_symmetric_subspace,
     exact_spectrum,
     spectrum_to_json_obj,
@@ -107,7 +106,7 @@ class TestExactSpectrum:
         s = exact_spectrum(SectorConfig.finite((2, 2)), 2)
         weights = {e.parts: e.weight_exact for e in s.entries}
         assert weights == {(0, 2): Fraction(1, 6), (1, 1): Fraction(2, 3), (2, 0): Fraction(1, 6)}
-        assert s.source is SpectrumSource.FINITE_EXACT
+        assert spectrum_to_json_obj(s)["header"]["source"] == "finite-exact"
 
     def test_full_block_is_pure(self):
         s = exact_spectrum(SectorConfig.finite((1, 1, 1)), 3)
@@ -151,9 +150,9 @@ class TestExactSpectrum:
         log_only = exact_spectrum(cfg, 25, exact=False)
         assert not log_only.is_exact
         assert log_only.normalization_residual() < 1e-10
-        for a, b in zip(exact.entries, log_only.entries):
+        for a, b, w in zip(exact.entries, log_only.entries, log_only.weights):
             assert a.parts == b.parts
-            rel = abs(b.weight - float(a.weight_exact)) / float(a.weight_exact)
+            rel = abs(w - float(a.weight_exact)) / float(a.weight_exact)
             assert rel < 1e-10
 
     def test_auto_exact_threshold(self):
@@ -212,7 +211,7 @@ class TestThermoSpectrum:
             (1, 1): Fraction(1, 2),
             (2, 0): Fraction(1, 4),
         }
-        assert s.source is SpectrumSource.THERMODYNAMIC
+        assert spectrum_to_json_obj(s)["header"]["source"] == "thermodynamic"
 
     def test_single_site(self):
         s = thermo_spectrum((THIRD, THIRD, THIRD), 1)
@@ -226,8 +225,8 @@ class TestThermoSpectrum:
         s = thermo_spectrum((0.2, 0.3, 0.5), 6, exact=False)
         expected = thermo_weights((0.2, 0.3, 0.5), 6)
         assert len(s.entries) == len(expected)
-        for e in s.entries:
-            assert e.weight == pytest.approx(expected[e.parts], rel=1e-12)
+        for e, w in zip(s.entries, s.weights):
+            assert w == pytest.approx(expected[e.parts], rel=1e-12)
 
     def test_float_densities_fall_back_to_log_domain(self):
         s = thermo_spectrum((1 / 3, 1 / 3, 1 / 3), 9)
@@ -240,7 +239,7 @@ class TestThermoSpectrum:
         thermo = thermo_spectrum((HALF, HALF), n)
         finite = exact_spectrum(SectorConfig.finite((500_000, 500_000)), n)
         assert not finite.is_exact
-        finite_by_parts = {e.parts: e.weight for e in finite.entries}
+        finite_by_parts = {e.parts: w for e, w in zip(finite.entries, finite.weights)}
         for e in thermo.entries:
             assert abs(float(e.weight_exact) - finite_by_parts[e.parts]) < 1e-3
 
@@ -295,6 +294,12 @@ class TestUniformMixedSpectrum:
 class TestEntryOrder:
     """Every builder labels its entries in the order of the reference enumerator."""
 
+    @staticmethod
+    def assert_order(spec, reference):
+        reference = list(reference)
+        assert [e.parts for e in spec.entries] == reference
+        assert spec.compositions.tolist() == [list(parts) for parts in reference]
+
     @given(st.data())
     @settings(max_examples=150)
     def test_finite_sectors(self, data):
@@ -306,7 +311,7 @@ class TestEntryOrder:
         n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
         exact = data.draw(st.booleans())
         spec = exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
-        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, occ))
+        self.assert_order(spec, enumerate_compositions(n, occ))
 
     @given(st.data())
     @settings(max_examples=150)
@@ -319,12 +324,12 @@ class TestEntryOrder:
         n = data.draw(st.integers(min_value=0, max_value=9))
         spec = thermo_spectrum(dens, n, exact=data.draw(st.booleans()))
         bounds = [n if c else 0 for c in counts]
-        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, bounds))
+        self.assert_order(spec, enumerate_compositions(n, bounds))
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=5))
     def test_uniform_mixture(self, n, d):
         spec = uniform_mixed_spectrum(n, d)
-        assert [e.parts for e in spec.entries] == list(enumerate_compositions(n, (n,) * d))
+        self.assert_order(spec, enumerate_compositions(n, (n,) * d))
 
 
 class TestExactAgainstLogDomain:
