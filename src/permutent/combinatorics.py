@@ -139,6 +139,8 @@ def composition_count(total: int, bounds: Sequence[int]) -> int:
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")
+    if any(b < 0 for b in bounds):
+        raise ValueError("composition bounds must be nonnegative")
     d = len(bounds)
     if d == 0:
         return 1 if total == 0 else 0

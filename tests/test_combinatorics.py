@@ -111,6 +111,9 @@ class TestEnumeration:
             list(enumerate_compositions(-1, (2,)))
         with pytest.raises(ValueError):
             list(enumerate_compositions(1, (2, -1)))
+        for total, bounds in ((-1, (2,)), (3, (-2, 5)), (3, (-1, 2))):
+            with pytest.raises(ValueError):
+                composition_count(total, bounds)
 
     @given(st.data())
     @settings(max_examples=200)
