@@ -19,11 +19,23 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "ResourceLimitError",
     "log2_binom",
     "log2_factorial_table",
     "enumerate_compositions",
     "composition_count",
 ]
+
+# Largest m the log-factorial table covers; larger requests fail fast.  A
+# growth briefly holds two extended-precision arrays (16 bytes per entry
+# each) beside the float64 table, so a full table peaks near 700 MB.  Admits
+# L = 10^6 sectors and max_entropy_bound up to n = 10^7.
+MAX_LOG2_FACTORIAL = 2**24
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested computation exceeds the desk-scale guards."""
+
 
 _table_lock = threading.Lock()
 _log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), grown on demand
@@ -34,18 +46,23 @@ def _ensure_table(n: int) -> np.ndarray:
     """Grow the log-factorial table to cover 0..n and return it.
 
     Each growth continues the extended-precision running sum where the last
-    one stopped, so the table does not depend on how it was grown.
+    one stopped, so the table does not depend on how it was grown.  Raises
+    ResourceLimitError past MAX_LOG2_FACTORIAL, before allocating.
     """
     global _log2_fact, _log2_fact_last
     table = _log2_fact
     if n < table.shape[0]:
         return table
+    if n > MAX_LOG2_FACTORIAL:
+        raise ResourceLimitError(
+            f"log-factorial table up to {n} exceeds guard {MAX_LOG2_FACTORIAL}"
+        )
     with _table_lock:
         table = _log2_fact
         if n < table.shape[0]:
             return table
         old = table.shape[0]
-        size = max(n + 1, 2 * old)
+        size = min(max(n + 1, 2 * old), MAX_LOG2_FACTORIAL + 1)
         # Accumulate in extended precision so the running sum stays accurate
         # even for tables of ~10^6 entries.
         steps = np.log2(np.arange(old, size, dtype=np.longdouble))

@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .combinatorics import (
+    ResourceLimitError,
     composition_count,
     log2_binom,
     log2_factorial_table,
@@ -52,10 +53,6 @@ DENSITY_SUM_TOL = 1e-12
 MAX_SPECTRUM_SUPPORT = 2_000_000
 
 _comb = np.frompyfunc(math.comb, 2, 1)  # elementwise binomials as Python integers
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested computation exceeds the desk-scale guards."""
 
 
 @dataclass(frozen=True)

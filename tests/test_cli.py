@@ -302,6 +302,12 @@ class TestExitCodes:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["entropy", "spectrum"])
+    def test_log_factorial_guard_exits_3(self, runner, command):
+        result = runner.invoke(main, [command, "--occ", "1000000000,1", "--n", "1"])
+        assert result.exit_code == 3
+        assert result.output.startswith("error: log-factorial table up to 10000000")
+
     def test_figures_out_dir_over_a_file(self, runner, tmp_path):
         taken = tmp_path / "file"
         taken.write_text("")

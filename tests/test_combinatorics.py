@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutent import combinatorics
 from permutent.combinatorics import (
+    ResourceLimitError,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -80,6 +82,15 @@ class TestLog2Binom:
         ulp = math.ulp(log2_factorial_table(L)[L])
         for k in (1, 2, 10, 1000, 20000, L - 7):
             assert abs(log2_binom(L, k) - math.log2(math.comb(L, k))) <= 2 * ulp, k
+
+    def test_table_guard_refuses_before_growing(self):
+        table = combinatorics._log2_fact
+        with pytest.raises(ResourceLimitError, match="exceeds guard"):
+            log2_factorial_table(combinatorics.MAX_LOG2_FACTORIAL + 1)
+        with pytest.raises(ResourceLimitError):
+            log2_binom(10**9 + 1, 1)
+        assert combinatorics._log2_fact is table
+        assert combinatorics.MAX_LOG2_FACTORIAL >= 10**6
 
     def test_table_does_not_depend_on_growth_order(self, fresh_log2_table):
         fresh_log2_table()

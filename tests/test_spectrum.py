@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permutent
-from permutent import oracle, spectrum
+from permutent import combinatorics, oracle, spectrum
 from permutent.combinatorics import composition_count, enumerate_compositions
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
@@ -406,6 +406,7 @@ class TestSupportGuard:
     def test_error_class_is_shared(self):
         assert permutent.ResourceLimitError is ResourceLimitError
         assert oracle.ResourceLimitError is ResourceLimitError
+        assert combinatorics.ResourceLimitError is ResourceLimitError
 
 
 class TestSerialization:
