@@ -52,6 +52,11 @@ DENSITY_SUM_TOL = 1e-12
 # enumerating.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
 MAX_SPECTRUM_SUPPORT = 2_000_000
 
+# Largest estimate, support * bit length of the shared denominator, of the
+# integer numerators an exact spectrum may hold.  Admits the 5.5e8 bits of
+# thermo_spectrum((1/4,)*4, 200, exact=True).
+MAX_EXACT_BITS = 600_000_000
+
 _comb = np.frompyfunc(math.comb, 2, 1)  # elementwise binomials as Python integers
 
 
@@ -226,6 +231,16 @@ def _check_support(n: int, bounds: Sequence[int]) -> int:
     return support
 
 
+def _check_exact_bits(support: int, denominator: int) -> None:
+    """Refuse exact weights whose numerators would hold more than MAX_EXACT_BITS."""
+    bits = support * denominator.bit_length()
+    if bits > MAX_EXACT_BITS:
+        raise ResourceLimitError(
+            f"exact weights need about {bits} numerator bits, over guard {MAX_EXACT_BITS}; "
+            "use the log domain (exact=False, --no-exact)"
+        )
+
+
 def _product_spectrum(
     n: int,
     bounds: Sequence[int],
@@ -292,12 +307,13 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         raise ValueError(f"n exceeds L: n={n}, L={L}")
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
-    _check_support(n, occupations)
+    support = _check_support(n, occupations)
 
     log_factors = [[log2_binom(N, k) for k in range(min(N, n) + 1)] for N in occupations]
     binoms, denominator = None, 1
     if exact:
         denominator = math.comb(L, n)
+        _check_exact_bits(support, denominator)
         binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
     compositions, log2_weights, numerators = _product_spectrum(
         n, occupations, log_factors, -log2_binom(L, n), binoms
@@ -336,7 +352,7 @@ def thermo_spectrum(
 
     pf = cfg.density_floats
     bounds = tuple(n if p > 0 else 0 for p in pf)
-    _check_support(n, bounds)
+    support = _check_support(n, bounds)
 
     t = log2_factorial_table(n)
     # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0
@@ -349,6 +365,7 @@ def thermo_spectrum(
         # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
         B = math.lcm(*(p.denominator for p in dens))
         denominator = B**n
+        _check_exact_bits(support, denominator)
         pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
     compositions, log2_weights, numerators = _product_spectrum(
         n, bounds, log_factors, float(t[n]), pows, multinomial=True

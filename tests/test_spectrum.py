@@ -400,8 +400,20 @@ class TestSupportGuard:
         with pytest.raises(ResourceLimitError, match="at least"):
             exact_spectrum(SectorConfig.finite(range(1, 401)), 40_100)
 
+    def test_exact_weights_refused_before_building(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("_product_spectrum called")
+
+        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
+        # 40,001 entries over 2^40000 and over C(80000, 40000): >= 1.6e9 bits each
+        with pytest.raises(ResourceLimitError, match="numerator bits"):
+            thermo_spectrum((HALF, HALF), 40_000, exact=True)
+        with pytest.raises(ResourceLimitError, match="numerator bits"):
+            exact_spectrum(SectorConfig.finite((40_000, 40_000)), 40_000, exact=True)
+
     def test_limit_admits_largest_documented_spectrum(self):
         assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
+        assert 1_373_701 * (4**200).bit_length() <= spectrum.MAX_EXACT_BITS
 
     def test_error_class_is_shared(self):
         assert permutent.ResourceLimitError is ResourceLimitError
