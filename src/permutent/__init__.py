@@ -33,7 +33,6 @@ from .gaussian import (
     gaussian_entropy,
 )
 from .oracle import (
-    DenseState,
     EigensolverConvergenceError,
     MatchReport,
     ResourceLimitError,
@@ -87,7 +86,6 @@ __all__ = [
     "composition_moments",
     "build_gaussian",
     "gaussian_entropy",
-    "DenseState",
     "MatchReport",
     "ResourceLimitError",
     "EigensolverConvergenceError",

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import log2_binom, log2_factorial_table
+from .combinatorics import ResourceLimitError, log2_binom, log2_factorial_table
 from .spectrum import SectorConfig, Spectrum
 
 __all__ = [
@@ -54,6 +54,10 @@ ZERO_DENSITY_TOL = 1e-12
 
 # Largest |sum of weights + dropped mass - 1| entropy_of_spectrum accepts.
 NORMALIZATION_TOL = 1e-9
+
+# Most block sizes one block_entropies / entropy_reports call takes; longer
+# sequences are refused by their length, before any per-row list is built.
+MAX_BLOCK_SIZES = 100_000
 
 
 def bits_to_nats(bits: float) -> float:
@@ -156,8 +160,11 @@ def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
     ``given(j, r)`` that of the count in level j given r = n - s sites left;
     the two sector kinds differ only in these pmf families.  The conditional
     entropies do not depend on n, so each one is computed once per call, when
-    first needed, and shared by all block sizes in ns.
+    first needed, and shared by all block sizes in ns.  A sequence longer
+    than MAX_BLOCK_SIZES raises ResourceLimitError before it is iterated.
     """
+    if len(ns) > MAX_BLOCK_SIZES:
+        raise ResourceLimitError(f"{len(ns)} block sizes exceed guard {MAX_BLOCK_SIZES}")
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("block size must be nonnegative")
@@ -339,7 +346,6 @@ def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]
     """
     from .gaussian import build_gaussian, gaussian_entropy
 
-    ns = list(ns)
     L = cfg.L  # None at L = inf; dropping empty levels leaves it unchanged
     reduced = effective_spin(cfg.density_fractions).reduced_densities
     reduced_cfg: SectorConfig | None = None
@@ -350,7 +356,7 @@ def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]
         )
         C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced)
     reports = []
-    for n, exact in zip(ns, block_entropies(cfg, ns)):
+    for n, exact in zip(ns, block_entropies(cfg, ns)):  # block_entropies checks ns first
         asym: float | None = None
         gauss: float | None = None
         valid = False

@@ -16,6 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .combinatorics import enumerate_compositions
 from .spectrum import (
     ResourceLimitError,
     SectorConfig,
@@ -26,7 +27,6 @@ from .spectrum import (
 __all__ = [
     "ResourceLimitError",
     "EigensolverConvergenceError",
-    "DenseState",
     "MatchReport",
     "build_state",
     "partial_trace",
@@ -46,15 +46,6 @@ class EigensolverConvergenceError(RuntimeError):
 
 
 @dataclass
-class DenseState:
-    """State vector over all d^L basis strings (real amplitudes)."""
-
-    amplitudes: np.ndarray
-    L: int
-    d: int
-
-
-@dataclass
 class MatchReport:
     """Outcome of one formula-vs-dense comparison."""
 
@@ -71,23 +62,12 @@ class MatchReport:
         return obj
 
 
-def _digit_counts(dim: int, L: int, d: int) -> list[np.ndarray]:
-    """counts[level][index] = multiplicity of `level` in the base-d string of index."""
-    rem = np.arange(dim, dtype=np.int64)
-    counts = [np.zeros(dim, dtype=np.int16) for _ in range(d)]
-    for _ in range(L):
-        digit = rem % d
-        rem //= d
-        for level in range(d):
-            counts[level] += digit == level
-    return counts
-
-
-def build_state(cfg: SectorConfig) -> DenseState:
+def build_state(cfg: SectorConfig) -> np.ndarray:
     """Equal-amplitude state on every basis string matching the occupations.
 
-    The amplitude is 1/sqrt(#matching strings), with the count taken by
-    scanning all indices.
+    Returns the real amplitudes as a (d,)*L array whose axis i holds the
+    level of site i.  The amplitude is 1/sqrt(#matching strings), with the
+    count taken by scanning all indices.
     """
     if not cfg.is_finite:
         raise ValueError("dense oracle needs a finite sector")
@@ -98,28 +78,31 @@ def build_state(cfg: SectorConfig) -> DenseState:
     dim = d**L
     if dim > MAX_STATE_AMPLITUDES:
         raise ResourceLimitError(f"state dimension {dim} exceeds guard {MAX_STATE_AMPLITUDES}")
-    counts = _digit_counts(dim, L, d)
-    mask = np.ones(dim, dtype=bool)
-    for level in range(d):
-        mask &= counts[level] == occupations[level]
-    matches = int(mask.sum())
-    amplitudes = np.zeros(dim)
-    amplitudes[mask] = 1.0 / math.sqrt(matches)
-    return DenseState(amplitudes, L, d)
+    # site levels of every basis string; the guard keeps L <= 20, so int8 sums fit
+    levels = np.indices((d,) * L, dtype=np.int8)
+    mask = np.ones(levels.shape[1:], dtype=bool)
+    for level, count in enumerate(occupations):
+        mask &= (levels == level).sum(axis=0, dtype=np.int8) == count
+    amplitudes = np.zeros(mask.shape)
+    amplitudes[mask] = 1.0 / math.sqrt(int(mask.sum()))
+    return amplitudes
 
 
-def partial_trace(state: DenseState, n: int) -> np.ndarray:
-    """Trace out the last L-n sites: rho[a, b] = sum_e psi[a+e] psi[b+e], a d^n x d^n array.
+def partial_trace(state: np.ndarray, n: int) -> np.ndarray:
+    """Trace out the last L-n sites: rho[a, b] = sum_e psi[a, e] psi[b, e], a d^n x d^n array.
 
-    Site 0 is the most significant digit, so the first n sites select the
-    leading block of each index string.
+    ``state`` is a (d,)*L amplitude array as returned by :func:`build_state`;
+    the first n axes form the block.
     """
-    if n < 0 or n > state.L:
+    if len(set(state.shape)) != 1:
+        raise ValueError(f"state axes must all have the same length d, got shape {state.shape}")
+    L, d = state.ndim, state.shape[0]
+    if n < 0 or n > L:
         raise ValueError(f"block size must lie in [0, L], got {n}")
-    dim_block = state.d**n
+    dim_block = d**n
     if dim_block > MAX_DENSITY_DIM:
         raise ResourceLimitError(f"block dimension {dim_block} exceeds guard {MAX_DENSITY_DIM}")
-    stacked = state.amplitudes.reshape(dim_block, -1)
+    stacked = state.reshape(dim_block, -1)
     return stacked @ stacked.T
 
 
@@ -140,6 +123,8 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
     m = a.shape[0]
     if a.ndim != 2 or a.shape[1] != m:
         raise ValueError("density matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("density matrix has non-finite entries")
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10:
         raise ValueError("density matrix must be symmetric")
 
@@ -191,6 +176,22 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
     return [v for v in values if v > tol]
 
 
+def _match(
+    config: dict, n: int, dense: list[float], formula: list[float], tol: float
+) -> MatchReport:
+    """Compare two descending eigenvalue lists, the shorter padded with zeros."""
+    pairs = zip_longest(dense, formula, fillvalue=0.0)
+    max_dev = max((abs(x - y) for x, y in pairs), default=0.0)
+    return MatchReport(
+        config=config,
+        n=n,
+        max_abs_dev=max_dev,
+        support_size_formula=len(formula),
+        support_size_dense=len(dense),
+        passed=len(dense) == len(formula) and max_dev < tol,
+    )
+
+
 def verify_theorem(
     cfg: SectorConfig, n: int, tol: float = 1e-10, *, perturb: float = 0.0
 ) -> MatchReport:
@@ -203,45 +204,18 @@ def verify_theorem(
     if perturb and dense:
         dense[0] += perturb
     formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
-    pairs = zip_longest(dense, formula, fillvalue=0.0)  # the shorter list padded with zeros
-    max_dev = max((abs(x - y) for x, y in pairs), default=0.0)
-    return MatchReport(
-        config={"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())},
-        n=n,
-        max_abs_dev=max_dev,
-        support_size_formula=len(formula),
-        support_size_dense=len(dense),
-        passed=len(dense) == len(formula) and max_dev < tol,
-    )
-
-
-def _occupancy_vectors(total: int, length: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _occupancy_vectors(total - first, length - 1):
-            yield (first,) + rest
+    config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
+    return _match(config, n, dense, formula, tol)
 
 
 def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchReport:
     """Check the flat reduced spectrum of the equally-weighted sector mixture.
 
     Builds rho as the average of the sector projectors, reduces it, and
-    compares every nonzero eigenvalue against 1/kappa(n).
+    compares its nonzero eigenvalues against kappa(n) copies of 1/kappa(n).
     """
-    sectors = list(_occupancy_vectors(L, d))
+    sectors = list(enumerate_compositions(L, (L,) * d))
     rho = sum(partial_trace(build_state(SectorConfig.finite(occ)), n) for occ in sectors)
     dense = dense_eigenvalues(rho / len(sectors), tol=1e-8)
     kappa_n = dimension_symmetric_subspace(n, d)
-    flat = 1.0 / kappa_n
-    max_dev = max((abs(v - flat) for v in dense), default=0.0)
-    return MatchReport(
-        config={"L": L, "d": d, "occupations": None},
-        n=n,
-        max_abs_dev=max_dev,
-        support_size_formula=kappa_n,
-        support_size_dense=len(dense),
-        passed=len(dense) == kappa_n and max_dev < tol,
-    )
+    return _match({"L": L, "d": d, "occupations": None}, n, dense, [1.0 / kappa_n] * kappa_n, tol)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -56,6 +57,10 @@ MAX_SPECTRUM_SUPPORT = 2_000_000
 # integer numerators an exact spectrum may hold.  Admits the 5.5e8 bits of
 # thermo_spectrum((1/4,)*4, 200, exact=True).
 MAX_EXACT_BITS = 600_000_000
+
+# Relative cutoffs must lie in [0, MAX_CUTOFF): the dropped-mass check below
+# (at most 10 * cutoff of the weight) only bounds anything while 10 * cutoff < 1.
+MAX_CUTOFF = 0.1
 
 _comb = np.frompyfunc(math.comb, 2, 1)  # elementwise binomials as Python integers
 
@@ -232,12 +237,23 @@ def _check_support(n: int, bounds: Sequence[int]) -> int:
 
 
 def _check_exact_bits(support: int, denominator: int) -> None:
-    """Refuse exact weights whose numerators would hold more than MAX_EXACT_BITS."""
+    """Refuse exact weights past MAX_EXACT_BITS or past the writers' digit limit.
+
+    The numerators hold about support * bit length of the denominator bits.
+    A denominator with more decimal digits than Python's int-to-str limit
+    could not be written; one of at most 3 * limit bits is below 10^limit.
+    """
     bits = support * denominator.bit_length()
     if bits > MAX_EXACT_BITS:
         raise ResourceLimitError(
             f"exact weights need about {bits} numerator bits, over guard {MAX_EXACT_BITS}; "
             "use the log domain (exact=False, --no-exact)"
+        )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and denominator.bit_length() > 3 * limit and denominator >= 10**limit:
+        raise ResourceLimitError(
+            f"exact weights have a denominator of more than {limit} decimal digits, "
+            "Python's int-to-str limit; use the log domain (exact=False, --no-exact)"
         )
 
 
@@ -331,15 +347,16 @@ def thermo_spectrum(
     """Thermodynamic-limit spectrum: multinomial(n; k) * prod p_i^{k_i}.
 
     All compositions of n are finite in number, so ``cutoff=0`` (keep
-    everything) is the default.  A positive cutoff drops entries below
-    cutoff * max_weight, reports the dropped mass on the result, and is only
-    available on the log-domain path.  With ``exact=None`` and no cutoff,
-    rational weights are kept for n <= 300 when the densities sum to exactly 1.
+    everything) is the default.  A positive cutoff, below MAX_CUTOFF = 0.1,
+    drops entries below cutoff * max_weight, reports the dropped mass on the
+    result, and is only available on the log-domain path.  With
+    ``exact=None`` and no cutoff, rational weights are kept for n <= 300
+    when the densities sum to exactly 1.
     """
     if n < 0:
         raise ValueError(f"block size must be nonnegative, got {n}")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if not 0.0 <= cutoff < MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF:g}), got {cutoff!r}")
     dens = tuple(Fraction(p) for p in densities)
     cfg = SectorConfig.infinite(dens)
     exact_possible = sum(dens) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +92,20 @@ class TestSpectrumCommand:
                                           "--cutoff", cutoff])
             assert result.exit_code == 1
 
+    @pytest.mark.parametrize("cutoff", ["0.1", "2", "inf", "nan"])
+    def test_cutoff_outside_range_exits_1(self, runner, cutoff):
+        result = runner.invoke(main, ["spectrum", "--L", "inf", "--dens", "1/2,1/2", "--n", "4",
+                                      "--cutoff", cutoff])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cutoff must lie in [0, 0.1)")
+        assert result.stdout == ""
+
+    def test_denominator_past_the_digit_limit_exits_3(self, runner, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        result = runner.invoke(main, ["spectrum", "--occ", "7200,7200", "--n", "7200", "--exact"])
+        assert result.exit_code == 3
+        assert "4300 decimal digits" in result.stderr
+
     def test_oversized_support_is_a_resource_error(self, runner):
         # composition_count(2500, (1000,) * 5) is about 6.0e11
         result = runner.invoke(main, ["spectrum", "--occ", "1000,1000,1000,1000,1000",
@@ -167,6 +182,12 @@ class TestSweepCommand:
         assert runner.invoke(main, ["sweep", "--occ", "3,3", "--n-min", "3",
                                     "--n-max", "2"]).exit_code == 1
         assert runner.invoke(main, ["sweep", "--n-min", "0", "--n-max", "2"]).exit_code == 1
+
+    def test_oversized_range_is_a_resource_error(self, runner):
+        result = runner.invoke(main, ["sweep", "--occ", "2,2", "--n-min", "0",
+                                      "--n-max", "3000000"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: 3000001 block sizes exceed guard 100000")
 
     def test_svg_output(self, runner, tmp_path):
         out = tmp_path / "sweep.svg"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutent import entropy
+from permutent.combinatorics import ResourceLimitError
 from permutent.entropy import (
     asymptotic_entropy,
     asymptotic_validity,
@@ -17,6 +20,7 @@ from permutent.entropy import (
     effective_spin,
     entropy_of_spectrum,
     entropy_report,
+    entropy_reports,
     finite_size_corrections,
     fit_prefactor,
     max_entropy_bound,
@@ -207,6 +211,40 @@ class TestEntropyRoutes:
         for n in (0, 5, 50):
             assert block_entropy(cfg, n) == 0.0
         assert block_entropies(cfg, [0, 5, 50]) == [0.0, 0.0, 0.0]
+
+
+class _UnreadableBlockSizes(Sequence):
+    """A sequence of the given length whose block sizes must never be read."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        raise AssertionError("block sizes materialised")
+
+    def __iter__(self):
+        raise AssertionError("block sizes materialised")
+
+
+class TestBlockSizeGuard:
+    @pytest.mark.parametrize("compute", [block_entropies, entropy_reports])
+    @pytest.mark.parametrize(
+        "cfg", [SectorConfig.finite((2, 2)), SectorConfig.infinite((HALF, HALF))],
+        ids=["finite", "inf"],
+    )
+    def test_refused_by_length_before_reading(self, compute, cfg):
+        with pytest.raises(ResourceLimitError, match="1000000000000 block sizes exceed guard"):
+            compute(cfg, _UnreadableBlockSizes(10**12))
+
+    def test_cap_itself_is_admitted(self):
+        cfg = SectorConfig.infinite((HALF, HALF))
+        with pytest.raises(ResourceLimitError):
+            block_entropies(cfg, _UnreadableBlockSizes(entropy.MAX_BLOCK_SIZES + 1))
+        with pytest.raises(AssertionError, match="materialised"):  # past the guard
+            block_entropies(cfg, _UnreadableBlockSizes(entropy.MAX_BLOCK_SIZES))
 
 
 class TestAsymptoticEntropy:

@@ -1,12 +1,10 @@
 import math
-import random
 
 import numpy as np
 import pytest
 
 from permutent import oracle
 from permutent.oracle import (
-    DenseState,
     EigensolverConvergenceError,
     ResourceLimitError,
     build_state,
@@ -18,57 +16,51 @@ from permutent.oracle import (
 from permutent.spectrum import SectorConfig, exact_spectrum
 
 
-def digits_of(index, L, d):
-    out = []
-    for _ in range(L):
-        out.append(index % d)
-        index //= d
-    return out[::-1]  # most significant digit = site 0
-
-
-def index_of(digits, d):
-    out = 0
-    for digit in digits:
-        out = out * d + digit
-    return out
-
-
 class TestBuildState:
     def test_triplet_state(self):
         state = build_state(SectorConfig.finite((1, 1)))
         r = 1.0 / math.sqrt(2.0)
-        assert np.allclose(state.amplitudes, [0.0, r, r, 0.0])
+        assert state.shape == (2, 2)
+        assert np.allclose(state, [[0.0, r], [r, 0.0]])
 
     def test_one_down_three_sites(self):
         state = build_state(SectorConfig.finite((1, 2)))
-        expected = np.zeros(8)
-        for index in (0b011, 0b101, 0b110):
-            expected[index] = 1.0 / math.sqrt(3.0)
-        assert np.allclose(state.amplitudes, expected)
+        expected = np.zeros((2, 2, 2))
+        for sites in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            expected[sites] = 1.0 / math.sqrt(3.0)
+        assert np.allclose(state, expected)
 
     def test_product_state(self):
         state = build_state(SectorConfig.finite((0, 2, 0)))
-        expected = np.zeros(9)
-        expected[index_of((1, 1), 3)] = 1.0
-        assert np.allclose(state.amplitudes, expected)
+        expected = np.zeros((3, 3))
+        expected[1, 1] = 1.0
+        assert np.allclose(state, expected)
 
     def test_unit_norm(self):
         for occupations in ((3, 2), (1, 2, 2), (2, 0, 1, 1)):
             state = build_state(SectorConfig.finite(occupations))
-            assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("occupations", [(3, 2), (2, 0, 1, 1), (4, 4), (2, 2, 1), (1, 1, 1, 1)])
+    def test_nonzero_count_is_multinomial(self, occupations):
+        state = build_state(SectorConfig.finite(occupations))
+        expected, left = 1, sum(occupations)
+        for count in occupations:
+            expected *= math.comb(left, count)
+            left -= count
+        assert np.count_nonzero(state) == expected  # L! / prod N_i!
+
+    @pytest.mark.parametrize("occupations", [(3, 2), (2, 0, 1, 1), (2, 2, 1)])
+    def test_nonzero_strings_hold_the_sector(self, occupations):
+        state = build_state(SectorConfig.finite(occupations))
+        for sites in np.argwhere(state):
+            assert tuple(np.bincount(sites, minlength=len(occupations))) == occupations
 
     def test_permutation_invariance(self):
-        rng = random.Random(5)
         state = build_state(SectorConfig.finite((2, 2, 1)))
-        L, d = state.L, state.d
-        for _ in range(10):
-            i, j = rng.sample(range(L), 2)
-            swapped = np.empty_like(state.amplitudes)
-            for index in range(d**L):
-                digits = digits_of(index, L, d)
-                digits[i], digits[j] = digits[j], digits[i]
-                swapped[index_of(digits, d)] = state.amplitudes[index]
-            assert np.array_equal(swapped, state.amplitudes)
+        for i in range(state.ndim):
+            for j in range(i + 1, state.ndim):
+                assert np.array_equal(np.swapaxes(state, i, j), state)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -90,16 +82,15 @@ class TestPartialTrace:
 
     def test_full_block_is_rank_one(self):
         state = build_state(SectorConfig.finite((1, 2, 1)))
-        rho = partial_trace(state, state.L)
+        rho = partial_trace(state, state.ndim)
         values = dense_eigenvalues(rho, tol=1e-8)
         assert values == pytest.approx([1.0], abs=1e-12)
 
     def test_preserves_trace_and_symmetry_for_random_states(self):
         rng = np.random.default_rng(17)
         for L, d in ((5, 2), (4, 3)):
-            raw = rng.normal(size=d**L)
-            raw /= np.linalg.norm(raw)
-            state = DenseState(raw, L, d)
+            state = rng.normal(size=(d,) * L)
+            state /= np.linalg.norm(state)
             for n in range(L + 1):
                 rho = partial_trace(state, n)
                 assert rho.shape == (d**n, d**n)
@@ -110,6 +101,11 @@ class TestPartialTrace:
         state = build_state(SectorConfig.finite((6, 5)))  # 2^11 amplitudes
         with pytest.raises(ResourceLimitError):
             partial_trace(state, 11)  # 2^11 = 2048 > 2000
+
+    def test_rejects_axes_of_different_lengths(self):
+        for shape in ((2, 3), (2, 2, 3)):
+            with pytest.raises(ValueError, match="same length"):
+                partial_trace(np.ones(shape) / math.sqrt(math.prod(shape)), 1)
 
 
 class TestDenseEigenvalues:
@@ -154,6 +150,15 @@ class TestDenseEigenvalues:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError):
             dense_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0.5, math.nan], [math.nan, 0.5]], [[math.nan, math.nan], [math.nan, math.nan]],
+         [[math.inf, 0.0], [0.0, 0.5]]],
+    )
+    def test_rejects_non_finite_input(self, matrix):
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_eigenvalues(matrix)
 
 
 class TestVerifyTheorem:
@@ -215,3 +220,12 @@ class TestVerifyUniformMixture:
         report = verify_uniform_mixture(3, 2, 0)
         assert report.passed
         assert report.support_size_dense == 1
+
+    def test_missing_eigenvalues_count_as_deviation(self, monkeypatch):
+        # a dense side that finds one eigenvalue fewer is padded with a zero
+        real = oracle.dense_eigenvalues
+        monkeypatch.setattr(oracle, "dense_eigenvalues", lambda rho, tol: real(rho, tol)[:-1])
+        report = verify_uniform_mixture(4, 2, 2)
+        assert not report.passed
+        assert (report.support_size_formula, report.support_size_dense) == (3, 2)
+        assert report.max_abs_dev == pytest.approx(1 / 3, abs=1e-12)

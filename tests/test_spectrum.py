@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,6 +266,12 @@ class TestThermoSpectrum:
         with pytest.raises(ValueError):
             thermo_spectrum((HALF, HALF), 10, cutoff=1e-6, exact=True)
 
+    @pytest.mark.parametrize("cutoff", [-1e-9, 0.1, 2.0, math.inf, math.nan])
+    def test_cutoff_outside_range_rejected(self, cutoff):
+        # at 0.1 or more the dropped-mass check (10 * cutoff) could never fire
+        with pytest.raises(ValueError, match=r"cutoff must lie in \[0, 0.1\)"):
+            thermo_spectrum((HALF, HALF), 4, cutoff=cutoff, exact=False)
+
 
 class TestUniformMixedSpectrum:
     def test_single_qubit(self):
@@ -411,9 +418,30 @@ class TestSupportGuard:
         with pytest.raises(ResourceLimitError, match="numerator bits"):
             exact_spectrum(SectorConfig.finite((40_000, 40_000)), 40_000, exact=True)
 
+    def test_denominators_past_the_digit_limit_refused_before_building(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("_product_spectrum called")
+
+        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        # C(14400, 7200) has 4,333 digits; 2^14500 has 4,365; both within MAX_EXACT_BITS
+        with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
+            exact_spectrum(SectorConfig.finite((7200, 7200)), 7200, exact=True)
+        with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
+            thermo_spectrum((HALF, HALF), 14_500, exact=True)
+
+    def test_digit_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        spectrum._check_exact_bits(1, 10**4300 - 1)  # 4,300 digits: writable
+        with pytest.raises(ResourceLimitError, match="decimal digits"):
+            spectrum._check_exact_bits(1, 10**4300)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # limit switched off
+        spectrum._check_exact_bits(1, 10**4300)
+
     def test_limit_admits_largest_documented_spectrum(self):
         assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
         assert 1_373_701 * (4**200).bit_length() <= spectrum.MAX_EXACT_BITS
+        spectrum._check_exact_bits(1_373_701, 4**200)
 
     def test_error_class_is_shared(self):
         assert permutent.ResourceLimitError is ResourceLimitError
