@@ -7,10 +7,20 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import permutent
 from permutent import cli
 from permutent.cli import main
 from permutent.combinatorics import composition_count
+from permutent.spectrum import (
+    SectorConfig,
+    exact_spectrum,
+    spectrum_to_json_obj,
+    thermo_spectrum,
+    uniform_mixed_spectrum,
+)
 
 from _schema import assert_valid
 
@@ -123,6 +133,91 @@ class TestSpectrumCommand:
         assert support == composition_count(7, (6, 5, 4))
         assert conversion_counter.conversions == support
         assert f"support {support}  " in result.stderr
+
+
+def reference_spectrum_json(spectrum):
+    payload = {"generator": f"permutent {permutent.__version__}", **spectrum_to_json_obj(spectrum)}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_spectrum_csv(spectrum):
+    lines = ["composition,log2_weight,weight"]
+    for e in spectrum.rows():
+        weight = "" if e.weight_exact is None else str(e.weight_exact)
+        lines.append(f"{';'.join(map(str, e.parts))},{e.log2_weight!r},{weight}")
+    return "\n".join(lines) + "\n"
+
+
+EXACT_FLAGS = {None: [], True: ["--exact"], False: ["--no-exact"]}
+
+
+class TestSpectrumWriters:
+    """Both spectrum writers print exactly the bytes of their plain references."""
+
+    @staticmethod
+    def assert_writers_match(args, build):
+        runner = CliRunner()
+        try:
+            spectrum = build()
+        except ValueError:
+            assert runner.invoke(main, ["spectrum", *args]).exit_code == 1
+            return
+        as_json = run_ok(runner, ["spectrum", *args])
+        assert as_json.stdout == reference_spectrum_json(spectrum)
+        as_csv = run_ok(runner, ["spectrum", *args, "--format", "csv"])
+        assert as_csv.stdout == reference_spectrum_csv(spectrum)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_finite_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        occ = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d).filter(any)
+        )
+        L = sum(occ)
+        n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
+        exact = data.draw(st.sampled_from(list(EXACT_FLAGS)))
+        args = ["--occ", ",".join(map(str, occ)), "--n", str(n), *EXACT_FLAGS[exact]]
+        self.assert_writers_match(
+            args, lambda: exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
+        )
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_thermodynamic_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=d, max_size=d).filter(any)
+        )
+        dens = [Fraction(c, sum(counts)) for c in counts]
+        n = data.draw(st.integers(min_value=0, max_value=9))
+        cutoff = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.05]))
+        exact = data.draw(st.sampled_from(list(EXACT_FLAGS)))
+        args = ["--L", "inf", "--dens", ",".join(map(str, dens)), "--n", str(n),
+                "--cutoff", repr(cutoff), *EXACT_FLAGS[exact]]
+        self.assert_writers_match(args, lambda: thermo_spectrum(dens, n, cutoff, exact=exact))
+
+    def test_dropped_mass_in_header(self):
+        spectrum = thermo_spectrum([Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], 30, 1e-6)
+        assert spectrum.dropped_mass > 0.0
+        self.assert_writers_match(
+            ["--L", "inf", "--dens", "1/2,3/10,1/5", "--n", "30", "--cutoff", "1e-6"],
+            lambda: spectrum,
+        )
+
+    def test_large_denominators(self):
+        spectrum = thermo_spectrum([Fraction(1, 3), Fraction(2, 3)], 300)
+        assert spectrum.is_exact and spectrum.denominator == 3**300
+        self.assert_writers_match(
+            ["--L", "inf", "--dens", "1/3,2/3", "--n", "300"], lambda: spectrum
+        )
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=5))
+    @settings(max_examples=30)
+    def test_uniform_mixture(self, n, d):
+        self.assert_writers_match(
+            ["--uniform", "--d", str(d), "--n", str(n)], lambda: uniform_mixed_spectrum(n, d)
+        )
 
 
 class TestEntropyCommand:

@@ -479,3 +479,37 @@ class TestSerialization:
         assert_valid(obj, SCHEMA)
         assert obj["header"]["L"] is None
         assert obj["header"]["source"] == "uniform-mixed"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: exact_spectrum(SectorConfig.finite((6, 5, 4)), 7),
+            lambda: exact_spectrum(SectorConfig.finite((3, 0, 2)), 5),
+            lambda: exact_spectrum(SectorConfig.finite((4, 4)), 0),
+            lambda: thermo_spectrum((HALF, THIRD, Fraction(1, 6)), 9),
+            lambda: thermo_spectrum((THIRD, 2 * THIRD), 300),
+            lambda: thermo_spectrum((HALF, 0, HALF), 6, exact=False),
+            lambda: uniform_mixed_spectrum(5, 3),
+            lambda: uniform_mixed_spectrum(0, 2),
+        ],
+        ids=["finite", "empty-level", "point-mass", "thermo", "thermo-n300", "log-domain",
+             "uniform", "uniform-n0"],
+    )
+    def test_records_match_the_rows(self, build):
+        s = build()
+        expected = []
+        for e in s.rows():
+            rec = {"composition": list(e.parts), "log2_weight": e.log2_weight}
+            if e.weight_exact is not None:
+                rec["weight"] = str(e.weight_exact)
+            expected.append(rec)
+        records = spectrum_to_json_obj(s)["entries"]
+        assert records == expected
+        for rec, num in zip(records, s.numerators or []):
+            assert rec["weight"] == str(Fraction(num, s.denominator))
+
+    def test_point_mass_weight_is_one(self):
+        records = spectrum_to_json_obj(exact_spectrum(SectorConfig.finite((4, 4)), 8))["entries"]
+        assert records == [{"composition": [4, 4], "log2_weight": 0.0, "weight": "1"}]
+        records = spectrum_to_json_obj(uniform_mixed_spectrum(0, 3))["entries"]
+        assert records == [{"composition": [0, 0, 0], "log2_weight": 0.0, "weight": "1"}]
