@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 import click
+import numpy as np
 
 from . import __version__
 from .combinatorics import enumerate_compositions
@@ -128,17 +129,46 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text)
 
 
+def _json_text(obj: dict) -> str:
+    """obj as indented JSON, headed by the generator version."""
+    return json.dumps({"generator": f"permutent {__version__}", **obj}, indent=2) + "\n"
+
+
 def _write_json(path: Path | None, obj: dict) -> None:
-    """Write obj as indented JSON, headed by the generator version."""
-    payload = {"generator": f"permutent {__version__}", **obj}
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, _json_text(obj))
+
+
+def _json_record(rec: dict) -> str:
+    """One entry record in the layout json.dumps(..., indent=2) gives it in the payload.
+
+    Finite floats print as float.__repr__, as json prints them, and the
+    weight strings (digits and "/") need no escaping.
+    """
+    parts = ",\n        ".join(map(str, rec["composition"]))
+    weight = f',\n      "weight": "{rec["weight"]}"' if "weight" in rec else ""
+    return (
+        f'    {{\n      "composition": [\n        {parts}\n      ],\n'
+        f'      "log2_weight": {rec["log2_weight"]!r}{weight}\n    }}'
+    )
+
+
+def _spectrum_json(spectrum: Spectrum) -> str:
+    """The bytes of _json_text(spectrum_to_json_obj(spectrum)), one string per record."""
+    if not np.isfinite(spectrum.log2_weights).all():
+        raise ValueError("spectrum has a non-finite log2 weight, which JSON cannot hold")
+    obj = spectrum_to_json_obj(spectrum)
+    if not obj["entries"]:
+        return _json_text(obj)
+    head = _json_text({"header": obj["header"]})[: -len("\n}\n")]
+    records = ",\n".join(map(_json_record, obj["entries"]))
+    return f'{head},\n  "entries": [\n{records}\n  ]\n}}\n'
 
 
 def _spectrum_csv(spectrum: Spectrum) -> str:
     lines = ["composition,log2_weight,weight"]
-    for e in spectrum.rows():
-        exact = str(e.weight_exact) if e.weight_exact is not None else ""
-        lines.append(f"{';'.join(map(str, e.parts))},{e.log2_weight!r},{exact}")
+    for rec in spectrum_to_json_obj(spectrum)["entries"]:
+        parts = ";".join(map(str, rec["composition"]))
+        lines.append(f"{parts},{rec['log2_weight']!r},{rec.get('weight', '')}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,10 +204,7 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
         spectrum = exact_spectrum(sector, n, exact=exact)
     else:
         spectrum = thermo_spectrum(sector.densities, n, cutoff, exact=exact)
-    if out_format == "json":
-        _write_json(out, spectrum_to_json_obj(spectrum))
-    else:
-        _write_text(out, _spectrum_csv(spectrum))
+    _write_text(out, _spectrum_json(spectrum) if out_format == "json" else _spectrum_csv(spectrum))
     weights = spectrum.weights
     click.echo(
         f"support {spectrum.support_size}  min_weight {min(weights, default=0.0):.6g}  "
@@ -301,6 +328,8 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     """Run the dense oracle over a grid and compare with the formula weights."""
     from .oracle import MAX_DENSITY_DIM, MAX_STATE_AMPLITUDES
 
+    if not 0.0 < tol < 1.0:  # also refuses nan
+        raise ValueError(f"--tol must lie in (0, 1), got {tol!r}")
     for d, max_l in ((2, d2_max_l), (3, d3_max_l), (2, uniform_max_l), (3, uniform_max_l)):
         if max_l >= 1 and (d**max_l > MAX_STATE_AMPLITUDES or d**max_l > MAX_DENSITY_DIM):
             raise ResourceLimitError(

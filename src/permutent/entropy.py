@@ -303,8 +303,10 @@ def finite_size_corrections(
     assert L is not None
     if not 0 < n < L:
         raise ValueError(f"corrections need 0 < n < L, got n={n}, L={L}")
-    sigma = float(cfg.sigma)
     c = float(central_charge)
+    if not math.isfinite(c):
+        raise ValueError(f"central charge must be finite, got {central_charge!r}")
+    sigma = float(cfg.sigma)
     x = n / L
     delta_per = sigma * math.log2(1.0 - x)
     delta_cr = (c / 3.0) * math.log2(math.sin(math.pi * x) / (math.pi * x))

@@ -432,10 +432,19 @@ def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
         "source": source,
         "dropped_mass": spectrum.dropped_mass,
     }
-    records = []
-    for e in spectrum.rows():
-        rec: dict = {"composition": list(e.parts), "log2_weight": e.log2_weight}
-        if e.weight_exact is not None:
-            rec["weight"] = str(e.weight_exact)
-        records.append(rec)
+    rows = zip(spectrum.compositions.tolist(), spectrum.log2_weights.tolist())
+    if spectrum.numerators is None:
+        records = [{"composition": parts, "log2_weight": lw} for parts, lw in rows]
+    else:
+        den = spectrum.denominator
+        records = [
+            {"composition": parts, "log2_weight": lw, "weight": _fraction_str(num, den)}
+            for (parts, lw), num in zip(rows, spectrum.numerators)
+        ]
     return {"header": header, "entries": records}
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num >= 0 and den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if g != den else str(num // g)

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from permutent.cli import main
 from permutent.combinatorics import composition_count
 from permutent.spectrum import (
     SectorConfig,
+    Spectrum,
     exact_spectrum,
     spectrum_to_json_obj,
     thermo_spectrum,
@@ -220,6 +222,18 @@ class TestSpectrumWriters:
         )
 
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_log2_weight_refused(self, runner, monkeypatch, bad):
+        spectrum = Spectrum(np.array([[1, 0], [0, 1]]), np.array([-1.0, bad]), 1)
+        with pytest.raises(ValueError, match="non-finite log2 weight"):
+            cli._spectrum_json(spectrum)
+        monkeypatch.setattr(cli, "uniform_mixed_spectrum", lambda n, d: spectrum)
+        result = runner.invoke(main, ["spectrum", "--uniform", "--d", "2", "--n", "1"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: spectrum has a non-finite log2 weight")
+        assert result.stdout == ""
+
+
 class TestEntropyCommand:
     def test_report_fields(self, runner):
         result = run_ok(runner, ["entropy", "--occ", "40,40,40", "--n", "60"])
@@ -345,6 +359,14 @@ class TestCorrectionsCommand:
         assert runner.invoke(main, ["corrections", "--L", "10", "--d", "2",
                                     "--n-min", "5", "--n-max", "10"]).exit_code == 1
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_central_charge_exits_1(self, runner, c):
+        result = runner.invoke(main, ["corrections", "--L", "10", "--d", "2", "--n-min", "1",
+                                      "--n-max", "2", "--central-charge", c])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: central charge must be finite")
+        assert result.stdout == ""
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, runner, tmp_path):
@@ -373,6 +395,15 @@ class TestVerifyCommand:
     def test_resource_guard_exit_code(self, runner):
         result = runner.invoke(main, ["verify", "--d2-max-l", "21"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tolerance_outside_unit_interval_exits_1(self, runner, monkeypatch, tol):
+        monkeypatch.setattr(cli, "verify_theorem", None)  # the grid must not start
+        result = runner.invoke(main, ["verify", "--d2-max-l", "2", "--d3-max-l", "0",
+                                      "--uniform-max-l", "0", "--tol", tol])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: --tol must lie in (0, 1)")
+        assert result.stdout == ""
 
 
 class TestFiguresCommand:

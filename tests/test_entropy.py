@@ -407,6 +407,11 @@ class TestFiniteSizeCorrections:
         with pytest.raises(ValueError):
             finite_size_corrections(SectorConfig.infinite((HALF, HALF)), 3)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_central_charge_rejected(self, c):
+        with pytest.raises(ValueError, match="central charge must be finite"):
+            finite_size_corrections(SectorConfig.finite((5, 5)), 3, central_charge=c)
+
 
 class TestFitPrefactor:
     def test_exact_linear_data(self):
