@@ -89,3 +89,21 @@ def asymptotic_formula(densities: tuple[float, ...], n: int, L: int | None = Non
     C = 0.5 * math.fsum(math.log2(p) for p in densities)
     geometric = n if L is None else n * (L - n) / L
     return C + sigma * math.log2(2.0 * math.pi * math.e * geometric)
+
+
+def thermo_exact_weights(densities: tuple[Fraction, ...], n: int) -> dict[tuple[int, ...], Fraction]:
+    """Multinomial weights multinomial(n; k) * prod p_i^{k_i} as exact fractions, zeros dropped."""
+    out = {}
+    for parts in brute_compositions(n, (n,) * len(densities)):
+        w = Fraction(math.factorial(n))
+        for p, k in zip(densities, parts):
+            w *= Fraction(p) ** k / math.factorial(k)
+        if w:
+            out[parts] = w
+    return out
+
+
+def uniform_weights(n: int, d: int) -> dict[tuple[int, ...], Fraction]:
+    """The flat weights 1/kappa over every composition of n into d levels."""
+    support = list(brute_compositions(n, (n,) * d))
+    return {parts: Fraction(1, len(support)) for parts in support}

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutent.entropy import asymptotic_entropy
 from permutent.gaussian import (
@@ -11,7 +13,14 @@ from permutent.gaussian import (
     composition_moments,
     gaussian_entropy,
 )
-from permutent.spectrum import SectorConfig, exact_spectrum, thermo_spectrum
+from permutent.spectrum import (
+    SectorConfig,
+    exact_spectrum,
+    thermo_spectrum,
+    uniform_mixed_spectrum,
+)
+
+from _oracles import finite_weights, thermo_exact_weights, uniform_weights
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -74,6 +83,53 @@ class TestCompositionMoments:
         empty = Spectrum(np.empty((0, 2), dtype=np.int64), np.empty(0), 3)
         with pytest.raises(ValueError):
             composition_moments(empty)
+
+
+class TestExactMomentsBitExact:
+    """Exact-weight moments are the floats of the exact rational mean and central moments."""
+
+    @staticmethod
+    def assert_moments_exact(spec, weights):
+        assert spec.is_exact
+        assert sorted(map(tuple, spec.compositions.tolist())) == sorted(weights)
+        d = spec.d
+        mean = [sum(w * k[i] for k, w in weights.items()) for i in range(d)]
+        got_mean, got_cov = composition_moments(spec)
+        assert got_mean.tolist() == [float(m) for m in mean]
+        expected_cov = [
+            [float(sum(w * (k[i] - mean[i]) * (k[j] - mean[j]) for k, w in weights.items()))
+             for j in range(d)]
+            for i in range(d)
+        ]
+        assert got_cov.tolist() == expected_cov
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_finite_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        occ = tuple(data.draw(
+            st.lists(st.integers(min_value=0, max_value=7), min_size=d, max_size=d).filter(any)
+        ))
+        L = sum(occ)
+        n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
+        spec = exact_spectrum(SectorConfig.finite(occ), n, exact=True)
+        self.assert_moments_exact(spec, finite_weights(occ, n))
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_thermodynamic_sectors(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        counts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=d, max_size=d).filter(any)
+        )
+        dens = tuple(Fraction(c, sum(counts)) for c in counts)
+        n = data.draw(st.integers(min_value=0, max_value=9))
+        spec = thermo_spectrum(dens, n, exact=True)
+        self.assert_moments_exact(spec, thermo_exact_weights(dens, n))
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=4))
+    def test_uniform_mixture(self, n, d):
+        self.assert_moments_exact(uniform_mixed_spectrum(n, d), uniform_weights(n, d))
 
 
 class TestBuildGaussian:

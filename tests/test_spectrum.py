@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import permutent
 from permutent import combinatorics, oracle, spectrum
-from permutent.combinatorics import composition_count, enumerate_compositions
+from permutent.combinatorics import composition_count, enumerate_compositions, log2_binom
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
@@ -376,6 +376,29 @@ class TestExactAgainstLogDomain:
         dens = [Fraction(c, sum(counts)) for c in counts]
         n = data.draw(st.integers(min_value=0, max_value=14))
         self.assert_paths_agree(lambda exact: thermo_spectrum(dens, n, exact=exact))
+
+
+class TestExactLogWeights:
+    """Finite-sector log2 weights are the left-to-right sums of the level log binomials."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_left_to_right_level_sums(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        occ = data.draw(
+            st.lists(st.integers(min_value=0, max_value=40), min_size=d, max_size=d).filter(any)
+        )
+        L = sum(occ)
+        n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
+        exact = data.draw(st.booleans())
+        spec = exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
+        expected = []
+        for parts in spec.compositions.tolist():
+            total = 0.0
+            for N, k in zip(occ, parts):
+                total += log2_binom(N, k)
+            expected.append(total - log2_binom(L, n))
+        assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
 
 
 class TestSupportGuard:
