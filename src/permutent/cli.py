@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +48,13 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
+# Budget for the figures command's L = inf series, estimated as the sum of
+# n * sqrt(n) over its exact points (one block_entropy at d = 3 grows about as
+# n^1.45).  Admits the default charts and --max-l 20000 at 40 points (4.5e7,
+# about 29 s on a 2-vCPU x86-64 VM); refuses --max-l 60000 and --max-l 200000
+# --points 2.
+FIGURES_MAX_WORK = 50_000_000
+
 CORRECTIONS_CSV_COLUMNS = (
     "n_over_L,delta_per_bits,delta_per_leading_bits,delta_cr_bits,delta_cr_leading_bits"
 )
@@ -121,6 +129,21 @@ def _build_sector(L: str | None, d: int | None, occ: str | None, dens: str | Non
     return cfg
 
 
+_SECTOR_OPTIONS = (
+    click.option("--L", "L", default=None, help="System size, or 'inf' for the thermodynamic limit."),
+    click.option("--d", "d", type=int, default=None, help="Local dimension (2*sigma + 1)."),
+    click.option("--occ", default=None, help="Occupations N_0,...,N_{d-1} (finite L)."),
+    click.option("--dens", default=None, help="Densities p_0,...,p_{d-1} (L = inf); fractions allowed."),
+)
+
+
+def _sector_options(command):
+    """Add the --L/--d/--occ/--dens options that _build_sector reads, in that order."""
+    for option in reversed(_SECTOR_OPTIONS):
+        command = option(command)
+    return command
+
+
 def _write_text(path: Path | None, text: str) -> None:
     if path is None:
         click.echo(text, nl=False)
@@ -157,8 +180,6 @@ def _spectrum_json(spectrum: Spectrum) -> str:
     if not np.isfinite(spectrum.log2_weights).all():
         raise ValueError("spectrum has a non-finite log2 weight, which JSON cannot hold")
     obj = spectrum_to_json_obj(spectrum)
-    if not obj["entries"]:
-        return _json_text(obj)
     head = _json_text({"header": obj["header"]})[: -len("\n}\n")]
     records = ",\n".join(map(_json_record, obj["entries"]))
     return f'{head},\n  "entries": [\n{records}\n  ]\n}}\n'
@@ -179,10 +200,7 @@ def main() -> None:
 
 
 @main.command("spectrum")
-@click.option("--L", "L", default=None, help="System size, or 'inf' for the thermodynamic limit.")
-@click.option("--d", "d", type=int, default=None, help="Local dimension (2*sigma + 1).")
-@click.option("--occ", default=None, help="Occupations N_0,...,N_{d-1} (finite L).")
-@click.option("--dens", default=None, help="Densities p_0,...,p_{d-1} (L = inf); fractions allowed.")
+@_sector_options
 @click.option("--n", "n", type=int, required=True, help="Block size.")
 @click.option("--uniform", is_flag=True, help="Uniformly mixed global state instead of a sector.")
 @click.option("--format", "out_format", type=click.Choice(["json", "csv"]), default="json")
@@ -207,18 +225,15 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
     _write_text(out, _spectrum_json(spectrum) if out_format == "json" else _spectrum_csv(spectrum))
     weights = spectrum.weights
     click.echo(
-        f"support {spectrum.support_size}  min_weight {min(weights, default=0.0):.6g}  "
-        f"max_weight {max(weights, default=0.0):.6g}  "
+        f"support {spectrum.support_size}  min_weight {min(weights):.6g}  "
+        f"max_weight {max(weights):.6g}  "
         f"normalization_residual {spectrum.normalization_residual():.3e}",
         err=True,
     )
 
 
 @main.command("entropy")
-@click.option("--L", "L", default=None)
-@click.option("--d", "d", type=int, default=None)
-@click.option("--occ", default=None)
-@click.option("--dens", default=None)
+@_sector_options
 @click.option("--n", "n", type=int, required=True)
 @click.option("--units", type=click.Choice(["bits", "nats"]), default="bits")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
@@ -235,10 +250,7 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
 
 
 @main.command("sweep")
-@click.option("--L", "L", default=None)
-@click.option("--d", "d", type=int, default=None)
-@click.option("--occ", default=None)
-@click.option("--dens", default=None)
+@_sector_options
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--step", type=int, default=1)
@@ -267,27 +279,12 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
             )
         _write_text(out, "\n".join(lines) + "\n")
     else:
-        asym_rows = [(n, rep.asymptotic_bits) for n, rep in zip(ns, reports)
-                     if rep.asymptotic_bits is not None]
-        exact_series = Series(
-            label="exact",
-            xs=[float(n) for n in ns],
-            ys=[rep.exact_bits for rep in reports],
-            style="points",
-        )
-        asym_series = Series(
-            label="asymptotic",
-            xs=[float(n) for n, _ in asym_rows],
-            ys=[s for _, s in asym_rows],
-            style="line",
-        )
-        svg = render_chart(
-            [asym_series, exact_series],
-            title=f"Block entropy, L={L_field}, d={sector.d}",
-            x_label="block size n",
-            y_label="S (bits)",
-        )
-        _write_text(out, svg)
+        asym = [(n, rep.asymptotic_bits) for n, rep in zip(ns, reports)
+                if rep.asymptotic_bits is not None]
+        exact = [(n, rep.exact_bits) for n, rep in zip(ns, reports)]
+        series = [_entropy_series("asymptotic", "line", asym),
+                  _entropy_series("exact", "points", exact)]
+        _write_text(out, _entropy_chart(series, f"Block entropy, L={L_field}, d={sector.d}"))
 
 
 @main.command("corrections")
@@ -336,10 +333,6 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
                 f"grid d={d}, L<={max_l} exceeds the dense guards "
                 f"(d^L <= {MAX_DENSITY_DIM} for full-block traces)"
             )
-    if max(d2_max_l, d3_max_l, uniform_max_l) < 1:
-        click.echo("warning: empty verification grid, nothing checked", err=True)
-        click.echo("verified 0 cases, 0 failures")
-        return
     reports = []
     for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
         for L in range(1, max_l + 1):
@@ -354,6 +347,8 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
             for n in range(L + 1):
                 reports.append(verify_uniform_mixture(L, d, n, tol))
                 _echo_mismatch("uniform", reports[-1])
+    if not reports:
+        click.echo("warning: empty verification grid, nothing checked", err=True)
     failures = [r for r in reports if not r.passed]
     if out is not None:
         _write_json(
@@ -379,62 +374,57 @@ def cmd_figures(out_dir, points, max_l):
     """Write the two standard scaling charts as deterministic SVG files."""
     if points < 2:
         raise ValueError("--points must be >= 2")
+    if max_l < 1:
+        raise ValueError("--max-l must be >= 1")
+    # The L = inf series takes an exact point at every sample n <= max_l.  The
+    # sample always holds max_l, which is checked first so the sample is only
+    # drawn once it is known to be small.
+    work = max_l * math.isqrt(max_l)
+    if work <= FIGURES_MAX_WORK:
+        inf_ns = _sample_range(1, max_l, points)
+        work = sum(n * math.isqrt(n) for n in inf_ns)
+    if work > FIGURES_MAX_WORK:
+        raise ResourceLimitError(
+            f"figures work estimate {work} (sum of n*sqrt(n) over the L=inf points) "
+            f"exceeds guard {FIGURES_MAX_WORK}; lower --max-l or --points"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sizes = [L for L in (30, 60, 120, 240) if L <= max_l]
-    series: list[Series] = []
-    for L in sizes:
-        sector = SectorConfig.finite((L // 3,) * 3)
-        series += _scaling_series(
-            sector, f"L={L}", _sample_range(1, L - 1, 160), _sample_range(0, L, points)
-        )
-    inf_sector = SectorConfig.infinite((Fraction(1, 3),) * 3)
-    inf_ns = _sample_range(1, max_l, points)
-    series += _scaling_series(inf_sector, "L=inf", inf_ns, inf_ns)
-    chart1 = render_chart(
-        series,
-        title="Block entropy at d=3, equal occupations",
-        x_label="block size n",
-        y_label="S (bits)",
-    )
-    (out_dir / "entropy_scaling_d3.svg").write_text(chart1)
+    def finite(occupations: tuple[int, ...], tag: str) -> list[Series]:
+        L = sum(occupations)
+        return _scaling_series(SectorConfig.finite(occupations), tag,
+                               _sample_range(1, L - 1, 160), _sample_range(0, L, points))
 
-    series2: list[Series] = []
-    L = 120
-    for d in (2, 3, 4, 5):
-        sector = SectorConfig.finite((L // d,) * d)
-        series2 += _scaling_series(
-            sector, f"d={d}", _sample_range(1, L - 1, 160), _sample_range(0, L, points)
-        )
-    chart2 = render_chart(
-        series2,
-        title=f"Block entropy by local spin, L={L}, equal occupations",
-        x_label="block size n",
-        y_label="S (bits)",
-    )
-    (out_dir / "entropy_scaling_by_spin.svg").write_text(chart2)
-    click.echo(f"wrote {out_dir / 'entropy_scaling_d3.svg'}", err=True)
-    click.echo(f"wrote {out_dir / 'entropy_scaling_by_spin.svg'}", err=True)
+    d3 = [s for L in (30, 60, 120, 240) if L <= max_l for s in finite((L // 3,) * 3, f"L={L}")]
+    d3 += _scaling_series(SectorConfig.infinite((Fraction(1, 3),) * 3), "L=inf", inf_ns, inf_ns)
+    by_spin = [s for d in (2, 3, 4, 5) for s in finite((120 // d,) * d, f"d={d}")]
+    for name, series, title in (
+        ("entropy_scaling_d3.svg", d3, "Block entropy at d=3, equal occupations"),
+        ("entropy_scaling_by_spin.svg", by_spin,
+         "Block entropy by local spin, L=120, equal occupations"),
+    ):
+        (out_dir / name).write_text(_entropy_chart(series, title))
+        click.echo(f"wrote {out_dir / name}", err=True)
 
 
 def _scaling_series(
     sector: SectorConfig, tag: str, curve_ns: Sequence[int], point_ns: Sequence[int]
 ) -> list[Series]:
     """The asymptotic curve over curve_ns and the exact points over point_ns."""
-    return [
-        Series(
-            label=f"asymptotic {tag}",
-            xs=[float(n) for n in curve_ns],
-            ys=[asymptotic_entropy(sector, n) for n in curve_ns],
-            style="line",
-        ),
-        Series(
-            label=f"exact {tag}",
-            xs=[float(n) for n in point_ns],
-            ys=[block_entropy(sector, n) for n in point_ns],
-            style="points",
-        ),
-    ]
+    asym = [(n, asymptotic_entropy(sector, n)) for n in curve_ns]
+    exact = [(n, block_entropy(sector, n)) for n in point_ns]
+    return [_entropy_series(f"asymptotic {tag}", "line", asym),
+            _entropy_series(f"exact {tag}", "points", exact)]
+
+
+def _entropy_series(label: str, style: str, points: Sequence[tuple[int, float]]) -> Series:
+    """A chart series from (block size, entropy in bits) pairs."""
+    xs = [float(n) for n, _ in points]
+    return Series(label=label, xs=xs, ys=[bits for _, bits in points], style=style)
+
+
+def _entropy_chart(series: list[Series], title: str) -> str:
+    return render_chart(series, title=title, x_label="block size n", y_label="S (bits)")
 
 
 def _sample_range(lo: int, hi: int, count: int) -> list[int]:
@@ -442,8 +432,7 @@ def _sample_range(lo: int, hi: int, count: int) -> list[int]:
         return [lo]
     span = hi - lo
     steps = min(count - 1, span) if count > 1 else 1
-    values = sorted({lo + round(i * span / steps) for i in range(steps + 1)})
-    return values
+    return sorted({lo + round(i * span / steps) for i in range(steps + 1)})
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,8 +12,10 @@ determinant or the entropy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -43,32 +45,29 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix of the composition under the weights.
 
     When the spectrum carries exact weights the sums are accumulated exactly,
-    as integers over its shared denominator, and only the final division
-    rounds; otherwise plain float summation is used.
+    as integers over its shared denominator, one column at a time, and only
+    the final division rounds; otherwise plain float summation is used.
     """
     d = spectrum.d
     if spectrum.support_size == 0:
         raise ValueError("empty spectrum has no moments")
-    if spectrum.numerators is not None:
+    nums = spectrum.numerators
+    if nums is not None:
         den = spectrum.denominator
-        if sum(spectrum.numerators) != den:
+        if sum(nums) != den:
             raise ValueError("exact spectrum weights do not sum to 1")
-        s1 = [0] * d
-        s2 = [[0] * d for _ in range(d)]
-        for parts, num in zip(spectrum.compositions.tolist(), spectrum.numerators):
-            for i in range(d):
-                wk = num * parts[i]
-                s1[i] += wk
-                for j in range(i, d):
-                    s2[i][j] += wk * parts[j]
-        mean_frac = [Fraction(s1[i], den) for i in range(d)]
-        mean = np.array([float(m) for m in mean_frac])
+
+        def expect(column: np.ndarray) -> Fraction:
+            return Fraction(sum(map(operator.mul, nums, column.tolist())), den)
+
+        # the builders keep counts <= 2^24 (the log-factorial guard), so int64 products are exact
+        ks = spectrum.compositions
+        mean_frac = [expect(ks[:, i]) for i in range(d)]
         cov = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                central = Fraction(s2[i][j], den) - mean_frac[i] * mean_frac[j]
-                cov[i, j] = cov[j, i] = float(central)
-        return mean, cov
+        for i, j in combinations_with_replacement(range(d), 2):
+            central = expect(ks[:, i] * ks[:, j]) - mean_frac[i] * mean_frac[j]
+            cov[i, j] = cov[j, i] = float(central)
+        return np.array([float(m) for m in mean_frac]), cov
     ks = spectrum.compositions.astype(np.float64)
     w = np.array(spectrum.weights)
     total = w.sum()

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,16 +178,15 @@ class Spectrum:
             return [num / self.denominator for num in self.numerators]
         return [2.0**x for x in self.log2_weights.tolist()]
 
-    def rows(self) -> Iterator[SpectrumEntry]:
-        """The rows one at a time, exact weights as reduced fractions."""
-        nums = repeat(None) if self.numerators is None else self.numerators
-        den = self.denominator
-        for parts, lw, num in zip(self.compositions.tolist(), self.log2_weights.tolist(), nums):
-            yield SpectrumEntry(tuple(parts), lw, None if num is None else Fraction(num, den))
-
     @property
     def entries(self) -> list[SpectrumEntry]:
-        return list(self.rows())
+        """The rows as entries, exact weights as reduced fractions."""
+        nums = repeat(None) if self.numerators is None else self.numerators
+        den = self.denominator
+        return [
+            SpectrumEntry(tuple(parts), lw, None if num is None else Fraction(num, den))
+            for parts, lw, num in zip(self.compositions.tolist(), self.log2_weights.tolist(), nums)
+        ]
 
     def normalization_residual(self) -> float:
         return abs(math.fsum(self.weights) + self.dropped_mass - 1.0)
@@ -325,7 +324,10 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         exact = L <= EXACT_AUTO_MAX_L
     support = _check_support(n, occupations)
 
-    log_factors = [[log2_binom(N, k) for k in range(min(N, n) + 1)] for N in occupations]
+    t = log2_factorial_table(L)
+    ks = [np.arange(min(N, n) + 1) for N in occupations]
+    # per-level log2 binom(N, k), evaluated as log2_binom does
+    log_factors = [t[N] - t[k] - t[N - k] for N, k in zip(occupations, ks)]
     binoms, denominator = None, 1
     if exact:
         denominator = math.comb(L, n)

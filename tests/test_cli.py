@@ -144,7 +144,7 @@ def reference_spectrum_json(spectrum):
 
 def reference_spectrum_csv(spectrum):
     lines = ["composition,log2_weight,weight"]
-    for e in spectrum.rows():
+    for e in spectrum.entries:
         weight = "" if e.weight_exact is None else str(e.weight_exact)
         lines.append(f"{';'.join(map(str, e.parts))},{e.log2_weight!r},{weight}")
     return "\n".join(lines) + "\n"
@@ -379,11 +379,15 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert all(case["pass"] for case in payload["cases"])
 
-    def test_empty_grid_warns(self, runner):
+    def test_empty_grid_warns(self, runner, tmp_path):
+        out = tmp_path / "verify.json"
         result = run_ok(runner, ["verify", "--d2-max-l", "0", "--d3-max-l", "0",
-                                 "--uniform-max-l", "0"])
-        assert "empty verification grid" in result.output
-        assert "verified 0 cases" in result.output
+                                 "--uniform-max-l", "0", "--out", str(out)])
+        assert "empty verification grid" in result.stderr
+        assert "verified 0 cases" in result.stdout
+        payload = json.loads(out.read_text())
+        assert_valid(payload, VERIFY_SCHEMA)
+        assert payload["cases"] == [] and payload["pass"] is True
 
     def test_fault_injection_identifies_config(self, runner):
         result = runner.invoke(main, ["verify", "--d2-max-l", "2", "--d3-max-l", "0",
@@ -420,6 +424,41 @@ class TestFiguresCommand:
 
     def test_points_validation(self, runner):
         assert runner.invoke(main, ["figures", "--out-dir", "x", "--points", "1"]).exit_code == 1
+
+    @staticmethod
+    def no_entropy(monkeypatch):
+        def fail(sector, n):
+            raise AssertionError("block_entropy called")
+
+        monkeypatch.setattr(cli, "block_entropy", fail)
+
+    @pytest.mark.parametrize("max_l", ["0", "-5"])
+    def test_max_l_below_one_exits_1(self, runner, monkeypatch, tmp_path, max_l):
+        self.no_entropy(monkeypatch)
+        args = ["figures", "--out-dir", str(tmp_path / "f"), "--max-l", max_l]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: --max-l must be >= 1")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--max-l", "60000"], ["--max-l", "200000", "--points", "2"],
+         ["--max-l", "20000", "--points", "80"], ["--max-l", str(10**30), "--points", str(10**30)]],
+        ids=["max-l-60000", "two-points", "more-points", "huge"],
+    )
+    def test_work_guard_refuses_before_any_entropy(self, runner, monkeypatch, tmp_path, args):
+        self.no_entropy(monkeypatch)
+        out_dir = tmp_path / "f"
+        result = runner.invoke(main, ["figures", "--out-dir", str(out_dir), *args])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: figures work estimate")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("max_l", ["240", "20000"])
+    def test_work_guard_admits_the_documented_charts(self, runner, monkeypatch, tmp_path, max_l):
+        monkeypatch.setattr(cli, "block_entropy", lambda sector, n: 1.0)
+        run_ok(runner, ["figures", "--out-dir", str(tmp_path), "--max-l", max_l])
+        assert (tmp_path / "entropy_scaling_d3.svg").exists()
 
 
 class TestExitCodes:

@@ -521,7 +521,7 @@ class TestSerialization:
     def test_records_match_the_rows(self, build):
         s = build()
         expected = []
-        for e in s.rows():
+        for e in s.entries:
             rec = {"composition": list(e.parts), "log2_weight": e.log2_weight}
             if e.weight_exact is not None:
                 rec["weight"] = str(e.weight_exact)
