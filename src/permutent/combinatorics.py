@@ -6,14 +6,14 @@ compositions.  Two numeric representations are kept side by side:
 
 * exact arbitrary-precision integers / rationals, used for identity checks
   and moderate system sizes, and
-* base-2 logarithms backed by a lazily grown table of log-factorials, used
-  as the overflow-safe performance path for arbitrary sizes.
+* base-2 logarithms read from one table of log-factorials, rebuilt longer
+  from 0! when a request passes its end, used as the overflow-safe
+  performance path for arbitrary sizes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,8 +27,9 @@ __all__ = [
 ]
 
 # Largest m the log-factorial table covers; larger requests fail fast.  A
-# growth briefly holds two extended-precision arrays (16 bytes per entry
-# each) beside the float64 table, so a full table peaks near 700 MB.  Admits
+# build holds one extended-precision array (16 bytes per entry) beside the new
+# float64 table and the old one, so a process that builds the full table peaks
+# near 480 MB of RSS (410 MB when no shorter table came first).  Admits
 # L = 10^6 sectors and max_entropy_bound up to n = 10^7.
 MAX_LOG2_FACTORIAL = 2**24
 
@@ -37,48 +38,32 @@ class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the desk-scale guards."""
 
 
-_table_lock = threading.Lock()
-_log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), grown on demand
-_log2_fact_last = np.longdouble(0.0)  # extended-precision value behind _log2_fact[-1]
-
-
-def _ensure_table(n: int) -> np.ndarray:
-    """Grow the log-factorial table to cover 0..n and return it.
-
-    Each growth continues the extended-precision running sum where the last
-    one stopped, so the table does not depend on how it was grown.  Raises
-    ResourceLimitError past MAX_LOG2_FACTORIAL, before allocating.
-    """
-    global _log2_fact, _log2_fact_last
-    table = _log2_fact
-    if n < table.shape[0]:
-        return table
-    if n > MAX_LOG2_FACTORIAL:
-        raise ResourceLimitError(
-            f"log-factorial table up to {n} exceeds guard {MAX_LOG2_FACTORIAL}"
-        )
-    with _table_lock:
-        table = _log2_fact
-        if n < table.shape[0]:
-            return table
-        old = table.shape[0]
-        size = min(max(n + 1, 2 * old), MAX_LOG2_FACTORIAL + 1)
-        # Accumulate in extended precision so the running sum stays accurate
-        # even for tables of ~10^6 entries.
-        steps = np.log2(np.arange(old, size, dtype=np.longdouble))
-        steps[0] += _log2_fact_last
-        ext = np.cumsum(steps)
-        grown = np.empty(size)
-        grown[:old] = table
-        grown[old:] = ext.astype(np.float64)
-        _log2_fact_last = ext[-1]
-        _log2_fact = grown
-        return grown
+_log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), rebuilt longer on demand
 
 
 def log2_factorial_table(n: int) -> np.ndarray:
-    """Read-only view of the log-factorial table covering 0..n: entry m is log2(m!)."""
-    table = _ensure_table(n)
+    """Read-only view of the log-factorial table covering 0..n: entry m is log2(m!).
+
+    A request past the table's end builds a longer one from 0!, at least
+    double the length, and swaps it in.  Entry m is the extended-precision
+    running sum of log2(1), ..., log2(m), so it depends only on m and never
+    on which requests came first; callers racing to build may each swap in
+    their own table, and all of them agree.  Raises ResourceLimitError past
+    MAX_LOG2_FACTORIAL, before allocating.
+    """
+    global _log2_fact
+    table = _log2_fact
+    if n >= table.shape[0]:
+        if n > MAX_LOG2_FACTORIAL:
+            raise ResourceLimitError(
+                f"log-factorial table up to {n} exceeds guard {MAX_LOG2_FACTORIAL}"
+            )
+        size = min(max(n + 1, 2 * table.shape[0]), MAX_LOG2_FACTORIAL + 1)
+        ext = np.arange(size, dtype=np.longdouble)
+        ext[0] = 1  # log2(0!) = log2(1)
+        np.log2(ext, out=ext)
+        np.cumsum(ext, out=ext)
+        table = _log2_fact = ext.astype(np.float64)
     view = table[: n + 1].view()
     view.setflags(write=False)
     return view
@@ -93,7 +78,7 @@ def log2_binom(n: int, k: int) -> float:
     """
     if not 0 <= k <= n:
         raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    t = _ensure_table(n)
+    t = log2_factorial_table(n)
     return float(t[n] - t[k] - t[n - k])
 
 

@@ -374,9 +374,10 @@ def thermo_spectrum(
     support = _check_support(n, bounds)
 
     t = log2_factorial_table(n)
-    # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0
+    # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0; a level with
+    # p_i = 0 has b = 0, so log2(p_i) is never taken
     log_factors = [
-        [0.0] + [k * math.log2(p) - float(t[k]) for k in range(1, b + 1)]
+        np.concatenate(([0.0], np.arange(1, b + 1) * (math.log2(p) if b else 0.0) - t[1 : b + 1]))
         for p, b in zip(pf, bounds)
     ]
     pows, denominator = None, 1

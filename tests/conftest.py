@@ -16,7 +16,6 @@ def fresh_log2_table(monkeypatch):
 
     def reset():
         monkeypatch.setattr(combinatorics, "_log2_fact", np.zeros(1))
-        monkeypatch.setattr(combinatorics, "_log2_fact_last", np.longdouble(0.0))
 
     return reset
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -41,6 +42,20 @@ def run_ok(runner, args, **kwargs):
     result = runner.invoke(main, args, **kwargs)
     assert result.exit_code == 0, result.output
     return result
+
+
+def assert_chart(text):
+    """An SVG document whose numeric attributes are all finite."""
+    root = ET.fromstring(text)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    for element in root.iter():
+        for key, value in element.attrib.items():
+            for token in re.split(r"[\s,]+", value.strip()):
+                try:
+                    number = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (element.tag, key, value)
 
 
 class TestSpectrumCommand:
@@ -305,6 +320,13 @@ class TestSweepCommand:
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
 
+    def test_single_point_svg(self, runner, tmp_path):
+        # one exact point at n = 0 and no asymptotic value: zero x and y spans
+        out = tmp_path / "one.svg"
+        run_ok(runner, ["sweep", "--occ", "3,3", "--n-min", "0", "--n-max", "0",
+                        "--format", "svg", "--out", str(out)])
+        assert_chart(out.read_text())
+
     def test_deterministic_bytes(self, runner, tmp_path):
         args = ["sweep", "--occ", "12,12,12", "--n-min", "0", "--n-max", "36"]
         first = tmp_path / "a.csv"
@@ -425,6 +447,12 @@ class TestFiguresCommand:
     def test_points_validation(self, runner):
         assert runner.invoke(main, ["figures", "--out-dir", "x", "--points", "1"]).exit_code == 1
 
+    def test_single_sample_range(self, runner, tmp_path):
+        # --max-l 1 samples the L = inf series over [1, 1] alone
+        run_ok(runner, ["figures", "--out-dir", str(tmp_path), "--max-l", "1"])
+        for name in ("entropy_scaling_d3.svg", "entropy_scaling_by_spin.svg"):
+            assert_chart((tmp_path / name).read_text())
+
     @staticmethod
     def no_entropy(monkeypatch):
         def fail(sector, n):
@@ -479,6 +507,32 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "Usage:" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--occ", "3,3", "--n-min", "0", "--n-max", "2", "--step", "0"],
+             "step must be >= 1"),
+            (["entropy", "--L", "inf", "--dens", "1/0", "--n", "2"], "--dens expects"),
+            (["entropy", "--L", "inf", "--n", "2"], "--L inf needs --dens"),
+            (["entropy", "--L", "inf", "--d", "3", "--dens", "1/2,1/2", "--n", "2"],
+             "--d 3 conflicts with 2 densities"),
+            (["entropy", "--d", "3", "--occ", "1,1", "--n", "1"],
+             "--d 3 conflicts with 2 occupations"),
+            (["entropy", "--L", "abc", "--occ", "1,1", "--n", "1"],
+             "--L must be an integer or 'inf'"),
+            (["spectrum", "--uniform", "--n", "2"], "--uniform needs --d"),
+            (["corrections", "--L", "10", "--d", "1", "--n-min", "1", "--n-max", "2"],
+             "--d must be >= 2"),
+        ],
+        ids=["zero-step", "zero-denominator", "inf-without-dens", "d-vs-densities",
+             "d-vs-occupations", "non-integer-L", "uniform-without-d", "corrections-d-1"],
+    )
+    def test_validation_errors_are_one_error_line(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
     def test_unwritable_out_is_one_error_line(self, runner, tmp_path):
         result = runner.invoke(main, ["spectrum", "--occ", "2,2", "--n", "1",

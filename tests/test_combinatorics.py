@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,6 +100,30 @@ class TestLog2Binom:
         stepwise = log2_factorial_table(2000).copy()
         fresh_log2_table()
         assert np.array_equal(stepwise, log2_factorial_table(2000))
+
+    def test_concurrent_requests_see_one_table(self, fresh_log2_table):
+        # No lock guards the table: racing callers may each build one and swap
+        # it in, which is safe only because every build holds the same entries.
+        whole = log2_factorial_table(40_000).copy()
+        sizes = [7, 300, 40_000, 2_000, 19_999, 123, 40_000, 5]
+
+        def request(offset):
+            bad = []
+            for n in sizes[offset:] + sizes[:offset]:
+                table = log2_factorial_table(n)
+                if table.shape != (n + 1,) or not np.array_equal(table, whole[: n + 1]):
+                    bad.append(n)
+            return bad
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    fresh_log2_table()
+                    assert list(pool.map(request, range(8), timeout=60)) == [[]] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEnumeration:

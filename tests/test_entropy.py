@@ -246,6 +246,14 @@ class TestBlockSizeGuard:
         with pytest.raises(AssertionError, match="materialised"):  # past the guard
             block_entropies(cfg, _UnreadableBlockSizes(entropy.MAX_BLOCK_SIZES))
 
+    @pytest.mark.parametrize(
+        "cfg", [SectorConfig.finite((2, 2)), SectorConfig.infinite((HALF, HALF))],
+        ids=["finite", "inf"],
+    )
+    def test_negative_block_size_rejected(self, cfg):
+        with pytest.raises(ValueError, match="block size must be nonnegative"):
+            block_entropies(cfg, [1, -1])
+
 
 class TestAsymptoticEntropy:
     def test_two_level_infinite_value(self):
@@ -293,6 +301,8 @@ class TestAsymptoticEntropy:
         for n in (0, 10):
             with pytest.raises(ValueError):
                 asymptotic_entropy(cfg, n)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            asymptotic_entropy(SectorConfig.infinite((HALF, HALF)), 0)
 
     def test_validity_flag(self):
         cfg = SectorConfig.infinite((THIRD, THIRD, THIRD))
@@ -306,6 +316,12 @@ class TestMaxEntropyBound:
 
     def test_empty_block(self):
         assert max_entropy_bound(0, 4) == 0.0
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="block size must be nonnegative"):
+            max_entropy_bound(-1, 3)
+        with pytest.raises(ValueError, match="local dimension must be >= 2"):
+            max_entropy_bound(4, 1)
 
     def test_large_n_growth_rate(self):
         # bound approaches 2*sigma*log2(n), i.e. the deficit is o(log n)
@@ -358,6 +374,8 @@ class TestEffectiveSpin:
     def test_all_vanished_rejected(self):
         with pytest.raises(ValueError):
             effective_spin((0.0, 0.0))
+        with pytest.raises(ValueError, match="density vector is empty"):
+            effective_spin(())
 
 
 class TestFiniteSizeCorrections:

@@ -66,6 +66,10 @@ class TestBuildState:
         with pytest.raises(ResourceLimitError):
             build_state(SectorConfig.finite((11, 10)))  # 2^21 amplitudes
 
+    def test_rejects_infinite_sector(self):
+        with pytest.raises(ValueError, match="finite sector"):
+            build_state(SectorConfig.infinite((0.5, 0.5)))
+
 
 class TestPartialTrace:
     def test_triplet_single_site(self):
@@ -107,6 +111,12 @@ class TestPartialTrace:
             with pytest.raises(ValueError, match="same length"):
                 partial_trace(np.ones(shape) / math.sqrt(math.prod(shape)), 1)
 
+    @pytest.mark.parametrize("n", [-1, 4])
+    def test_block_size_outside_zero_to_L_rejected(self, n):
+        state = build_state(SectorConfig.finite((2, 1)))
+        with pytest.raises(ValueError, match=r"block size must lie in \[0, L\]"):
+            partial_trace(state, n)
+
 
 class TestDenseEigenvalues:
     def test_diagonal_matrix(self):
@@ -146,6 +156,11 @@ class TestDenseEigenvalues:
         monkeypatch.setattr(oracle, "JACOBI_SWEEP_BUDGET_FACTOR", 3 / 12**2)  # 3 rotations
         with pytest.raises(EigensolverConvergenceError):
             dense_eigenvalues(matrix)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            dense_eigenvalues(np.zeros(shape))
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import permutent
 from permutent import combinatorics, oracle, spectrum
-from permutent.combinatorics import composition_count, enumerate_compositions, log2_binom
+from permutent.combinatorics import (
+    composition_count,
+    enumerate_compositions,
+    log2_binom,
+    log2_factorial_table,
+)
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
@@ -248,6 +253,15 @@ class TestThermoSpectrum:
         with pytest.raises(ValueError):
             thermo_spectrum((Fraction(3, 2), Fraction(-1, 2)), 3)
 
+    def test_negative_block_size_rejected(self):
+        with pytest.raises(ValueError, match="block size must be nonnegative"):
+            thermo_spectrum((HALF, HALF), -1)
+
+    def test_exact_needs_densities_summing_to_exactly_one(self):
+        # the binary floats 0.1, 0.2 and 0.7 do not sum to exactly 1
+        with pytest.raises(ValueError, match="summing to exactly 1"):
+            thermo_spectrum((0.1, 0.2, 0.7), 3, exact=True)
+
     def test_zero_density_supported(self):
         s = thermo_spectrum((HALF, HALF, Fraction(0)), 4)
         assert all(e.parts[2] == 0 for e in s.entries)
@@ -398,6 +412,27 @@ class TestExactLogWeights:
             for N, k in zip(occ, parts):
                 total += log2_binom(N, k)
             expected.append(total - log2_binom(L, n))
+        assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
+
+
+class TestThermoLogWeights:
+    """d = 2 L = inf log2 weights: the per-k level factors summed left to right, then log2(n!)."""
+
+    @pytest.mark.parametrize(
+        "dens",
+        [(0.5, 0.5), (0.1, 0.9), (Fraction(1, 3), Fraction(2, 3)), (1e-300, 1 - 1e-300)],
+        ids=["half", "tenth", "third", "tiny"],
+    )
+    def test_per_k_formula_at_n_5000(self, dens):
+        n = 5000
+        spec = thermo_spectrum(dens, n, exact=False)
+        t = log2_factorial_table(n)
+        lp0, lp1 = (math.log2(p) for p in dens)
+        expected = [
+            (k * lp0 - float(t[k])) + ((n - k) * lp1 - float(t[n - k])) + float(t[n])
+            for k in range(n + 1)
+        ]
+        assert spec.compositions[:, 0].tolist() == list(range(n + 1))
         assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
 
 
