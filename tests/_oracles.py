@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's algorithms: binomials come
 from the Pascal recurrence, composition counts from explicit polynomial
 multiplication, compositions from a recursive generator, and entropies from
-direct sums over the recursively enumerated support.
+direct sums over the recursively enumerated support.  The chain-rule
+entropies read log-factorials from ``math.lgamma`` and conditional densities
+from exact fractions.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 
 @lru_cache(maxsize=None)
@@ -107,3 +110,77 @@ def uniform_weights(n: int, d: int) -> dict[tuple[int, ...], Fraction]:
     """The flat weights 1/kappa over every composition of n into d levels."""
     support = list(brute_compositions(n, (n,) * d))
     return {parts: Fraction(1, len(support)) for parts in support}
+
+
+def _log2_factorials(m: int) -> list[float]:
+    return [math.lgamma(k + 1) / math.log(2.0) for k in range(m + 1)]
+
+
+def _pmf_entropy(log2_pmf: list[float]) -> float:
+    return -math.fsum(2.0**lw * lw for lw in log2_pmf) if len(log2_pmf) > 1 else 0.0
+
+
+def chain_rule_entropies(levels: Sequence, ns: Sequence[int], *, finite: bool) -> list[float]:
+    """Block entropies by the chain rule over levels, in O(d * n^2) per block size.
+
+    ``levels`` holds occupations when ``finite``, densities otherwise.  Given
+    the count s in the levels before level j, the count in level j is
+    hypergeometric (finite L) or binomial with density p_j / (1 - sum of the
+    earlier densities), and the last level is fixed by the others, so the
+    entropy is that of level 0 plus the expected conditional entropies of
+    levels 1..d-2.
+    """
+    d = len(levels)
+    if finite:
+        L = sum(levels)
+        t = _log2_factorials(L)
+
+        def hyper(total: int, marked: int, draws: int) -> list[float]:
+            lo, hi = max(0, draws - (total - marked)), min(marked, draws)
+            norm = t[total] - t[draws] - t[total - draws]
+            return [
+                t[marked] - t[k] - t[marked - k]
+                + t[total - marked] - t[draws - k] - t[total - marked - draws + k] - norm
+                for k in range(lo, hi + 1)
+            ], lo
+
+        merged = [sum(levels[:j]) for j in range(d + 1)]
+
+        def before(j, n):
+            return hyper(L, merged[j], n)
+
+        def given(j, r):
+            return hyper(L - merged[j], levels[j], r)[0]
+
+    else:
+        p = [Fraction(x) for x in levels]
+        t = _log2_factorials(max(ns, default=0))
+
+        def binom(m: int, q: Fraction) -> tuple[list[float], int]:
+            if q == 0 or q == 1:
+                return [0.0], (m if q == 1 else 0)
+            lq, l1q = math.log2(q), math.log2(1 - q)
+            return [t[m] - t[k] - t[m - k] + k * lq + (m - k) * l1q for k in range(m + 1)], 0
+
+        cum = [sum(p[:j], Fraction(0)) for j in range(d + 1)]
+
+        def before(j, n):
+            return binom(n, cum[j])
+
+        def given(j, r):
+            return binom(r, p[j] / (1 - cum[j]))[0]
+
+    conditional: dict[tuple[int, int], float] = {}
+
+    def entropy(n: int) -> float:
+        total = _pmf_entropy(before(1, n)[0])
+        for j in range(1, d - 1):
+            lw, lo = before(j, n)
+            for s, ls in enumerate(lw, lo):
+                if s < n and levels[j] != 0:
+                    if (j, n - s) not in conditional:
+                        conditional[j, n - s] = _pmf_entropy(given(j, n - s))
+                    total += 2.0**ls * conditional[j, n - s]
+        return total
+
+    return [entropy(n) for n in ns]

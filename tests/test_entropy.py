@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutent import entropy
@@ -34,7 +34,7 @@ from permutent.spectrum import (
     uniform_mixed_spectrum,
 )
 
-from _oracles import asymptotic_formula, finite_entropy, thermo_entropy
+from _oracles import asymptotic_formula, chain_rule_entropies, finite_entropy, thermo_entropy
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -211,6 +211,60 @@ class TestEntropyRoutes:
         for n in (0, 5, 50):
             assert block_entropy(cfg, n) == 0.0
         assert block_entropies(cfg, [0, 5, 50]) == [0.0, 0.0, 0.0]
+
+
+@st.composite
+def _finite_cases(draw):
+    """Occupations with d up to 5 (empty levels common) and block sizes with 0 and L among them."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    level = st.one_of(st.just(0), st.integers(min_value=1, max_value=24))
+    occupations = tuple(draw(st.lists(level, min_size=d, max_size=d).filter(any)))
+    L = sum(occupations)
+    ns = draw(st.lists(st.one_of(st.just(0), st.just(L), st.integers(0, L)), min_size=1, max_size=4))
+    return occupations, ns
+
+
+@st.composite
+def _infinite_cases(draw):
+    """Exact densities with d up to 5 (empty levels common) and block sizes up to 60."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    count = st.one_of(st.just(0), st.integers(min_value=1, max_value=5))
+    counts = draw(st.lists(count, min_size=d, max_size=d).filter(any))
+    densities = tuple(Fraction(c, sum(counts)) for c in counts)
+    ns = draw(st.lists(st.one_of(st.just(0), st.integers(0, 60)), min_size=1, max_size=4))
+    return densities, ns
+
+
+class TestAgainstChainRule:
+    """block_entropies against the chain rule over levels and, for small sectors, enumeration."""
+
+    @given(_finite_cases())
+    @example(((30, 0, 30, 20), [0, 1, 40, 79, 80]))
+    @example(((0, 7, 0), [0, 3, 7]))
+    @example(((0, 12), [0, 5, 12]))
+    @example(((5, 0, 0, 0, 9), [0, 4, 14]))
+    @example(((6, 5, 4, 3, 2), [0, 7, 10, 20]))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_finite(self, case):
+        occupations, ns = case
+        got = block_entropies(SectorConfig.finite(occupations), ns)
+        for n, s, ref in zip(ns, got, chain_rule_entropies(occupations, ns, finite=True)):
+            assert s == pytest.approx(ref, abs=1e-10), n
+            if sum(occupations) <= 14:
+                assert s == pytest.approx(finite_entropy(occupations, n), abs=1e-10), n
+
+    @given(_infinite_cases())
+    @example(((HALF, Fraction(0), HALF), [0, 6, 40]))
+    @example(((Fraction(0), Fraction(1), Fraction(0)), [0, 3]))
+    @example(((Fraction(1, 5),) * 5, [0, 1, 60]))
+    @example(((Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)), [9, 55]))
+    @example(((1 - 2 * Fraction(1, 2**61), Fraction(1, 2**61), Fraction(1, 2**61)), [0, 5, 50]))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_infinite(self, case):
+        densities, ns = case
+        got = block_entropies(SectorConfig.infinite(densities), ns)
+        for n, s, ref in zip(ns, got, chain_rule_entropies(densities, ns, finite=False)):
+            assert s == pytest.approx(ref, abs=1e-10), n
 
 
 class _UnreadableBlockSizes(Sequence):
