@@ -48,11 +48,11 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
-# Budget for the figures command's L = inf series, estimated as the sum of
-# n * sqrt(n) over its exact points (one block_entropy at d = 3 grows about as
-# n^1.45).  Admits the default charts and --max-l 20000 at 40 points (4.5e7,
-# about 29 s on a 2-vCPU x86-64 VM); refuses --max-l 60000 and --max-l 200000
-# --points 2.
+# Budget for the figures command's L = inf series, the sum of n * sqrt(n) over
+# its exact points.  It caps their block sizes, and with them the log-factorial
+# table and the O(d * n) arrays of each block_entropy.  Admits the default
+# charts and --max-l 20000 at 40 points (4.5e7, about 0.45 s on a 2-vCPU
+# x86-64 VM); refuses --max-l 60000 and --max-l 200000 --points 2.
 FIGURES_MAX_WORK = 50_000_000
 
 CORRECTIONS_CSV_COLUMNS = (

@@ -2,11 +2,12 @@
 
 The block occupation counts have exact first and second moments
 mean_i = n*p_i, var_i = n*p_i*(1-p_i), cov_ij = -n*p_i*p_j (multinomial
-weights), and for large n the weight distribution approaches the
-multivariate normal with those moments.  One coordinate is redundant
-(the counts sum to n), so the model lives on the 2*sigma coordinates left
-after eliminating level 0; which level is eliminated does not affect the
-determinant or the entropy.
+weights, L = inf), and for large n the weight distribution approaches the
+multivariate normal with those moments.  In a finite sector of L sites the
+counts are multivariate hypergeometric: same mean, covariance scaled by
+(L-n)/(L-1).  One coordinate is redundant (the counts sum to n), so the
+model lives on the 2*sigma coordinates left after eliminating level 0;
+which level is eliminated does not affect the determinant or the entropy.
 """
 
 from __future__ import annotations
@@ -77,13 +78,19 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.asarray(cov)
 
 
-def build_gaussian(densities: Sequence, n: int) -> GaussianModel:
-    """Gaussian model for block size n; level 0 is eliminated by the sum constraint."""
+def build_gaussian(densities: Sequence, n: int, L: int | None = None) -> GaussianModel:
+    """Gaussian model for block size n; level 0 is eliminated by the sum constraint.
+
+    Without L the covariance is the multinomial one of the thermodynamic
+    limit; with L it is the hypergeometric one of a finite sector.
+    """
     p = tuple(float(x) for x in densities)
     if len(p) < 2:
         raise ValueError("need at least two levels")
     if n < 1:
         raise ValueError("block size must be >= 1")
+    if L is not None and not n < L:
+        raise ValueError(f"block size must be < L, got n={n}, L={L}")
     if any(x <= 0.0 for x in p):
         raise ValueError(
             "zero density makes the covariance singular; apply effective_spin "
@@ -95,6 +102,8 @@ def build_gaussian(densities: Sequence, n: int) -> GaussianModel:
     dim = retained.size
     mean = n * retained
     cov = n * (np.diag(retained) - np.outer(retained, retained))
+    if L is not None:
+        cov *= (L - n) / (L - 1)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

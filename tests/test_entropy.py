@@ -114,11 +114,18 @@ class TestBlockEntropy:
             via_spectrum = entropy_of_spectrum(exact_spectrum(cfg, n))
             assert block_entropy(cfg, n) == pytest.approx(via_spectrum, abs=1e-9)
 
+    def test_large_block_against_a_40_digit_value(self):
+        # -sum w log2 w over Binomial(20000, 1/3) in 40-digit arithmetic (mpmath);
+        # summing pmf * log2 k! directly, without the expansion about the mean,
+        # is about 5e-10 bits off
+        cfg = SectorConfig.infinite((THIRD, 1 - THIRD))
+        assert block_entropy(cfg, 20000) == pytest.approx(8.1059862679807468281, abs=1e-10)
+
     def test_boundaries_are_pure(self):
         cfg = SectorConfig.finite((5, 5))
         assert block_entropy(cfg, 0) == 0.0
         assert block_entropy(cfg, 10) == 0.0
-        # one occupied level: every conditional is a point mass, whose
+        # one occupied level: every marginal is a point mass, and the
         # entropy must come out as +0.0, not -0.0
         for pure in (SectorConfig.finite((0, 5, 0)), SectorConfig.infinite((0, 1, 0))):
             s = block_entropy(pure, 3)
@@ -149,7 +156,7 @@ def _block_size(data, L):
 
 
 class TestEntropyRoutes:
-    """Chain rule, spectrum and dense oracle agree, empty levels and n in {0, L} included."""
+    """block_entropy, spectrum and dense oracle agree, empty levels and n in {0, L} included."""
 
     @given(st.data())
     @settings(max_examples=100)
@@ -160,11 +167,11 @@ class TestEntropyRoutes:
         )
         cfg = SectorConfig.finite(occupations)
         n = _block_size(data, cfg.L)
-        chain = block_entropy(cfg, n)
-        assert chain == pytest.approx(entropy_of_spectrum(exact_spectrum(cfg, n)), abs=1e-10)
+        exact = block_entropy(cfg, n)
+        assert exact == pytest.approx(entropy_of_spectrum(exact_spectrum(cfg, n)), abs=1e-10)
         if d**cfg.L <= 729:
             dense = dense_eigenvalues(partial_trace(build_state(cfg), n))
-            assert chain == pytest.approx(-math.fsum(v * math.log2(v) for v in dense), abs=1e-10)
+            assert exact == pytest.approx(-math.fsum(v * math.log2(v) for v in dense), abs=1e-10)
 
     @given(st.data())
     @settings(max_examples=100)
@@ -177,8 +184,8 @@ class TestEntropyRoutes:
         counts = data.draw(st.sampled_from([counts, [1] + [0] * (d - 1)]))
         densities = [Fraction(c, sum(counts)) for c in counts]
         n = _block_size(data, 30)
-        chain = block_entropy(SectorConfig.infinite(densities), n)
-        assert chain == pytest.approx(
+        exact = block_entropy(SectorConfig.infinite(densities), n)
+        assert exact == pytest.approx(
             entropy_of_spectrum(thermo_spectrum(densities, n)), abs=1e-10
         )
 
@@ -196,16 +203,15 @@ class TestEntropyRoutes:
             cfg = SectorConfig.infinite([Fraction(c, sum(counts)) for c in counts])
             L = 40
         ns = data.draw(st.lists(st.one_of(st.just(0), st.just(L), st.integers(0, L)), max_size=12))
-        # shared across the block sizes of one call, the conditional
-        # entropies must give the same bits as separate calls
+        # a list of block sizes must give the same bits as separate calls
         assert block_entropies(cfg, ns) == [block_entropies(cfg, [n])[0] for n in ns]
 
     def test_all_mass_in_level_zero(self):
         assert block_entropy(SectorConfig.infinite((1, 0, 0)), 5) == 0.0
 
     def test_float_saturated_sector_is_pure(self):
-        # level 0 rounds to density 1.0, so 1 - cum[j] is 0.0 for the later
-        # levels; no conditional entropy may be evaluated there
+        # level 0 rounds to density 1.0, a point mass at k_0 = n, so the
+        # tiny later levels may add no term at all
         tiny = Fraction(1, 2**61)
         cfg = SectorConfig.infinite((1 - 2 * tiny, tiny, tiny))
         for n in (0, 5, 50):
@@ -220,7 +226,8 @@ def _finite_cases(draw):
     level = st.one_of(st.just(0), st.integers(min_value=1, max_value=24))
     occupations = tuple(draw(st.lists(level, min_size=d, max_size=d).filter(any)))
     L = sum(occupations)
-    ns = draw(st.lists(st.one_of(st.just(0), st.just(L), st.integers(0, L)), min_size=1, max_size=4))
+    n = st.one_of(st.just(0), st.just(L), st.integers(0, L))
+    ns = draw(st.lists(n, min_size=1, max_size=4))
     return occupations, ns
 
 
@@ -519,6 +526,15 @@ class TestEntropyReport:
         assert report.sup_bound_bits == pytest.approx(max_entropy_bound(60, 3), abs=1e-12)
         assert report.constant_C_bits == pytest.approx(0.5 * math.log2(1.0 / 27.0), abs=1e-12)
         assert report.exact_bits <= report.sup_bound_bits + 1e-9
+
+    def test_finite_gaussian_uses_the_hypergeometric_covariance(self):
+        # sigma * log2(L / (L - 1)) above the asymptotic, 6.6357 next to the exact 6.6357
+        report = entropy_report(SectorConfig.finite((40, 40, 40)), 60)
+        assert report.gaussian_bits == pytest.approx(
+            report.asymptotic_bits + math.log2(120 / 119), abs=1e-12
+        )
+        assert report.gaussian_bits == pytest.approx(6.6357, abs=5e-5)
+        assert report.gaussian_bits == pytest.approx(report.exact_bits, abs=1e-4)
 
     def test_boundary_has_no_asymptotics(self):
         report = entropy_report(SectorConfig.finite((5, 5)), 0)

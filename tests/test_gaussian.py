@@ -173,6 +173,16 @@ class TestBuildGaussian:
             build_gaussian((1.0,), 10)
         with pytest.raises(ValueError):
             build_gaussian((0.5, 0.5), 0)
+        with pytest.raises(ValueError, match="block size must be < L"):
+            build_gaussian((0.5, 0.5), 10, L=10)
+
+    @pytest.mark.parametrize("occupations, n", [((6, 5, 4), 7), ((3, 9), 1), ((2, 2, 3, 5), 11)])
+    def test_finite_covariance_is_the_exact_one(self, occupations, n):
+        # the hypergeometric covariance equals the exact moments of the finite spectrum
+        L = sum(occupations)
+        model = build_gaussian([Fraction(N, L) for N in occupations], n, L)
+        _, cov = composition_moments(exact_spectrum(SectorConfig.finite(occupations), n))
+        assert np.allclose(model.covariance, cov[1:, 1:], rtol=1e-12, atol=1e-12)
 
 
 class TestGaussianEntropy:

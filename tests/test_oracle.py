@@ -166,6 +166,13 @@ class TestDenseEigenvalues:
         with pytest.raises(ValueError):
             dense_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("row, col", [(260, 140), (140, 299), (299, 0), (0, 299)])
+    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, row, col):
+        matrix = np.eye(300) / 300
+        matrix[row, col] = 1e-9
+        with pytest.raises(ValueError, match="must be symmetric"):
+            dense_eigenvalues(matrix)
+
     @pytest.mark.parametrize(
         "matrix",
         [[[0.5, math.nan], [math.nan, 0.5]], [[math.nan, math.nan], [math.nan, math.nan]],
