@@ -139,13 +139,15 @@ def _binomial_log2_pmf(m: int, q: float, t: np.ndarray) -> tuple[int, np.ndarray
 def _expectation(lo: int, lw: np.ndarray, f, mean: float) -> list[float]:
     """Terms summing to E[f(k)] under the pmf 2**lw over k = lo, lo+1, ..., whose mean is mean.
 
-    f is large and nearly linear where the pmf lives, so summing pmf * f
-    directly loses about 5e-10 bits at n = 2*10^4.  Instead f is expanded about
-    the support point m nearest the mean with slope s = f(m+1) - f(m):
-    E[f] = f(m) + s*(mean - m) + sum pmf * (f(k) - f(m) - s*(k - m)), and the
-    pmf only weighs the small remainder.  The pmf is log-concave, so the k
-    with log2 pmf >= max - 1100 form one interval, and every term outside it
-    is 0.0 in float64; f is evaluated on that interval only.
+    f is large and nearly linear where the pmf lives, so pmf * f summed
+    directly is off by about 4e-6 bits at n = 4*10^4 (the pmf sums to 1
+    only to about 1e-11), and by 5e-10 bits at n = 2*10^4 even normalised.
+    So the pmf is normalised and f is expanded about the support point m
+    nearest the mean, with s = f(m+1) - f(m):
+    E[f] = f(m) + s*(mean - m) + sum pmf * (f(k) - f(m) - s*(k - m)).
+    The pmf is log-concave, so the k with log2 pmf >= max - 1100 form one
+    interval, outside which every term is 0.0 in float64; f is evaluated
+    there only.
     """
     top = lw.max()
     k = np.flatnonzero(lw >= top - 1100.0) + lo
@@ -171,10 +173,10 @@ def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
 
     Each block size costs O(d * n) and is computed on its own, so a list
     gives the same bits as separate calls.  Agrees with a 40-digit
-    evaluation to about 1e-11 bits at L = 2000 and 1e-10 bits at
-    n = 10^5.  A level whose float density is 1.0 holds every site, so such
-    a sector is pure at every n.  A sequence longer than
-    MAX_BLOCK_SIZES raises ResourceLimitError before it is iterated.
+    evaluation to about 1e-11 bits at L = 2000 and 1e-10 bits at n = 10^5.
+    A level whose float density is 1.0 holds every site, so such a sector
+    is pure at every n.  A sequence longer than MAX_BLOCK_SIZES raises
+    ResourceLimitError before it is iterated.
     """
     if len(ns) > MAX_BLOCK_SIZES:
         raise ResourceLimitError(f"{len(ns)} block sizes exceed guard {MAX_BLOCK_SIZES}")

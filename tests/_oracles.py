@@ -135,7 +135,7 @@ def chain_rule_entropies(levels: Sequence, ns: Sequence[int], *, finite: bool) -
         L = sum(levels)
         t = _log2_factorials(L)
 
-        def hyper(total: int, marked: int, draws: int) -> list[float]:
+        def hyper(total: int, marked: int, draws: int) -> tuple[list[float], int]:
             lo, hi = max(0, draws - (total - marked)), min(marked, draws)
             norm = t[total] - t[draws] - t[total - draws]
             return [
