@@ -6,6 +6,15 @@ strings, not by evaluating factorials), reduces it with an explicit partial
 trace, and diagonalises with a cyclic threshold Jacobi scheme.  Nothing here
 touches binomial shortcuts; the only contact with the formula side is inside
 the verify_* comparisons.
+
+The verify_* checks hand the solver the smaller of two Gram matrices with the
+same nonzero spectrum.  With the amplitudes reshaped to a d^n x d^(L-n)
+matrix Y, the block's reduced state is Y Y^T and its complement's is Y^T Y,
+and both have the squared singular values of Y as their nonzero eigenvalues
+(the Schmidt decomposition).  A mixture of K states stacks their Y side by
+side, so its Y Y^T / K and Y^T Y / K agree in the same way.  The spectrum is
+still the one found by a partial trace and a dense diagonalisation of the
+state; only the side that is traced out changes.
 """
 
 from __future__ import annotations
@@ -96,14 +105,18 @@ def partial_trace(state: np.ndarray, n: int) -> np.ndarray:
     """
     if len(set(state.shape)) != 1:
         raise ValueError(f"state axes must all have the same length d, got shape {state.shape}")
-    L, d = state.ndim, state.shape[0]
+    stacked = state.reshape(_block_dim(state.shape[0], state.ndim, n), -1)
+    return stacked @ stacked.T
+
+
+def _block_dim(d: int, L: int, n: int) -> int:
+    """d^n for a block size n in [0, L]; refused past MAX_DENSITY_DIM."""
     if n < 0 or n > L:
         raise ValueError(f"block size must lie in [0, L], got {n}")
     dim_block = d**n
     if dim_block > MAX_DENSITY_DIM:
         raise ResourceLimitError(f"block dimension {dim_block} exceeds guard {MAX_DENSITY_DIM}")
-    stacked = state.reshape(dim_block, -1)
-    return stacked @ stacked.T
+    return dim_block
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -117,7 +130,9 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
     Sweeps rotate every pair whose off-diagonal entry exceeds the per-pair
     threshold until the off-diagonal Frobenius norm drops below
     JACOBI_CONVERGENCE_TOL * trace, or the rotation budget
-    (JACOBI_SWEEP_BUDGET_FACTOR * dim^2) runs out.
+    (JACOBI_SWEEP_BUDGET_FACTOR * dim^2) runs out.  Rows with a zero diagonal
+    are dropped first, which is exact only for a positive semidefinite matrix:
+    such a row with an entry past 1e-10 raises ValueError.
     """
     a = np.array(rho, dtype=np.float64)
     m = a.shape[0]
@@ -134,6 +149,10 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
     diag = np.diag(a)
     keep = np.nonzero(diag > 0.0)[0]
     zeros = m - keep.size
+    if zeros and float(np.abs(a[diag <= 0.0]).max()) > 1e-10:
+        raise ValueError(
+            "density matrix is not positive semidefinite: a row with zero diagonal is not zero"
+        )
     if keep.size and keep.size < m:
         a = a[np.ix_(keep, keep)]
         m = keep.size
@@ -199,10 +218,21 @@ def verify_theorem(
 ) -> MatchReport:
     """Match the hypergeometric weights against dense partial-trace eigenvalues.
 
+    The state is pure, so the block and its complement have the same nonzero
+    reduced spectrum: the first n sites are kept when 2n <= L, otherwise the
+    last L - n (``state.T`` reverses the site axes).  The solver sees a
+    d^min(n, L-n) square matrix.  A block past MAX_DENSITY_DIM is refused
+    before the state is built, whichever side is diagonalised.
+
     ``perturb`` shifts the largest dense eigenvalue by the given amount before
     the comparison; it exists purely as a self-test hook for the harness.
     """
-    dense = dense_eigenvalues(partial_trace(build_state(cfg), n), tol=1e-8)
+    if cfg.L is not None:  # build_state refuses an infinite sector
+        _block_dim(cfg.d, cfg.L, n)
+    state = build_state(cfg)
+    L = state.ndim
+    rho = partial_trace(state, n) if 2 * n <= L else partial_trace(state.T, L - n)
+    dense = dense_eigenvalues(rho, tol=1e-8)
     if perturb and dense:
         dense[0] += perturb
     formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
@@ -213,11 +243,18 @@ def verify_theorem(
 def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchReport:
     """Check the flat reduced spectrum of the equally-weighted sector mixture.
 
-    Builds rho as the average of the sector projectors, reduces it, and
-    compares its nonzero eigenvalues against kappa(n) copies of 1/kappa(n).
+    The mixture is the average of the K sector projectors.  With each sector
+    state reshaped to d^n x d^(L-n) and the K of them side by side in Y, its
+    reduced state is Y Y^T / K, the sum of the sector partial traces over K.
+    Y^T Y / K has the same nonzero eigenvalues, so whichever of the two is
+    smaller (d^n against K d^(L-n)) is diagonalised, and its nonzero
+    eigenvalues are compared against kappa(n) copies of 1/kappa(n).  A block
+    past MAX_DENSITY_DIM is refused before any state is built.
     """
+    dim_block = _block_dim(d, L, n)
     sectors = list(enumerate_compositions(L, (L,) * d))
-    rho = sum(partial_trace(build_state(SectorConfig.finite(occ)), n) for occ in sectors)
-    dense = dense_eigenvalues(rho / len(sectors), tol=1e-8)
+    y = np.hstack([build_state(SectorConfig.finite(o)).reshape(dim_block, -1) for o in sectors])
+    gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
+    dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)
     kappa_n = dimension_symmetric_subspace(n, d)
     return _match({"L": L, "d": d, "occupations": None}, n, dense, [1.0 / kappa_n] * kappa_n, tol)

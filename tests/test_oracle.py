@@ -175,12 +175,92 @@ class TestDenseEigenvalues:
 
     @pytest.mark.parametrize(
         "matrix",
+        [[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+         [[0.5, 0.0, 0.3], [0.0, 0.0, 0.2], [0.3, 0.2, 0.5]]],
+    )
+    def test_rejects_a_zero_diagonal_row_that_is_not_zero(self, matrix):
+        # not PSD: dropping the zero-diagonal row would lose the negative eigenvalue
+        assert np.linalg.eigvalsh(matrix)[0] < -0.09
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            dense_eigenvalues(matrix)
+
+    def test_zero_rows_are_still_dropped(self):
+        matrix = np.zeros((3, 3))
+        matrix[0, 0], matrix[2, 2], matrix[0, 2], matrix[2, 0] = 0.5, 0.5, 0.25, 0.25
+        assert dense_eigenvalues(matrix) == pytest.approx([0.75, 0.25], abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "matrix",
         [[[0.5, math.nan], [math.nan, 0.5]], [[math.nan, math.nan], [math.nan, math.nan]],
          [[math.inf, 0.0], [0.0, 0.5]]],
     )
     def test_rejects_non_finite_input(self, matrix):
         with pytest.raises(ValueError, match="non-finite"):
             dense_eigenvalues(matrix)
+
+
+def random_states(rng, L, d, count=1):
+    states = rng.normal(size=(count,) + (d,) * L)
+    return [s / np.linalg.norm(s) for s in states]
+
+
+def recorded_shapes(monkeypatch):
+    """Shapes of the matrices verify_* hands to dense_eigenvalues, in call order."""
+    shapes, real = [], oracle.dense_eigenvalues
+
+    def record(rho, tol):
+        shapes.append(rho.shape)
+        return real(rho, tol)
+
+    monkeypatch.setattr(oracle, "dense_eigenvalues", record)
+    return shapes
+
+
+class TestSmallerSide:
+    """The block and its complement, or Y Y^T and Y^T Y, share their nonzero spectrum."""
+
+    @pytest.mark.parametrize("L, d", [(5, 2), (4, 3)])
+    def test_pure_state_sides_agree(self, L, d):
+        (state,) = random_states(np.random.default_rng(31), L, d)
+        for n in range(L + 1):
+            block = dense_eigenvalues(partial_trace(state, n))
+            complement = dense_eigenvalues(partial_trace(state.T, L - n))
+            assert len(block) == len(complement) == d ** min(n, L - n)
+            assert block == pytest.approx(complement, abs=1e-12)
+
+    @pytest.mark.parametrize("L, d, K", [(5, 2, 3), (4, 3, 4)])
+    def test_mixture_gram_agrees_with_summed_traces(self, L, d, K):
+        states = random_states(np.random.default_rng(37), L, d, K)
+        for n in range(L + 1):
+            summed = sum(partial_trace(s, n) for s in states) / K
+            y = np.hstack([s.reshape(d**n, -1) for s in states])
+            traced = dense_eigenvalues(summed)
+            gram = dense_eigenvalues(y.T @ y / K)
+            assert len(traced) == len(gram) == min(d**n, K * d ** (L - n))
+            assert traced == pytest.approx(gram, abs=1e-12)
+
+    @pytest.mark.parametrize("occupations", [(3, 2), (2, 1, 1), (1, 1, 1, 1)])
+    def test_theorem_diagonalises_the_smaller_side(self, monkeypatch, occupations):
+        shapes = recorded_shapes(monkeypatch)
+        L, d = sum(occupations), len(occupations)
+        for n in range(L + 1):
+            assert verify_theorem(SectorConfig.finite(occupations), n).passed
+        assert shapes == [(d ** min(n, L - n),) * 2 for n in range(L + 1)]
+
+    @pytest.mark.parametrize("L, d", [(5, 2), (4, 3), (6, 3)])
+    def test_mixture_diagonalises_the_smaller_side(self, monkeypatch, L, d):
+        shapes = recorded_shapes(monkeypatch)
+        K = math.comb(L + d - 1, d - 1)  # one sector per composition of L into d levels
+        for n in range(L + 1):
+            assert verify_uniform_mixture(L, d, n).passed
+        assert shapes == [(min(d**n, K * d ** (L - n)),) * 2 for n in range(L + 1)]
+
+    def test_guards_refuse_the_block_whichever_side_is_diagonalised(self):
+        # 2^11 = 2048 > 2000; the complement would be 1 x 1
+        with pytest.raises(ResourceLimitError, match="block dimension 2048"):
+            verify_theorem(SectorConfig.finite((6, 5)), 11)
+        with pytest.raises(ResourceLimitError, match="block dimension 2048"):
+            verify_uniform_mixture(11, 2, 11)
 
 
 class TestVerifyTheorem:
