@@ -12,9 +12,8 @@ same nonzero spectrum.  With the amplitudes reshaped to a d^n x d^(L-n)
 matrix Y, the block's reduced state is Y Y^T and its complement's is Y^T Y,
 and both have the squared singular values of Y as their nonzero eigenvalues
 (the Schmidt decomposition).  A mixture of K states stacks their Y side by
-side, so its Y Y^T / K and Y^T Y / K agree in the same way.  The spectrum is
-still the one found by a partial trace and a dense diagonalisation of the
-state; only the side that is traced out changes.
+side, so its Y Y^T / K and Y^T Y / K agree in the same way.  Either way the
+check is a partial trace and a dense diagonalisation of the state itself.
 """
 
 from __future__ import annotations

@@ -184,11 +184,6 @@ class TestDenseEigenvalues:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             dense_eigenvalues(matrix)
 
-    def test_zero_rows_are_still_dropped(self):
-        matrix = np.zeros((3, 3))
-        matrix[0, 0], matrix[2, 2], matrix[0, 2], matrix[2, 0] = 0.5, 0.5, 0.25, 0.25
-        assert dense_eigenvalues(matrix) == pytest.approx([0.75, 0.25], abs=1e-14)
-
     @pytest.mark.parametrize(
         "matrix",
         [[[0.5, math.nan], [math.nan, 0.5]], [[math.nan, math.nan], [math.nan, math.nan]],
