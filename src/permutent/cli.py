@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,9 +36,11 @@ from .spectrum import (
     SectorConfig,
     Spectrum,
     exact_spectrum,
-    spectrum_to_json_obj,
+    spectrum_header,
+    spectrum_to_json_obj,  # noqa: F401 -- unused; perfbench's tracer wraps it here by name
     thermo_spectrum,
     uniform_mixed_spectrum,
+    weight_strings,
 )
 from .svgplot import Series, render_chart
 
@@ -48,12 +49,11 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
-# Budget for the figures command's L = inf series, the sum of n * sqrt(n) over
-# its exact points.  It caps their block sizes, and with them the log-factorial
-# table and the O(d * n) arrays of each block_entropy.  Admits the default
-# charts and --max-l 20000 at 40 points (4.5e7, about 0.45 s on a 2-vCPU
-# x86-64 VM); refuses --max-l 60000 and --max-l 200000 --points 2.
-FIGURES_MAX_WORK = 50_000_000
+# Budget for the figures command's L = inf series, the sum of d * n over its
+# exact points: each is an O(d * n) marginal block_entropy.  Admits the default
+# charts and --max-l 1000000 at 40 points (6.0e7); refuses --max-l 1000000
+# --points 1000 (1.5e9).
+FIGURES_MAX_WORK = 100_000_000
 
 CORRECTIONS_CSV_COLUMNS = (
     "n_over_L,delta_per_bits,delta_per_leading_bits,delta_cr_bits,delta_cr_leading_bits"
@@ -157,40 +157,34 @@ def _json_text(obj: dict) -> str:
     return json.dumps({"generator": f"permutent {__version__}", **obj}, indent=2) + "\n"
 
 
-def _write_json(path: Path | None, obj: dict) -> None:
-    _write_text(path, _json_text(obj))
+def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> str:
+    """Each row as template % (k_0, ..., k_{d-1}, log2 weight[, weight string]), sep-joined.
 
-
-def _json_record(rec: dict) -> str:
-    """One entry record in the layout json.dumps(..., indent=2) gives it in the payload.
-
-    Finite floats print as float.__repr__, as json prints them, and the
-    weight strings (digits and "/") need no escaping.
-    """
-    parts = ",\n        ".join(map(str, rec["composition"]))
-    weight = f',\n      "weight": "{rec["weight"]}"' if "weight" in rec else ""
-    return (
-        f'    {{\n      "composition": [\n        {parts}\n      ],\n'
-        f'      "log2_weight": {rec["log2_weight"]!r}{weight}\n    }}'
-    )
+    %r prints floats as json does; the weight strings (digits, "/") need no escaping."""
+    columns = [*spectrum.compositions.T.tolist(), spectrum.log2_weights.tolist()]
+    if spectrum.is_exact:
+        columns.append(weight_strings(spectrum))
+    return sep.join(map(template.__mod__, zip(*columns)))
 
 
 def _spectrum_json(spectrum: Spectrum) -> str:
-    """The bytes of _json_text(spectrum_to_json_obj(spectrum)), one string per record."""
+    """The bytes of _json_text(spectrum_to_json_obj(spectrum)), one template per spectrum."""
     if not np.isfinite(spectrum.log2_weights).all():
         raise ValueError("spectrum has a non-finite log2 weight, which JSON cannot hold")
-    obj = spectrum_to_json_obj(spectrum)
-    head = _json_text({"header": obj["header"]})[: -len("\n}\n")]
-    records = ",\n".join(map(_json_record, obj["entries"]))
+    head = _json_text({"header": spectrum_header(spectrum)})[: -len("\n}\n")]
+    levels = ",\n        ".join(["%d"] * spectrum.d)
+    weight = ',\n      "weight": "%s"' if spectrum.is_exact else ""
+    template = (
+        f'    {{\n      "composition": [\n        {levels}\n      ],\n'
+        f'      "log2_weight": %r{weight}\n    }}'
+    )
+    records = _spectrum_rows(spectrum, template, ",\n")
     return f'{head},\n  "entries": [\n{records}\n  ]\n}}\n'
 
 
 def _spectrum_csv(spectrum: Spectrum) -> str:
-    lines = ["composition,log2_weight,weight"]
-    for rec in spectrum_to_json_obj(spectrum)["entries"]:
-        parts = ";".join(map(str, rec["composition"]))
-        lines.append(f"{parts},{rec['log2_weight']!r},{rec.get('weight', '')}")
-    return "\n".join(lines) + "\n"
+    template = ";".join(["%d"] * spectrum.d) + (",%r,%s" if spectrum.is_exact else ",%r,")
+    return "composition,log2_weight,weight\n" + _spectrum_rows(spectrum, template, "\n") + "\n"
 
 
 @click.group(cls=_Group)
@@ -246,7 +240,8 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
             if obj[key] is not None:
                 obj[key.replace("_bits", "_nats")] = bits_to_nats(obj.pop(key))
     L_field = sector.L if sector.is_finite else "inf"
-    _write_json(out, {"L": L_field, "d": sector.d, "n": n, "units": units, "report": obj})
+    payload = {"L": L_field, "d": sector.d, "n": n, "units": units, "report": obj}
+    _write_text(out, _json_text(payload))
 
 
 @main.command("sweep")
@@ -351,10 +346,8 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
         click.echo("warning: empty verification grid, nothing checked", err=True)
     failures = [r for r in reports if not r.passed]
     if out is not None:
-        _write_json(
-            out,
-            {"tolerance": tol, "cases": [r.to_json_obj() for r in reports], "pass": not failures},
-        )
+        cases = [r.to_json_obj() for r in reports]
+        _write_text(out, _json_text({"tolerance": tol, "cases": cases, "pass": not failures}))
     click.echo(f"verified {len(reports)} cases, {len(failures)} failures")
     if failures:
         sys.exit(EXIT_MISMATCH)
@@ -376,16 +369,17 @@ def cmd_figures(out_dir, points, max_l):
         raise ValueError("--points must be >= 2")
     if max_l < 1:
         raise ValueError("--max-l must be >= 1")
-    # The L = inf series takes an exact point at every sample n <= max_l.  The
-    # sample always holds max_l, which is checked first so the sample is only
-    # drawn once it is known to be small.
-    work = max_l * math.isqrt(max_l)
+    # Two lower bounds on the sum, checked before the sample is drawn: it holds max_l,
+    # and m = min(points, max_l) indices give >= m/2 distinct sizes, summing to >= m*m/8.
+    inf_sector = SectorConfig.infinite((Fraction(1, 3),) * 3)
+    m = min(points, max_l)
+    work = inf_sector.d * max(max_l, m * m // 8)
     if work <= FIGURES_MAX_WORK:
         inf_ns = _sample_range(1, max_l, points)
-        work = sum(n * math.isqrt(n) for n in inf_ns)
+        work = inf_sector.d * sum(inf_ns)
     if work > FIGURES_MAX_WORK:
         raise ResourceLimitError(
-            f"figures work estimate {work} (sum of n*sqrt(n) over the L=inf points) "
+            f"figures work estimate {work} (sum of d*n over the L=inf points) "
             f"exceeds guard {FIGURES_MAX_WORK}; lower --max-l or --points"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -396,7 +390,7 @@ def cmd_figures(out_dir, points, max_l):
                                _sample_range(1, L - 1, 160), _sample_range(0, L, points))
 
     d3 = [s for L in (30, 60, 120, 240) if L <= max_l for s in finite((L // 3,) * 3, f"L={L}")]
-    d3 += _scaling_series(SectorConfig.infinite((Fraction(1, 3),) * 3), "L=inf", inf_ns, inf_ns)
+    d3 += _scaling_series(inf_sector, "L=inf", inf_ns, inf_ns)
     by_spin = [s for d in (2, 3, 4, 5) for s in finite((120 // d,) * d, f"d={d}")]
     for name, series, title in (
         ("entropy_scaling_d3.svg", d3, "Block entropy at d=3, equal occupations"),

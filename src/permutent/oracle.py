@@ -19,7 +19,7 @@ check is a partial trace and a dense diagonalisation of the state itself.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -65,7 +65,7 @@ class MatchReport:
     passed: bool
 
     def to_json_obj(self) -> dict:
-        obj = asdict(self)
+        obj = dict(vars(self))  # a shallow copy: asdict would deep-copy each config
         obj["pass"] = obj.pop("passed")
         return obj
 

@@ -39,7 +39,9 @@ __all__ = [
     "exact_spectrum",
     "thermo_spectrum",
     "uniform_mixed_spectrum",
+    "spectrum_header",
     "spectrum_to_json_obj",
+    "weight_strings",
 ]
 
 # Exact rational weights are kept automatically up to this system size (L for
@@ -416,8 +418,8 @@ def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     return Spectrum(compositions, log2_weights, n, numerators=[1] * support, denominator=kappa)
 
 
-def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
-    """JSON-ready dict: header plus one record per entry."""
+def spectrum_header(spectrum: Spectrum) -> dict:
+    """The header of spectrum_to_json_obj: sector, block size, source, dropped mass."""
     sector = spectrum.sector
     if sector is None:
         L_field, occ, dens, source = None, None, None, "uniform-mixed"
@@ -426,7 +428,7 @@ def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
     else:
         dens = [str(p) for p in sector.densities]  # type: ignore[union-attr]
         L_field, occ, source = "inf", None, "thermodynamic"
-    header = {
+    return {
         "L": L_field,
         "d": spectrum.d,
         "occupations": occ,
@@ -435,19 +437,23 @@ def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
         "source": source,
         "dropped_mass": spectrum.dropped_mass,
     }
-    rows = zip(spectrum.compositions.tolist(), spectrum.log2_weights.tolist())
+
+
+def weight_strings(spectrum: Spectrum) -> list[str] | None:
+    """Each exact weight as str(Fraction(num, den)), without the Fraction; None in the log domain."""
     if spectrum.numerators is None:
-        records = [{"composition": parts, "log2_weight": lw} for parts, lw in rows]
-    else:
-        den = spectrum.denominator
-        records = [
-            {"composition": parts, "log2_weight": lw, "weight": _fraction_str(num, den)}
-            for (parts, lw), num in zip(rows, spectrum.numerators)
-        ]
-    return {"header": header, "entries": records}
+        return None
+    den = spectrum.denominator
+    return [
+        str(num // g) if (g := math.gcd(num, den)) == den else f"{num // g}/{den // g}"
+        for num in spectrum.numerators
+    ]
 
 
-def _fraction_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for num >= 0 and den > 0, without building the Fraction."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}" if g != den else str(num // g)
+def spectrum_to_json_obj(spectrum: Spectrum) -> dict:
+    """JSON-ready dict: header plus one record per entry."""
+    rows = zip(spectrum.compositions.tolist(), spectrum.log2_weights.tolist())
+    records = [{"composition": parts, "log2_weight": lw} for parts, lw in rows]
+    for record, weight in zip(records, weight_strings(spectrum) or ()):
+        record["weight"] = weight
+    return {"header": spectrum_header(spectrum), "entries": records}

@@ -237,6 +237,39 @@ class TestSpectrumWriters:
         )
 
 
+    @pytest.mark.parametrize(
+        "args, build, exact",
+        [
+            pytest.param(["--occ", "3,0,2,4,1", "--n", "5"],
+                         lambda: exact_spectrum(SectorConfig.finite((3, 0, 2, 4, 1)), 5),
+                         True, id="finite-d5"),
+            pytest.param(["--occ", "2,2,1,3,0,2", "--n", "6", "--no-exact"],
+                         lambda: exact_spectrum(SectorConfig.finite((2, 2, 1, 3, 0, 2)), 6,
+                                                exact=False),
+                         False, id="finite-d6-log"),
+            pytest.param(["--L", "inf", "--dens", ",".join(["1/5"] * 5), "--n", "6"],
+                         lambda: thermo_spectrum([Fraction(1, 5)] * 5, 6), True, id="inf-d5"),
+            pytest.param(["--L", "inf", "--dens", ",".join(["1/6"] * 6), "--n", "5",
+                          "--cutoff", "1e-3"],
+                         lambda: thermo_spectrum([Fraction(1, 6)] * 6, 5, 1e-3),
+                         False, id="inf-d6-cutoff"),
+            # L = 351 > EXACT_AUTO_MAX_L, so the default is the log domain
+            pytest.param(["--occ", "200,150,1", "--n", "4"],
+                         lambda: exact_spectrum(SectorConfig.finite((200, 150, 1)), 4),
+                         False, id="finite-past-exact-auto"),
+            pytest.param(["--uniform", "--d", "5", "--n", "12"],
+                         lambda: uniform_mixed_spectrum(12, 5), True, id="uniform-d5"),
+            pytest.param(["--L", "inf", "--dens", "1/4,1/4,1/4,1/4", "--n", "30"],
+                         lambda: thermo_spectrum([Fraction(1, 4)] * 4, 30), True,
+                         id="inf-5456-rows"),
+        ],
+    )
+    def test_template_edges(self, args, build, exact):
+        spectrum = build()
+        assert spectrum.is_exact == exact
+        assert spectrum.support_size > 1
+        self.assert_writers_match(args, lambda: spectrum)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_log2_weight_refused(self, runner, monkeypatch, bad):
         spectrum = Spectrum(np.array([[1, 0], [0, 1]]), np.array([-1.0, bad]), 1)
@@ -470,9 +503,10 @@ class TestFiguresCommand:
 
     @pytest.mark.parametrize(
         "args",
-        [["--max-l", "60000"], ["--max-l", "200000", "--points", "2"],
-         ["--max-l", "20000", "--points", "80"], ["--max-l", str(10**30), "--points", str(10**30)]],
-        ids=["max-l-60000", "two-points", "more-points", "huge"],
+        [["--max-l", "1000000", "--points", "1000"], ["--max-l", "40000000", "--points", "2"],
+         ["--max-l", "200000", "--points", "2000"], ["--max-l", "30000000", "--points", "2000000"],
+         ["--max-l", str(10**30), "--points", str(10**30)]],
+        ids=["points-1000", "two-points", "more-points", "sample-too-long", "huge"],
     )
     def test_work_guard_refuses_before_any_entropy(self, runner, monkeypatch, tmp_path, args):
         self.no_entropy(monkeypatch)
@@ -482,7 +516,7 @@ class TestFiguresCommand:
         assert result.stderr.startswith("error: figures work estimate")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("max_l", ["240", "20000"])
+    @pytest.mark.parametrize("max_l", ["240", "20000", "200000", "1000000"])
     def test_work_guard_admits_the_documented_charts(self, runner, monkeypatch, tmp_path, max_l):
         monkeypatch.setattr(cli, "block_entropy", lambda sector, n: 1.0)
         run_ok(runner, ["figures", "--out-dir", str(tmp_path), "--max-l", max_l])
