@@ -30,7 +30,7 @@ from .entropy import (
     finite_size_corrections,
     bits_to_nats,
 )
-from .oracle import MatchReport, verify_theorem, verify_uniform_mixture
+from .oracle import MAX_DENSITY_DIM, MatchReport, verify_theorem, verify_uniform_mixture
 from .spectrum import (
     ResourceLimitError,
     SectorConfig,
@@ -318,12 +318,10 @@ def cmd_corrections(L, d, central_charge, n_min, n_max, step, out):
               help="Self-test hook: perturb one dense eigenvalue by this amount.")
 def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     """Run the dense oracle over a grid and compare with the formula weights."""
-    from .oracle import MAX_DENSITY_DIM
-
     if not 0.0 < tol < 1.0:  # also refuses nan
         raise ValueError(f"--tol must lie in (0, 1), got {tol!r}")
     for d, max_l in ((2, d2_max_l), (3, d3_max_l), (2, uniform_max_l), (3, uniform_max_l)):
-        if max_l >= 1 and d**max_l > MAX_DENSITY_DIM:
+        if max_l >= 1 and d ** min(max_l, 64) > MAX_DENSITY_DIM:  # d^64 is past it
             raise ResourceLimitError(
                 f"grid d={d}, L<={max_l} exceeds the dense guards "
                 f"(d^L <= {MAX_DENSITY_DIM} for full-block traces)"

@@ -1,26 +1,26 @@
 """Entropy functionals over block spectra and the closed-form expressions.
 
 Exact block entropies come either from a materialised spectrum
-(:func:`entropy_of_spectrum`) or from :func:`block_entropies`, which computes
-the same number from the marginal law of each level's occupation count:
-hypergeometric at finite L, binomial in the thermodynamic limit.  Each weight
-is a product of one factor per level, so the expected log-weight is a sum of
-one expectation per level, and a block size costs O(d * n) without touching
-the (possibly astronomically large) composition support.
+(:func:`entropy_of_spectrum`) or from :func:`block_entropies`, which reads
+the spectrum builders' product form: each weight is a constant times one
+factor per level, so the expected log-weight is a sum of one expectation per
+level, and a block size costs O(d * n) without touching the (possibly
+astronomically large) composition support.
 
 All entropies are in bits; "nats" exist only as an output formatting option.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import ResourceLimitError, log2_binom, log2_factorial_table
-from .spectrum import SectorConfig, Spectrum
+from .combinatorics import ResourceLimitError, log2_binom
+from .spectrum import SectorConfig, Spectrum, _product_form
 
 __all__ = [
     "EntropyReport",
@@ -113,29 +113,6 @@ def entropy_of_spectrum(spectrum: Spectrum) -> float:
     return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a point mass
 
 
-def _hypergeometric_log2_pmf(L: int, K: int, n: int, t: np.ndarray) -> tuple[int, np.ndarray]:
-    """(lo, log2 pmf over lo..hi) of the marked count in an n-draw from L with K marked."""
-    lo = max(0, n - (L - K))
-    hi = min(K, n)
-    k = np.arange(lo, hi + 1)
-    lw = (
-        t[K]
-        - t[k]
-        - t[K - k]
-        + t[L - K]
-        - t[n - k]
-        - t[L - K - n + k]
-        - (t[L] - t[n] - t[L - n])
-    )
-    return lo, lw
-
-
-def _binomial_log2_pmf(m: int, q: float, t: np.ndarray) -> tuple[int, np.ndarray]:
-    """(0, log2 pmf over 0..m) of Binomial(m, q), for 0 < q < 1."""
-    k = np.arange(m + 1)
-    return 0, t[m] - t[k] - t[m - k] + k * math.log2(q) + (m - k) * math.log2(1.0 - q)
-
-
 def _expectation(lo: int, lw: np.ndarray, f, mean: float) -> list[float]:
     """Terms summing to E[f(k)] under the pmf 2**lw over k = lo, lo+1, ..., whose mean is mean.
 
@@ -160,16 +137,27 @@ def _expectation(lo: int, lw: np.ndarray, f, mean: float) -> list[float]:
     return [float(fk[j]), s * (mean - int(k[j])), float(w @ (fk - fk[j] - s * (k - k[j])))]
 
 
+def _level_marginals(form: tuple, X, n: int):
+    """Yield (x_i, lo, log2 pmf over lo..hi) of each level's count k_i at block size n.
+
+    ``form`` is the product form (c, f, x, b) and X = sum_i x_i.  Merging the
+    other levels adds their x, so k_i has the two-level weight
+    c + f(x_i, k) + f(X - x_i, n - k), max(0, n - sum_{j!=i} b_j) <= k <= min(b_i, n).
+    """
+    c, f, xs, bounds = form
+    for x, b in zip(xs, bounds):
+        lo = max(0, n - (sum(bounds) - b))
+        k = np.arange(lo, min(b, n) + 1)
+        yield x, lo, c + f(x, k) + f(X - x, n - k)
+
+
 def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
     """Exact block entropies at each n in ns from the marginal law of each level.
 
-    Every weight is a product of one factor per level, so the entropy
-    -E[log2 w] needs only the marginal law of each level's count k_i:
-
-    * finite L: S(n) = log2 C(L, n) - sum_i E[log2 C(N_i, k_i)] with
-      k_i ~ Hypergeometric(L, N_i, n);
-    * L = inf: S(n) = -log2 n! + sum_i E[log2 k_i!] - n * sum_i p_i log2 p_i
-      with k_i ~ Binomial(n, p_i).
+    Every weight is 2^c * prod_i 2^f(x_i, k_i), one factor per level (the
+    builders' product form), so S(n) = -E[log2 w] = -c - sum_i E[f(x_i, k_i)]
+    needs only the law of each level's count k_i: hypergeometric at finite L,
+    binomial at L = inf.
 
     Each block size costs O(d * n) and is computed on its own, so a list
     gives the same bits as separate calls.  Agrees with a 40-digit
@@ -183,35 +171,18 @@ def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("block size must be nonnegative")
-    if cfg.is_finite:
-        levels = cfg.occupations
-        assert levels is not None
-        L = sum(levels)
-        for n in ns:
-            if n > L:
-                raise ValueError(f"n exceeds L: n={n}, L={L}")
-        t = log2_factorial_table(L)
+    X = cfg.L or 1  # the levels' x add up to L, or to 1 at L = inf
+    if cfg.is_finite and max(ns, default=0) > X:
+        raise ValueError(f"n exceeds L: n={max(ns)}, L={X}")
 
-        def entropy(n: int) -> float:
-            terms = [t[L] - t[n] - t[L - n]]
-            for N in levels:
-                pmf = _hypergeometric_log2_pmf(L, N, n, t)
-                e = _expectation(*pmf, lambda k: t[N] - t[k] - t[N - k], n * N / L)
-                terms += (-x for x in e)
-            return math.fsum(terms)
-
-    else:
-        p = [q for q in cfg.density_floats if q > 0.0]  # an empty level adds 0 to every term
-        if max(p) >= 1.0:
-            return [0.0] * len(ns)
-        t = log2_factorial_table(max(ns, default=0))
-
-        def entropy(n: int) -> float:
-            terms = [-t[n]]
-            for q in p:
-                terms += _expectation(*_binomial_log2_pmf(n, q, t), t.__getitem__, n * q)
-                terms.append(-n * q * math.log2(q))
-            return math.fsum(terms)
+    def entropy(n: int) -> float:
+        form = c, f, xs, _ = _product_form(cfg, n)
+        if max(xs) >= X:
+            return 0.0
+        terms = [c]
+        for x, lo, lw in _level_marginals(form, X, n):
+            terms += _expectation(lo, lw, functools.partial(f, x), n * x / X)
+        return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a pure block
 
     return [entropy(n) for n in ns]
 

@@ -83,9 +83,7 @@ def build_state(cfg: SectorConfig) -> np.ndarray:
     assert occupations is not None
     L = sum(occupations)
     d = cfg.d
-    dim = d**L
-    if dim > MAX_STATE_AMPLITUDES:
-        raise ResourceLimitError(f"state dimension {dim} exceeds guard {MAX_STATE_AMPLITUDES}")
+    _check_power("state", d, L, MAX_STATE_AMPLITUDES)
     # site levels of every basis string; the guard keeps L <= 20, so int8 sums fit
     levels = np.indices((d,) * L, dtype=np.int8)
     mask = np.ones(levels.shape[1:], dtype=bool)
@@ -112,10 +110,15 @@ def _block_dim(d: int, L: int, n: int) -> int:
     """d^n for a block size n in [0, L]; refused past MAX_DENSITY_DIM."""
     if n < 0 or n > L:
         raise ValueError(f"block size must lie in [0, L], got {n}")
-    dim_block = d**n
-    if dim_block > MAX_DENSITY_DIM:
-        raise ResourceLimitError(f"block dimension {dim_block} exceeds guard {MAX_DENSITY_DIM}")
-    return dim_block
+    return _check_power("block", d, n, MAX_DENSITY_DIM)
+
+
+def _check_power(what: str, d: int, e: int, guard: int) -> int:
+    """d^e, refused past guard before it is built: at d >= 2, d^64 passes every guard."""
+    if d ** min(e, 64) > guard:
+        shown = d**e if e <= 64 else f"{d}^{e}"  # d^e itself could take seconds to build
+        raise ResourceLimitError(f"{what} dimension {shown} exceeds guard {guard}")
+    return d**e
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,6 +258,22 @@ def _check_exact_bits(support: int, denominator: int) -> None:
         )
 
 
+def _product_form(cfg: SectorConfig, n: int) -> tuple[float, Callable, tuple, tuple[int, ...]]:
+    """The weights at block size n as 2^c * prod_i 2^f(x_i, k_i): (c, f, levels x, bounds b).
+
+    Finite L: f(N, k) = log2 C(N, k), c = -log2 C(L, n), x_i = b_i = N_i.  L = inf:
+    f(p, k) = k log2 p - log2 k!, c = log2 n!, x_i = p_i (floats), b_i = n if p_i > 0
+    else 0.  f takes an integer array k; merging levels adds their x.
+    """
+    occ = cfg.occupations
+    if occ is not None:
+        t = log2_factorial_table(sum(occ))
+        return -log2_binom(sum(occ), n), lambda N, k: t[N] - t[k] - t[N - k], occ, occ
+    t, pf = log2_factorial_table(n), cfg.density_floats
+    bounds = tuple(n if p > 0 else 0 for p in pf)
+    return float(t[n]), lambda p, k: k * (math.log2(p) if p > 0 else 0.0) - t[k], pf, bounds
+
+
 def _product_spectrum(
     n: int,
     bounds: Sequence[int],
@@ -325,18 +341,16 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
     support = _check_support(n, occupations)
-
-    t = log2_factorial_table(L)
-    ks = [np.arange(min(N, n) + 1) for N in occupations]
-    # per-level log2 binom(N, k), evaluated as log2_binom does
-    log_factors = [t[N] - t[k] - t[N - k] for N, k in zip(occupations, ks)]
+    log_const, f, _, _ = _product_form(cfg, n)
     binoms, denominator = None, 1
     if exact:
+        _check_exact_bits(support, 1 << int(-log_const))  # as long as C(L, n), built at once
         denominator = math.comb(L, n)
         _check_exact_bits(support, denominator)
         binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
+    log_factors = [f(N, np.arange(min(N, n) + 1)) for N in occupations]
     compositions, log2_weights, numerators = _product_spectrum(
-        n, occupations, log_factors, -log2_binom(L, n), binoms
+        n, occupations, log_factors, log_const, binoms
     )
     return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator)
 
@@ -371,26 +385,20 @@ def thermo_spectrum(
     if exact and cutoff > 0.0:
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
-    pf = cfg.density_floats
-    bounds = tuple(n if p > 0 else 0 for p in pf)
-    support = _check_support(n, bounds)
-
-    t = log2_factorial_table(n)
-    # per-level log factor: k*log2(p_i) - log2(k!), and 0 at k = 0; a level with
-    # p_i = 0 has b = 0, so log2(p_i) is never taken
-    log_factors = [
-        np.concatenate(([0.0], np.arange(1, b + 1) * (math.log2(p) if b else 0.0) - t[1 : b + 1]))
-        for p, b in zip(pf, bounds)
-    ]
+    # the form's bounds, checked before it builds a log-factorial table up to n
+    support = _check_support(n, [n if p > 0 else 0 for p in cfg.density_floats])
+    log_const, f, pf, bounds = _product_form(cfg, n)
     pows, denominator = None, 1
     if exact:
         # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
         B = math.lcm(*(p.denominator for p in dens))
+        _check_exact_bits(support, 1 << int(n * math.log2(B)))  # as long as B^n, built at once
         denominator = B**n
         _check_exact_bits(support, denominator)
         pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
+    log_factors = [f(p, np.arange(b + 1)) for p, b in zip(pf, bounds)]
     compositions, log2_weights, numerators = _product_spectrum(
-        n, bounds, log_factors, float(t[n]), pows, multinomial=True
+        n, bounds, log_factors, log_const, pows, multinomial=True
     )
 
     dropped_mass = 0.0

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -581,6 +583,21 @@ class TestExitCodes:
         result = runner.invoke(main, [command, "--occ", "1000000000,1", "--n", "1"])
         assert result.exit_code == 3
         assert result.output.startswith("error: log-factorial table up to 10000000")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--occ", "2000000,2000000", "--n", "1000000", "--exact"],
+            ["verify", "--d2-max-l", "1", "--d3-max-l", "1000000000", "--uniform-max-l", "0"],
+        ],
+        ids=["exact-denominator", "verify-grid"],
+    )
+    def test_guards_exit_3_before_building_the_integer(self, args):
+        # C(4000000, 1000000) alone takes most of a minute to build; 3^(10^9) does not finish
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-m", "permutent.cli", *args],
+                                capture_output=True, env=env, timeout=20, check=False)
+        assert result.returncode == 3, result.stderr.decode()
 
     def test_figures_out_dir_over_a_file(self, runner, tmp_path):
         taken = tmp_path / "file"

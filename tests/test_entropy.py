@@ -29,6 +29,7 @@ from permutent.oracle import build_state, dense_eigenvalues, partial_trace
 from permutent.spectrum import (
     SectorConfig,
     Spectrum,
+    _product_form,
     exact_spectrum,
     thermo_spectrum,
     uniform_mixed_spectrum,
@@ -272,6 +273,78 @@ class TestAgainstChainRule:
         got = block_entropies(SectorConfig.infinite(densities), ns)
         for n, s, ref in zip(ns, got, chain_rule_entropies(densities, ns, finite=False)):
             assert s == pytest.approx(ref, abs=1e-10), n
+
+
+def _marginals_from_rows(spectrum):
+    """Each level's count law, summed from the exact spectrum's rows."""
+    weights = np.array(spectrum.weights)
+    return [np.bincount(col, weights=weights) for col in spectrum.compositions.T]
+
+
+def _marginals_from_product_form(cfg, n):
+    """Each level's count law from the two-level weight of the product form."""
+    laws = []
+    for _, lo, lw in entropy._level_marginals(_product_form(cfg, n), cfg.L or 1, n):
+        laws.append(np.concatenate((np.zeros(lo), np.exp2(lw))))
+    return laws
+
+
+def _assert_same_laws(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        size = max(len(g), len(w))
+        diff = np.pad(g, (0, size - len(g))) - np.pad(w, (0, size - len(w)))
+        assert np.abs(diff).max() <= 1e-12
+
+
+@st.composite
+def _small_finite_case(draw):
+    """Occupations with d up to 4 (empty levels common) and a block size, 0 and L among them."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    level = st.one_of(st.just(0), st.integers(min_value=1, max_value=8))
+    occupations = tuple(draw(st.lists(level, min_size=d, max_size=d).filter(any)))
+    L = sum(occupations)
+    return occupations, draw(st.one_of(st.just(0), st.just(L), st.integers(0, L)))
+
+
+@st.composite
+def _small_infinite_case(draw):
+    """Exact densities with d up to 4 (empty levels common) and a block size up to 12."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    count = st.one_of(st.just(0), st.integers(min_value=1, max_value=4))
+    counts = draw(st.lists(count, min_size=d, max_size=d).filter(any))
+    densities = tuple(Fraction(c, sum(counts)) for c in counts)
+    return densities, draw(st.one_of(st.just(0), st.integers(0, 12)))
+
+
+class TestMergeIdentity:
+    """Each level against the rest merged into one level gives the marginal the rows sum to."""
+
+    @given(_small_finite_case())
+    @example(((0, 7, 0), 3))
+    @example(((3, 0, 5), 0))
+    @example(((3, 0, 5), 8))
+    @example(((6, 5, 4), 7))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_finite(self, case):
+        occupations, n = case
+        cfg = SectorConfig.finite(occupations)
+        _assert_same_laws(
+            _marginals_from_product_form(cfg, n),
+            _marginals_from_rows(exact_spectrum(cfg, n, exact=True)),
+        )
+
+    @given(_small_infinite_case())
+    @example(((HALF, Fraction(0), HALF), 6))
+    @example(((Fraction(0), Fraction(1), Fraction(0)), 3))
+    @example(((THIRD, THIRD, THIRD), 0))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_infinite(self, case):
+        densities, n = case
+        _assert_same_laws(
+            _marginals_from_product_form(SectorConfig.infinite(densities), n),
+            _marginals_from_rows(thermo_spectrum(densities, n, exact=True)),
+        )
 
 
 class _UnreadableBlockSizes(Sequence):

@@ -258,6 +258,25 @@ class TestSmallerSide:
             verify_uniform_mixture(11, 2, 11)
 
 
+class TestGuardsPastTheIntStrLimit:
+    """Guards refuse a power past 2^64 without building it, and without printing its digits."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_theorem(SectorConfig.finite((10_000, 10_000)), 15_000),
+            lambda: build_state(SectorConfig.finite((10_000, 10_000))),
+            lambda: verify_uniform_mixture(20_000, 2, 15_000),
+            lambda: verify_theorem(SectorConfig.finite((10**7,) * 3), 10**7),
+        ],
+        ids=["theorem", "state", "mixture", "theorem-d3-L3e7"],
+    )
+    def test_refused_as_a_resource_error(self, call):
+        # 2^15000 has 4,516 digits, past Python's default int-to-str limit of 4,300
+        with pytest.raises(ResourceLimitError, match=r"dimension \d+\^\d+ exceeds guard"):
+            call()
+
+
 class TestVerifyTheorem:
     def test_small_sweep_passes(self):
         for L in range(1, 6):
