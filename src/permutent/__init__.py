@@ -16,12 +16,10 @@ from .entropy import (
     EntropyReport,
     asymptotic_entropy,
     asymptotic_validity,
-    block_entropies,
     block_entropy,
     effective_spin,
     entropy_of_spectrum,
     entropy_report,
-    entropy_reports,
     finite_size_corrections,
     fit_prefactor,
     max_entropy_bound,
@@ -73,7 +71,6 @@ __all__ = [
     "EffectiveSpin",
     "entropy_of_spectrum",
     "block_entropy",
-    "block_entropies",
     "asymptotic_entropy",
     "asymptotic_validity",
     "max_entropy_bound",
@@ -81,7 +78,6 @@ __all__ = [
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
-    "entropy_reports",
     "GaussianModel",
     "composition_moments",
     "build_gaussian",

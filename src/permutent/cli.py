@@ -26,11 +26,10 @@ from .entropy import (
     asymptotic_entropy,
     block_entropy,
     entropy_report,
-    entropy_reports,
     finite_size_corrections,
     bits_to_nats,
 )
-from .oracle import MAX_DENSITY_DIM, MatchReport, verify_theorem, verify_uniform_mixture
+from .oracle import MatchReport, _block_dim, verify_theorem, verify_uniform_mixture
 from .spectrum import (
     ResourceLimitError,
     SectorConfig,
@@ -49,11 +48,10 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
-# Budget for the figures command's L = inf series, the sum of d * n over its
-# exact points: each is an O(d * n) marginal block_entropy.  Admits the default
-# charts and --max-l 1000000 at 40 points (6.0e7); refuses --max-l 1000000
-# --points 1000 (1.5e9).
-FIGURES_MAX_WORK = 100_000_000
+# Budget for the exact entropies of a sweep or of the figures L = inf series: the sum of
+# d * n over their block sizes, each an O(d * n) marginal block_entropy.  Admits the default
+# charts and --max-l 1000000 at 40 points (6.0e7); refuses it at --points 1000 (1.5e9).
+MAX_ENTROPY_WORK = 100_000_000
 
 CORRECTIONS_CSV_COLUMNS = (
     "n_over_L,delta_per_bits,delta_per_leading_bits,delta_cr_bits,delta_cr_leading_bits"
@@ -92,6 +90,16 @@ def _block_range(n_min: int, n_max: int, step: int = 1) -> range:
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"invalid block range [{n_min}, {n_max}]")
     return range(n_min, n_max + 1, step)
+
+
+def _check_entropy_work(command: str, d: int, count: int, first: int, last: int, hint: str) -> None:
+    """Refuse count sizes spread evenly over first..last whose sum of d*n passes MAX_ENTROPY_WORK."""
+    work = d * count * (first + last) // 2
+    if work > MAX_ENTROPY_WORK:
+        raise ResourceLimitError(
+            f"{command} work estimate {work} (sum of d*n over the exact points) "
+            f"exceeds guard {MAX_ENTROPY_WORK}; {hint}"
+        )
 
 
 def _parse_list(text: str, flag: str, parse: type, example: str) -> tuple:
@@ -255,7 +263,11 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     """Sweep the block size: exact entropy, asymptotic value, sup bound, gap."""
     sector = _build_sector(L, d, occ, dens)
     ns = _block_range(n_min, n_max, step)
-    reports = entropy_reports(sector, ns)
+    _check_entropy_work("sweep", sector.d, (n_max - n_min) // step + 1, n_min, ns[-1],
+                        "narrow the range or raise --step")  # len(ns) fails past sys.maxsize
+    if sector.is_finite and n_max > sector.L:  # before any entropy, not at the first n past L
+        raise ValueError(f"n exceeds L: n={n_max}, L={sector.L}")
+    reports = [entropy_report(sector, n) for n in ns]
     occ_field = (
         ";".join(map(str, sector.occupations))
         if sector.is_finite
@@ -321,11 +333,8 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     if not 0.0 < tol < 1.0:  # also refuses nan
         raise ValueError(f"--tol must lie in (0, 1), got {tol!r}")
     for d, max_l in ((2, d2_max_l), (3, d3_max_l), (2, uniform_max_l), (3, uniform_max_l)):
-        if max_l >= 1 and d ** min(max_l, 64) > MAX_DENSITY_DIM:  # d^64 is past it
-            raise ResourceLimitError(
-                f"grid d={d}, L<={max_l} exceeds the dense guards "
-                f"(d^L <= {MAX_DENSITY_DIM} for full-block traces)"
-            )
+        if max_l >= 1:
+            _block_dim(d, max_l, max_l)  # the grid's largest block, refused past the dense guard
     reports = []
     for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
         for L in range(1, max_l + 1):
@@ -367,19 +376,11 @@ def cmd_figures(out_dir, points, max_l):
         raise ValueError("--points must be >= 2")
     if max_l < 1:
         raise ValueError("--max-l must be >= 1")
-    # Two lower bounds on the sum, checked before the sample is drawn: it holds max_l,
-    # and m = min(points, max_l) indices give >= m/2 distinct sizes, summing to >= m*m/8.
     inf_sector = SectorConfig.infinite((Fraction(1, 3),) * 3)
-    m = min(points, max_l)
-    work = inf_sector.d * max(max_l, m * m // 8)
-    if work <= FIGURES_MAX_WORK:
-        inf_ns = _sample_range(1, max_l, points)
-        work = inf_sector.d * sum(inf_ns)
-    if work > FIGURES_MAX_WORK:
-        raise ResourceLimitError(
-            f"figures work estimate {work} (sum of d*n over the L=inf points) "
-            f"exceeds guard {FIGURES_MAX_WORK}; lower --max-l or --points"
-        )
+    # the L = inf series samples min(points, max_l) sizes spread over 1..max_l
+    _check_entropy_work("figures", inf_sector.d, min(points, max_l), 1, max_l,
+                        "lower --max-l or --points")
+    inf_ns = _sample_range(1, max_l, points)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def finite(occupations: tuple[int, ...], tag: str) -> list[Series]:

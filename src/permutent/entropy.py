@@ -1,7 +1,7 @@
 """Entropy functionals over block spectra and the closed-form expressions.
 
 Exact block entropies come either from a materialised spectrum
-(:func:`entropy_of_spectrum`) or from :func:`block_entropies`, which reads
+(:func:`entropy_of_spectrum`) or from :func:`block_entropy`, which reads
 the spectrum builders' product form: each weight is a constant times one
 factor per level, so the expected log-weight is a sum of one expectation per
 level, and a block size costs O(d * n) without touching the (possibly
@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import ResourceLimitError, log2_binom
+from .combinatorics import log2_binom
+from .gaussian import build_gaussian, gaussian_entropy
 from .spectrum import SectorConfig, Spectrum, _product_form
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "EffectiveSpin",
     "entropy_of_spectrum",
     "block_entropy",
-    "block_entropies",
     "asymptotic_entropy",
     "asymptotic_validity",
     "max_entropy_bound",
@@ -36,7 +36,6 @@ __all__ = [
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
-    "entropy_reports",
     "bits_to_nats",
 ]
 
@@ -51,10 +50,6 @@ ZERO_DENSITY_TOL = 1e-12
 
 # Largest |sum of weights + dropped mass - 1| entropy_of_spectrum accepts.
 NORMALIZATION_TOL = 1e-9
-
-# Most block sizes one block_entropies / entropy_reports call takes; longer
-# sequences are refused by their length, before any per-row list is built.
-MAX_BLOCK_SIZES = 100_000
 
 
 def bits_to_nats(bits: float) -> float:
@@ -151,45 +146,30 @@ def _level_marginals(form: tuple, X, n: int):
         yield x, lo, c + f(x, k) + f(X - x, n - k)
 
 
-def block_entropies(cfg: SectorConfig, ns: Sequence[int]) -> list[float]:
-    """Exact block entropies at each n in ns from the marginal law of each level.
+def block_entropy(cfg: SectorConfig, n: int) -> float:
+    """Exact block entropy at block size n from the marginal law of each level.
 
     Every weight is 2^c * prod_i 2^f(x_i, k_i), one factor per level (the
     builders' product form), so S(n) = -E[log2 w] = -c - sum_i E[f(x_i, k_i)]
     needs only the law of each level's count k_i: hypergeometric at finite L,
     binomial at L = inf.
 
-    Each block size costs O(d * n) and is computed on its own, so a list
-    gives the same bits as separate calls.  Agrees with a 40-digit
-    evaluation to about 1e-11 bits at L = 2000 and 1e-10 bits at n = 10^5.
-    A level whose float density is 1.0 holds every site, so such a sector
-    is pure at every n.  A sequence longer than MAX_BLOCK_SIZES raises
-    ResourceLimitError before it is iterated.
+    Costs O(d * n).  Agrees with a 40-digit evaluation to about 1e-11 bits
+    at L = 2000 and 1e-10 bits at n = 10^5.  A level whose float density is
+    1.0 holds every site, so such a sector is pure at every n.
     """
-    if len(ns) > MAX_BLOCK_SIZES:
-        raise ResourceLimitError(f"{len(ns)} block sizes exceed guard {MAX_BLOCK_SIZES}")
-    ns = list(ns)
-    if any(n < 0 for n in ns):
+    if n < 0:
         raise ValueError("block size must be nonnegative")
     X = cfg.L or 1  # the levels' x add up to L, or to 1 at L = inf
-    if cfg.is_finite and max(ns, default=0) > X:
-        raise ValueError(f"n exceeds L: n={max(ns)}, L={X}")
-
-    def entropy(n: int) -> float:
-        form = c, f, xs, _ = _product_form(cfg, n)
-        if max(xs) >= X:
-            return 0.0
-        terms = [c]
-        for x, lo, lw in _level_marginals(form, X, n):
-            terms += _expectation(lo, lw, functools.partial(f, x), n * x / X)
-        return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a pure block
-
-    return [entropy(n) for n in ns]
-
-
-def block_entropy(cfg: SectorConfig, n: int) -> float:
-    """Exact block entropy of one block size; see :func:`block_entropies`."""
-    return block_entropies(cfg, [n])[0]
+    if cfg.is_finite and n > X:
+        raise ValueError(f"n exceeds L: n={n}, L={X}")
+    form = c, f, xs, _ = _product_form(cfg, n)
+    if max(xs) >= X:
+        return 0.0
+    terms = [c]
+    for x, lo, lw in _level_marginals(form, X, n):
+        terms += _expectation(lo, lw, functools.partial(f, x), n * x / X)
+    return 0.0 - math.fsum(terms)  # +0.0, not -0.0, for a pure block
 
 
 def _positive_densities(cfg: SectorConfig) -> tuple[float, ...]:
@@ -307,47 +287,29 @@ def fit_prefactor(points: Sequence[tuple[int, float]]) -> float:
     return sxy / sxx
 
 
-def entropy_reports(cfg: SectorConfig, ns: Sequence[int]) -> list[EntropyReport]:
-    """Exact entropy plus all closed-form comparisons at each block size in ns.
+def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
+    """Exact entropy plus all closed-form comparisons at block size n.
 
     Levels with vanishing density are dropped (effective-spin reduction)
     before evaluating the asymptotic and Gaussian forms, which require
     strictly positive densities.
     """
-    from .gaussian import build_gaussian, gaussian_entropy
-
+    exact = block_entropy(cfg, n)  # validates n first
     L = cfg.L  # None at L = inf; dropping empty levels leaves it unchanged
     reduced = effective_spin(cfg.density_fractions).reduced_densities
-    reduced_cfg: SectorConfig | None = None
+    asym: float | None = None
+    gauss: float | None = None
     C: float | None = None
+    valid = False
     if len(reduced) >= 2:
         reduced_cfg = (
             SectorConfig.finite(p * L for p in reduced) if L else SectorConfig.infinite(reduced)
         )
         C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced)
-    reports = []
-    for n, exact in zip(ns, block_entropies(cfg, ns)):  # block_entropies checks ns first
-        asym: float | None = None
-        gauss: float | None = None
-        valid = False
-        if reduced_cfg is not None:
-            valid = asymptotic_validity(reduced_cfg, n)
-            if (0 < n < L) if L else n >= 1:
-                asym = asymptotic_entropy(reduced_cfg, n)
-                gauss = gaussian_entropy(build_gaussian(reduced_cfg.density_fractions, n, L))
-        reports.append(
-            EntropyReport(
-                exact_bits=exact,
-                asymptotic_bits=asym,
-                gaussian_bits=gauss,
-                sup_bound_bits=max_entropy_bound(n, cfg.d),
-                constant_C_bits=C,
-                asymptotic_valid=valid,
-            )
-        )
-    return reports
-
-
-def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
-    """The report of one block size; see :func:`entropy_reports`."""
-    return entropy_reports(cfg, [n])[0]
+        valid = asymptotic_validity(reduced_cfg, n)
+        if (0 < n < L) if L else n >= 1:
+            asym = asymptotic_entropy(reduced_cfg, n)
+            gauss = gaussian_entropy(build_gaussian(reduced, n, L))
+    return EntropyReport(exact_bits=exact, asymptotic_bits=asym, gaussian_bits=gauss,
+                         sup_bound_bits=max_entropy_bound(n, cfg.d), constant_C_bits=C,
+                         asymptotic_valid=valid)

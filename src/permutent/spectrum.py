@@ -237,21 +237,27 @@ def _check_support(n: int, bounds: Sequence[int]) -> int:
     return support
 
 
-def _check_exact_bits(support: int, denominator: int) -> None:
+def _check_exact_bits(support: int, denominator: int | None, log2_den: float = 0.0) -> None:
     """Refuse exact weights past MAX_EXACT_BITS or past the writers' digit limit.
 
     The numerators hold about support * bit length of the denominator bits.
     A denominator with more decimal digits than Python's int-to-str limit
     could not be written; one of at most 3 * limit bits is below 10^limit.
+    Before it is built, pass None and an estimate log2_den of its log2, good
+    to well under a bit: only what surely passes a guard is refused then.
     """
-    bits = support * denominator.bit_length()
-    if bits > MAX_EXACT_BITS:
-        raise ResourceLimitError(
-            f"exact weights need about {bits} numerator bits, over guard {MAX_EXACT_BITS}; "
-            "use the log domain (exact=False, --no-exact)"
-        )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if limit and denominator.bit_length() > 3 * limit and denominator >= 10**limit:
+    if denominator is None:
+        bit_length, past_digits = int(log2_den), log2_den - 1.0 > limit * math.log2(10)
+    else:
+        bit_length = denominator.bit_length()
+        past_digits = bit_length > 3 * limit and denominator >= 10**limit
+    if support * bit_length > MAX_EXACT_BITS:
+        raise ResourceLimitError(
+            f"exact weights need about {support * bit_length} numerator bits, over guard "
+            f"{MAX_EXACT_BITS}; use the log domain (exact=False, --no-exact)"
+        )
+    if limit and past_digits:
         raise ResourceLimitError(
             f"exact weights have a denominator of more than {limit} decimal digits, "
             "Python's int-to-str limit; use the log domain (exact=False, --no-exact)"
@@ -341,10 +347,12 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
     support = _check_support(n, occupations)
-    log_const, f, _, _ = _product_form(cfg, n)
+    if exact:  # sized before the form builds a log-factorial table up to L
+        lg = math.lgamma
+        _check_exact_bits(support, None, (lg(L + 1) - lg(n + 1) - lg(L - n + 1)) / math.log(2))
+    log_const, f, _, _ = _product_form(cfg, n)  # its table guard comes before C(L, n)
     binoms, denominator = None, 1
     if exact:
-        _check_exact_bits(support, 1 << int(-log_const))  # as long as C(L, n), built at once
         denominator = math.comb(L, n)
         _check_exact_bits(support, denominator)
         binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
@@ -377,25 +385,27 @@ def thermo_spectrum(
         raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF:g}), got {cutoff!r}")
     dens = tuple(Fraction(p) for p in densities)
     cfg = SectorConfig.infinite(dens)
-    exact_possible = sum(dens) == 1
+    # a density that rounds to float 0.0 drops its level, harmless only in the log domain
+    exact_possible = sum(dens) == 1 and all(float(p) > 0 for p in dens if p > 0)
     if exact is None:
         exact = exact_possible and cutoff == 0.0 and n <= EXACT_AUTO_MAX_L
     if exact and not exact_possible:
-        raise ValueError("exact weights need densities summing to exactly 1")
+        raise ValueError("exact weights need densities summing to exactly 1, none rounding to 0.0")
     if exact and cutoff > 0.0:
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
-    # the form's bounds, checked before it builds a log-factorial table up to n
-    support = _check_support(n, [n if p > 0 else 0 for p in cfg.density_floats])
-    log_const, f, pf, bounds = _product_form(cfg, n)
+    # the form's bounds, checked before B^n or the form's log-factorial table up to n is built
+    bounds = [n if p > 0 else 0 for p in cfg.density_floats]
+    support = _check_support(n, bounds)
     pows, denominator = None, 1
     if exact:
         # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
         B = math.lcm(*(p.denominator for p in dens))
-        _check_exact_bits(support, 1 << int(n * math.log2(B)))  # as long as B^n, built at once
+        _check_exact_bits(support, None, n * math.log2(B))
         denominator = B**n
         _check_exact_bits(support, denominator)
         pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
+    log_const, f, pf, _ = _product_form(cfg, n)
     log_factors = [f(p, np.arange(b + 1)) for p, b in zip(pf, bounds)]
     compositions, log2_weights, numerators = _product_spectrum(
         n, bounds, log_factors, log_const, pows, multinomial=True

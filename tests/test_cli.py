@@ -18,6 +18,7 @@ import permutent
 from permutent import cli
 from permutent.cli import main
 from permutent.combinatorics import composition_count
+from permutent.entropy import EntropyReport
 from permutent.spectrum import (
     SectorConfig,
     Spectrum,
@@ -128,6 +129,16 @@ class TestSpectrumCommand:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: cutoff must lie in [0, 0.1)")
         assert result.stdout == ""
+
+    def test_exact_below_the_smallest_float_exits_1(self, runner):
+        # a density of 10^-400 rounds to float 0.0, which would drop its level
+        big = 10**400
+        dens = f"1/{big},{big - 1}/{big}"
+        args = ["spectrum", "--L", "inf", "--dens", dens, "--n", "2"]
+        result = runner.invoke(main, [*args, "--exact"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: exact weights need densities summing to exactly 1")
+        run_ok(runner, args)  # the automatic choice takes the log domain
 
     def test_denominator_past_the_digit_limit_exits_3(self, runner, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
@@ -346,7 +357,54 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", "--occ", "2,2", "--n-min", "0",
                                       "--n-max", "3000000"])
         assert result.exit_code == 3
-        assert result.stderr.startswith("error: 3000001 block sizes exceed guard 100000")
+        assert result.stderr.startswith("error: sweep work estimate")
+
+    # 99,379 block sizes at L = 1.6e7: sum of d*n is 1.6e12, about 11 h of entropies
+    COSTLY_SWEEP = ["sweep", "--occ", "8000000,8000000", "--n-min", "0",
+                    "--n-max", "16000000", "--step", "161"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [COSTLY_SWEEP[1:],
+         ["--L", "inf", "--dens", "1/2,1/2", "--n-min", "0", "--n-max", str(10**30)]],
+        ids=["costly-sizes", "past-maxsize"],
+    )
+    def test_work_guard_refuses_before_any_entropy(self, runner, monkeypatch, args):
+        self.no_entropy(monkeypatch)
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: sweep work estimate")
+
+    def test_block_past_l_refused_before_any_entropy(self, runner, monkeypatch):
+        self.no_entropy(monkeypatch)
+        result = runner.invoke(main, ["sweep", "--occ", "3,3", "--n-min", "0", "--n-max", "7"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: n exceeds L: n=7, L=6")
+
+    @staticmethod
+    def no_entropy(monkeypatch):
+        def fail(sector, n):
+            raise AssertionError("entropy_report called")
+
+        monkeypatch.setattr(cli, "entropy_report", fail)
+
+    def test_work_guard_exits_at_once(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-m", "permutent.cli", *self.COSTLY_SWEEP],
+                                capture_output=True, env=env, timeout=5, check=False)
+        assert result.returncode == 3, result.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--occ", "400,400,400,400,400", "--n-min", "0", "--n-max", "2000", "--step", "40"],
+         ["--occ", "4000,4000,4000,4000,4000", "--n-min", "0", "--n-max", "10000",
+          "--step", "2500"]],
+        ids=["benchmark-sweep", "readme-sweep"],
+    )
+    def test_work_guard_admits_the_documented_sweeps(self, runner, monkeypatch, args):
+        report = EntropyReport(1.0, None, None, 1.0, None, False)
+        monkeypatch.setattr(cli, "entropy_report", lambda sector, n: report)
+        run_ok(runner, ["sweep", *args])
 
     def test_svg_output(self, runner, tmp_path):
         out = tmp_path / "sweep.svg"

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutent import entropy
-from permutent.combinatorics import ResourceLimitError
 from permutent.entropy import (
     asymptotic_entropy,
     asymptotic_validity,
     bits_to_nats,
-    block_entropies,
     block_entropy,
     effective_spin,
     entropy_of_spectrum,
     entropy_report,
-    entropy_reports,
     finite_size_corrections,
     fit_prefactor,
     max_entropy_bound,
@@ -190,23 +186,6 @@ class TestEntropyRoutes:
             entropy_of_spectrum(thermo_spectrum(densities, n)), abs=1e-10
         )
 
-    @given(st.data())
-    @settings(max_examples=100)
-    def test_shared_conditionals_change_no_bit(self, data):
-        d = data.draw(st.integers(min_value=2, max_value=5))
-        counts = data.draw(
-            st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d).filter(any)
-        )
-        if data.draw(st.booleans()):
-            cfg = SectorConfig.finite(counts)
-            L = cfg.L
-        else:
-            cfg = SectorConfig.infinite([Fraction(c, sum(counts)) for c in counts])
-            L = 40
-        ns = data.draw(st.lists(st.one_of(st.just(0), st.just(L), st.integers(0, L)), max_size=12))
-        # a list of block sizes must give the same bits as separate calls
-        assert block_entropies(cfg, ns) == [block_entropies(cfg, [n])[0] for n in ns]
-
     def test_all_mass_in_level_zero(self):
         assert block_entropy(SectorConfig.infinite((1, 0, 0)), 5) == 0.0
 
@@ -217,7 +196,6 @@ class TestEntropyRoutes:
         cfg = SectorConfig.infinite((1 - 2 * tiny, tiny, tiny))
         for n in (0, 5, 50):
             assert block_entropy(cfg, n) == 0.0
-        assert block_entropies(cfg, [0, 5, 50]) == [0.0, 0.0, 0.0]
 
 
 @st.composite
@@ -244,7 +222,7 @@ def _infinite_cases(draw):
 
 
 class TestAgainstChainRule:
-    """block_entropies against the chain rule over levels and, for small sectors, enumeration."""
+    """block_entropy against the chain rule over levels and, for small sectors, enumeration."""
 
     @given(_finite_cases())
     @example(((30, 0, 30, 20), [0, 1, 40, 79, 80]))
@@ -255,7 +233,7 @@ class TestAgainstChainRule:
     @settings(derandomize=True, max_examples=100, deadline=None)
     def test_finite(self, case):
         occupations, ns = case
-        got = block_entropies(SectorConfig.finite(occupations), ns)
+        got = [block_entropy(SectorConfig.finite(occupations), n) for n in ns]
         for n, s, ref in zip(ns, got, chain_rule_entropies(occupations, ns, finite=True)):
             assert s == pytest.approx(ref, abs=1e-10), n
             if sum(occupations) <= 14:
@@ -270,7 +248,7 @@ class TestAgainstChainRule:
     @settings(derandomize=True, max_examples=100, deadline=None)
     def test_infinite(self, case):
         densities, ns = case
-        got = block_entropies(SectorConfig.infinite(densities), ns)
+        got = [block_entropy(SectorConfig.infinite(densities), n) for n in ns]
         for n, s, ref in zip(ns, got, chain_rule_entropies(densities, ns, finite=False)):
             assert s == pytest.approx(ref, abs=1e-10), n
 
@@ -347,46 +325,16 @@ class TestMergeIdentity:
         )
 
 
-class _UnreadableBlockSizes(Sequence):
-    """A sequence of the given length whose block sizes must never be read."""
-
-    def __init__(self, length):
-        self.length = length
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, index):
-        raise AssertionError("block sizes materialised")
-
-    def __iter__(self):
-        raise AssertionError("block sizes materialised")
-
-
 class TestBlockSizeGuard:
-    @pytest.mark.parametrize("compute", [block_entropies, entropy_reports])
-    @pytest.mark.parametrize(
-        "cfg", [SectorConfig.finite((2, 2)), SectorConfig.infinite((HALF, HALF))],
-        ids=["finite", "inf"],
-    )
-    def test_refused_by_length_before_reading(self, compute, cfg):
-        with pytest.raises(ResourceLimitError, match="1000000000000 block sizes exceed guard"):
-            compute(cfg, _UnreadableBlockSizes(10**12))
-
-    def test_cap_itself_is_admitted(self):
-        cfg = SectorConfig.infinite((HALF, HALF))
-        with pytest.raises(ResourceLimitError):
-            block_entropies(cfg, _UnreadableBlockSizes(entropy.MAX_BLOCK_SIZES + 1))
-        with pytest.raises(AssertionError, match="materialised"):  # past the guard
-            block_entropies(cfg, _UnreadableBlockSizes(entropy.MAX_BLOCK_SIZES))
-
     @pytest.mark.parametrize(
         "cfg", [SectorConfig.finite((2, 2)), SectorConfig.infinite((HALF, HALF))],
         ids=["finite", "inf"],
     )
     def test_negative_block_size_rejected(self, cfg):
         with pytest.raises(ValueError, match="block size must be nonnegative"):
-            block_entropies(cfg, [1, -1])
+            block_entropy(cfg, -1)
+        with pytest.raises(ValueError, match="block size must be nonnegative"):
+            entropy_report(cfg, -1)
 
 
 class TestAsymptoticEntropy:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,6 +263,17 @@ class TestThermoSpectrum:
         with pytest.raises(ValueError, match="summing to exactly 1"):
             thermo_spectrum((0.1, 0.2, 0.7), 3, exact=True)
 
+    def test_exact_refuses_a_density_below_the_smallest_float(self):
+        tiny = Fraction(1, 2**1100)  # rounds to float 0.0, which would drop its level
+        with pytest.raises(ValueError, match="none rounding to 0.0"):
+            thermo_spectrum((tiny, 1 - tiny), 3, exact=True)
+
+    def test_auto_takes_the_log_domain_below_the_smallest_float(self):
+        tiny = Fraction(1, 2**1100)
+        s = thermo_spectrum((tiny, 1 - tiny), 3)
+        assert not s.is_exact
+        assert s.normalization_residual() <= 1e-12
+
     def test_zero_density_supported(self):
         s = thermo_spectrum((HALF, HALF, Fraction(0)), 4)
         assert all(e.parts[2] == 0 for e in s.entries)
@@ -475,6 +487,31 @@ class TestSupportGuard:
             thermo_spectrum((HALF, HALF), 40_000, exact=True)
         with pytest.raises(ResourceLimitError, match="numerator bits"):
             exact_spectrum(SectorConfig.finite((40_000, 40_000)), 40_000, exact=True)
+
+    def test_exact_guard_sized_before_the_table(self, monkeypatch):
+        def fail(n):
+            raise AssertionError("log-factorial table built")
+
+        monkeypatch.setattr(spectrum, "log2_factorial_table", fail)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        # 1,000,001 entries over C(1.6e7, 1e6), of about 5.4e6 bits
+        with pytest.raises(ResourceLimitError, match="numerator bits"):
+            exact_spectrum(SectorConfig.finite((8_000_000, 8_000_000)), 1_000_000, exact=True)
+        # one entry over C(1e5, 5e4), of about 30,100 digits
+        with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
+            exact_spectrum(SectorConfig.finite((100_000, 0)), 50_000, exact=True)
+
+    def test_exact_guard_builds_no_power(self):
+        # B = 2 * 10^4000, so B^n has about 1.3e10 bits at n = 10^6
+        p = HALF + Fraction(1, 10**4000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="numerator bits"):
+                thermo_spectrum((p, 1 - p), 10**6, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_denominators_past_the_digit_limit_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
