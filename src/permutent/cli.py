@@ -49,8 +49,8 @@ EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
 # Budget for the exact entropies of a sweep or of the figures L = inf series: the sum of
-# d * n over their block sizes, each an O(d * n) marginal block_entropy.  Admits the default
-# charts and --max-l 1000000 at 40 points (6.0e7); refuses it at --points 1000 (1.5e9).
+# d * n over their block sizes, an upper bound on the O(d * sqrt(n)) block_entropy.  Admits
+# the default charts and --max-l 1000000 at 40 points (6.0e7); refuses --points 1000 (1.5e9).
 MAX_ENTROPY_WORK = 100_000_000
 
 CORRECTIONS_CSV_COLUMNS = (

@@ -6,9 +6,9 @@ compositions.  Two numeric representations are kept side by side:
 
 * exact arbitrary-precision integers / rationals, used for identity checks
   and moderate system sizes, and
-* base-2 logarithms read from one table of log-factorials, rebuilt longer
-  from 0! when a request passes its end, used as the overflow-safe
-  performance path for arbitrary sizes.
+* logarithms from two stateless pieces of C. Loader, "Fast and Accurate
+  Computation of Binomial Probabilities" (2000): Q(m) = ln m! - (m ln m - m)
+  and bd0(k, mu) = k ln(k/mu) + mu - k, O(log m) where the weights live.
 """
 
 from __future__ import annotations
@@ -21,65 +21,67 @@ import numpy as np
 __all__ = [
     "ResourceLimitError",
     "log2_binom",
-    "log2_factorial_table",
     "enumerate_compositions",
     "composition_count",
 ]
-
-# Largest m the log-factorial table covers; larger requests fail fast.  A
-# build holds one extended-precision array (16 bytes per entry) beside the new
-# float64 table and the old one, so a process that builds the full table peaks
-# near 480 MB of RSS (410 MB when no shorter table came first).  Admits
-# L = 10^6 sectors and max_entropy_bound up to n = 10^7.
-MAX_LOG2_FACTORIAL = 2**24
 
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the desk-scale guards."""
 
 
-_log2_fact = np.zeros(1)  # _log2_fact[m] == log2(m!), rebuilt longer on demand
+# Q(m) for m < 16, where Stirling's series below is not yet accurate to float64
+_Q_SMALL = np.array([math.lgamma(m + 1) - m * math.log(m) + m if m else 0.0 for m in range(16)])
 
 
-def log2_factorial_table(n: int) -> np.ndarray:
-    """Read-only view of the log-factorial table covering 0..n: entry m is log2(m!).
+def _stirling_tail(m):
+    """Q(m) for m >= 16 (a float or a float array): 1/2 ln(2 pi m) + 1/12m - 1/360m^3 + ..."""
+    r = 1.0 / m
+    r2 = r * r
+    series = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188))))
+    return 0.5 * np.log(2.0 * math.pi * m) + series
 
-    A request past the table's end builds a longer one from 0!, at least
-    double the length, and swaps it in.  Entry m is the extended-precision
-    running sum of log2(1), ..., log2(m), so it depends only on m and never
-    on which requests came first; callers racing to build may each swap in
-    their own table, and all of them agree.  Raises ResourceLimitError past
-    MAX_LOG2_FACTORIAL, before allocating.
+
+def _q(m: int) -> float:
+    """Q(m) = ln m! - (m ln m - m) for one integer m >= 0, with Q(0) = 0."""
+    return float(_Q_SMALL[m]) if m < 16 else float(_stirling_tail(float(m)))
+
+
+def _q_array(m: np.ndarray) -> np.ndarray:
+    """Q elementwise over an array of nonnegative integers."""
+    if m.max(initial=0) < 16:
+        return _Q_SMALL[m]
+    return np.where(m < 16, _Q_SMALL[np.minimum(m, 15)], _stirling_tail(np.maximum(m, 16.0)))
+
+
+def _bd0(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """bd0(k, mu) = k ln(k/mu) + mu - k elementwise, for integers k >= 0 and floats mu >= 0.
+
+    Within |k - mu| < mu it is k log1p((k - mu)/mu) - (k - mu), which keeps its
+    digits near k = mu; elsewhere k (ln k - ln mu) - (k - mu), so k/mu cannot
+    overflow for a subnormal mu, and k = 0 gives mu.
     """
-    global _log2_fact
-    table = _log2_fact
-    if n >= table.shape[0]:
-        if n > MAX_LOG2_FACTORIAL:
-            raise ResourceLimitError(
-                f"log-factorial table up to {n} exceeds guard {MAX_LOG2_FACTORIAL}"
-            )
-        size = min(max(n + 1, 2 * table.shape[0]), MAX_LOG2_FACTORIAL + 1)
-        ext = np.arange(size, dtype=np.longdouble)
-        ext[0] = 1  # log2(0!) = log2(1)
-        np.log2(ext, out=ext)
-        np.cumsum(ext, out=ext)
-        table = _log2_fact = ext.astype(np.float64)
-    view = table[: n + 1].view()
-    view.setflags(write=False)
-    return view
+    dev = k - mu
+    near = np.abs(dev) < mu
+    log_ratio = np.log(np.maximum(k, 1.0)) - np.log(np.maximum(mu, 5e-324))
+    log_ratio[near] = np.log1p(dev[near] / mu[near])
+    return k * log_ratio - dev
 
 
 def log2_binom(n: int, k: int) -> float:
-    """log2 of the binomial coefficient, for 0 <= k <= n.
+    """log2 of the binomial coefficient, for 0 <= k <= n, at any size.
 
-    Where numpy's longdouble is 80-bit extended precision, the error is at
-    most 2 ulp of log2(n!), checked up to n = 10^6 (where that ulp is 3.7e-9
-    bits); where longdouble is plain float64 the table is less accurate.
+    Exact below 16 on the smaller side; otherwise Q(n) - Q(k) - Q(n - k) plus
+    k ln(n/k) + (n - k) ln(n/(n - k)), the larger side's log taken by log1p so
+    that k near n is as accurate as k near 0 (4 ulp at n = 10^6 and 10^12).
     """
     if not 0 <= k <= n:
         raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    t = log2_factorial_table(n)
-    return float(t[n] - t[k] - t[n - k])
+    small, large = min(k, n - k), max(k, n - k)
+    if small < 16:
+        return math.log2(math.comb(n, small))
+    spread = small * math.log(n / small) - large * math.log1p(-small / n)
+    return (_q(n) - _q(small) - _q(large) + spread) / math.log(2.0)
 
 
 def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:

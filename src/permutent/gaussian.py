@@ -61,8 +61,8 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
         def expect(column: np.ndarray) -> Fraction:
             return Fraction(sum(map(operator.mul, nums, column.tolist())), den)
 
-        # the builders keep counts <= 2^24 (the log-factorial guard), so int64 products are exact
-        ks = spectrum.compositions
+        wraps = spectrum.compositions.max() > math.isqrt(2**63 - 1)  # int64 products would wrap
+        ks = spectrum.compositions.astype(object if wraps else np.int64, copy=False)
         mean_frac = [expect(ks[:, i]) for i in range(d)]
         cov = np.empty((d, d))
         for i, j in combinations_with_replacement(range(d), 2):

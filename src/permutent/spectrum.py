@@ -7,8 +7,9 @@ For a permutation-invariant pure state fixed by the occupation numbers
 
 over bounded compositions k of the block size n.  In the thermodynamic limit
 (L -> inf at fixed densities p_i) the weights become multinomial,
-``multinomial(n; k) * prod p_i^{k_i}``, and for the uniformly mixed global
-state the spectrum is flat over all compositions of n.
+``multinomial(n; k) * prod p_i^{k_i}``; for the uniformly mixed global state
+the spectrum is flat.  Each is a constant times one factor per level, read by
+one builder, with log factors centred so that no digits cancel at any size.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ import numpy as np
 
 from .combinatorics import (
     ResourceLimitError,
+    _bd0,
+    _q,
+    _q_array,
     composition_count,
     log2_binom,
-    log2_factorial_table,
 )
 
 __all__ = [
@@ -51,8 +54,8 @@ EXACT_AUTO_MAX_L = 300
 
 DENSITY_SUM_TOL = 1e-12
 
-# Largest spectrum a builder materialises; larger requests fail fast before
-# enumerating.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
+# Largest spectrum a builder materialises, and most counts block_entropy sums; larger
+# requests fail fast.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
 MAX_SPECTRUM_SUPPORT = 2_000_000
 
 # Largest estimate, support * bit length of the shared denominator, of the
@@ -224,16 +227,17 @@ def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
     return product
 
 
+def _check_size(what: str, size: int) -> None:
+    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built."""
+    if size > MAX_SPECTRUM_SUPPORT:
+        raise ResourceLimitError(f"{what} {size} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+
+
 def _check_support(n: int, bounds: Sequence[int]) -> int:
     """The support size, refused above MAX_SPECTRUM_SUPPORT (cheap lower bound first)."""
-    at_least = _support_lower_bound(n, bounds)
-    if at_least > MAX_SPECTRUM_SUPPORT:
-        raise ResourceLimitError(
-            f"spectrum support of at least {at_least} exceeds guard {MAX_SPECTRUM_SUPPORT}"
-        )
+    _check_size("spectrum support of at least", _support_lower_bound(n, bounds))
     support = composition_count(n, bounds)
-    if support > MAX_SPECTRUM_SUPPORT:
-        raise ResourceLimitError(f"spectrum support {support} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+    _check_size("spectrum support", support)
     return support
 
 
@@ -267,35 +271,54 @@ def _check_exact_bits(support: int, denominator: int | None, log2_den: float = 0
 def _product_form(cfg: SectorConfig, n: int) -> tuple[float, Callable, tuple, tuple[int, ...]]:
     """The weights at block size n as 2^c * prod_i 2^f(x_i, k_i): (c, f, levels x, bounds b).
 
-    Finite L: f(N, k) = log2 C(N, k), c = -log2 C(L, n), x_i = b_i = N_i.  L = inf:
-    f(p, k) = k log2 p - log2 k!, c = log2 n!, x_i = p_i (floats), b_i = n if p_i > 0
-    else 0.  f takes an integer array k; merging levels adds their x.
+    Centred on the mean counts with Q and bd0 (see combinatorics), so every term is O(log n).
+    Finite L, y = n/L: f(N, k) ln 2 = Q(N) - Q(k) - Q(N-k) - bd0(k, yN) - bd0(N-k, (1-y)N),
+    c ln 2 = Q(n) + Q(L-n) - Q(L), x_i = b_i = N_i.  L = inf: f(p, k) ln 2 = -bd0(k, np) - Q(k),
+    c ln 2 = Q(n), x_i = p_i (floats), b_i = n if p_i > 0 else 0.  c + sum_i f is log2 of the
+    weight because sum_i k_i = n.  f takes arrays x and k (integer) of one shape; merging
+    levels adds their x.
     """
-    occ = cfg.occupations
+    if max(n, cfg.L or 0) > 2**63 - 1:  # f takes int64 counts
+        raise ResourceLimitError(f"n = {n} or L = {cfg.L} is past the int64 counts of the form")
+    ln2, occ = math.log(2.0), cfg.occupations
     if occ is not None:
-        t = log2_factorial_table(sum(occ))
-        return -log2_binom(sum(occ), n), lambda N, k: t[N] - t[k] - t[N - k], occ, occ
-    t, pf = log2_factorial_table(n), cfg.density_floats
+        L = sum(occ)
+        shares = np.array([[n / L], [(L - n) / L]])  # y and 1 - y, each rounded once
+
+        def f(N, k):
+            m = np.array((k, N - k, N))
+            q = _q_array(m)
+            g = q[:2] + _bd0(m[:2], shares * N)  # the k and N - k terms
+            return (q[2] - g[0] - g[1]) / ln2
+        return (_q(n) + _q(L - n) - _q(L)) / ln2, f, occ, occ
+    pf = cfg.density_floats
     bounds = tuple(n if p > 0 else 0 for p in pf)
-    return float(t[n]), lambda p, k: k * (math.log2(p) if p > 0 else 0.0) - t[k], pf, bounds
+    return _q(n) / ln2, lambda p, k: -(_bd0(k, n * p) + _q_array(k)) / ln2, pf, bounds
+
+
+def _level_ranges(n: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
+    """Each level's counts lo..hi at block size n that occur in some composition, as (lo, hi)."""
+    return [(max(0, n - sum(bounds) + b), min(b, n)) for b in bounds]
+
+
+def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:
+    """Arrays (x, k) holding each level's x beside each k of its range, and each level's start."""
+    sizes = [hi - lo + 1 for lo, hi in ranges]
+    k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
+    return np.array(xs).repeat(sizes), k, list(accumulate(sizes[:-1], initial=0))
 
 
 def _product_spectrum(
-    n: int,
-    bounds: Sequence[int],
-    log_factors: Sequence[Sequence[float]],
-    log_const: float,
-    exact_tables: Sequence[Sequence[int]] | None,
-    multinomial: bool = False,
+    n: int, form: tuple, exact_factors: Sequence[int] | None = None, multinomial: bool = False
 ) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
-    """Columns of a product-form spectrum, weight(k) = const * prod_i f_i(k_i).
+    """Columns of the spectrum of a product form (c, f, x, b), weight(k) = 2^c prod_i 2^f(x_i, k_i).
 
     Returns the composition matrix, the log2 weights and, unless
-    ``exact_tables`` is None, the integer numerators.  ``log_factors[i][k]``
-    is log2 f_i(k) for k <= bounds[i]; a row's log2 weight is the
-    left-to-right sum of its per-level logs plus ``log_const``.  A row's
-    numerator is the product of its ``exact_tables[i][k_i]``, times
-    multinomial(n; k) with ``multinomial``, taken as the chain of binomials
+    ``exact_factors`` is None, the integer numerators.  f is called once,
+    over every level's ``_level_ranges``; a row's log2 weight is the
+    left-to-right sum of its per-level factors plus c.  A row's numerator is
+    the product of its ``exact_factors`` (over the same ranges, concatenated),
+    times multinomial(n; k) with ``multinomial``: the binomials
     binom(left_i, k_i) over the sites left before each level.
 
     Built one level at a time: every prefix row is repeated once per
@@ -303,24 +326,35 @@ def _product_spectrum(
     out in lexicographic order.  Each level keeps the index of every row's
     prefix, and the matrix is filled from them at the end.
     """
+    log_const, f, xs, bounds = form
     suffix = list(accumulate(reversed(bounds), initial=0))[::-1]  # suffix[i] = sum(bounds[i:])
+    ranges = _level_ranges(n, bounds)
+    x, ks, starts = _stacked(xs, ranges)
+    log_factors = f(x, ks)
+    offsets = [start - lo for start, (lo, _) in zip(starts, ranges)]  # k sits at index k + offset
     left = np.array([n])
     log_sum = np.zeros(1)
-    nums = None if exact_tables is None else np.ones(1, dtype=object)
+    exact = None if exact_factors is None else np.array(exact_factors, dtype=object)
+    nums = None if exact is None else np.ones(1, dtype=object)
     links = []
-    for i, (b, log_f) in enumerate(zip(bounds, map(np.asarray, log_factors))):
+    for i, (b, offset) in enumerate(zip(bounds[:-1], offsets)):
         lo = np.maximum(0, left - suffix[i + 1])
         counts = np.minimum(b, left) - lo + 1
         prefix = np.repeat(np.arange(left.size), counts)
         k = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
         links.append((prefix, k))
-        log_sum = log_sum[prefix] + log_f[k]
+        log_sum = log_sum[prefix] + log_factors[k + offset]
         if nums is not None:
-            nums = nums[prefix] * np.array(exact_tables[i], dtype=object)[k]
-            if multinomial and i < len(bounds) - 1:  # the last level's binomial is 1
+            nums = nums[prefix] * exact[k + offset]
+            if multinomial:
                 nums *= _comb(left[prefix], k)
         left = left[prefix] - k
+    # the last level takes every site left, which its bound always admits
+    log_sum = log_sum + log_factors[left + offsets[-1]]
+    if nums is not None:
+        nums *= exact[left + offsets[-1]]
     compositions = np.empty((left.size, len(bounds)), dtype=np.int64)
+    compositions[:, -1] = left
     row = np.arange(left.size)
     for i, (prefix, k) in reversed(list(enumerate(links))):
         compositions[:, i] = k[row]
@@ -347,19 +381,14 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
     support = _check_support(n, occupations)
-    if exact:  # sized before the form builds a log-factorial table up to L
-        lg = math.lgamma
-        _check_exact_bits(support, None, (lg(L + 1) - lg(n + 1) - lg(L - n + 1)) / math.log(2))
-    log_const, f, _, _ = _product_form(cfg, n)  # its table guard comes before C(L, n)
     binoms, denominator = None, 1
     if exact:
+        _check_exact_bits(support, None, log2_binom(L, n))
         denominator = math.comb(L, n)
         _check_exact_bits(support, denominator)
-        binoms = [[math.comb(N, k) for k in range(min(N, n) + 1)] for N in occupations]
-    log_factors = [f(N, np.arange(min(N, n) + 1)) for N in occupations]
-    compositions, log2_weights, numerators = _product_spectrum(
-        n, occupations, log_factors, log_const, binoms
-    )
+        ranges = zip(occupations, _level_ranges(n, occupations))
+        binoms = [math.comb(N, k) for N, (lo, hi) in ranges for k in range(lo, hi + 1)]
+    compositions, log2_weights, numerators = _product_spectrum(n, _product_form(cfg, n), binoms)
     return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator)
 
 
@@ -394,9 +423,8 @@ def thermo_spectrum(
     if exact and cutoff > 0.0:
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
-    # the form's bounds, checked before B^n or the form's log-factorial table up to n is built
-    bounds = [n if p > 0 else 0 for p in cfg.density_floats]
-    support = _check_support(n, bounds)
+    form = _product_form(cfg, n)
+    support = _check_support(n, form[3])
     pows, denominator = None, 1
     if exact:
         # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
@@ -404,12 +432,9 @@ def thermo_spectrum(
         _check_exact_bits(support, None, n * math.log2(B))
         denominator = B**n
         _check_exact_bits(support, denominator)
-        pows = [[int(p * B) ** k for k in range(b + 1)] for p, b in zip(dens, bounds)]
-    log_const, f, pf, _ = _product_form(cfg, n)
-    log_factors = [f(p, np.arange(b + 1)) for p, b in zip(pf, bounds)]
-    compositions, log2_weights, numerators = _product_spectrum(
-        n, bounds, log_factors, log_const, pows, multinomial=True
-    )
+        ranges = zip(dens, _level_ranges(n, form[3]))
+        pows = [int(p * B) ** k for p, (lo, hi) in ranges for k in range(lo, hi + 1)]
+    compositions, log2_weights, numerators = _product_spectrum(n, form, pows, multinomial=True)
 
     dropped_mass = 0.0
     if cutoff > 0.0:
@@ -428,11 +453,9 @@ def thermo_spectrum(
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     kappa = dimension_symmetric_subspace(n, d)
-    bounds = (n,) * d
-    support = _check_support(n, bounds)
-    compositions, log2_weights, _ = _product_spectrum(
-        n, bounds, [[0.0] * (n + 1)] * d, -log2_binom(n + d - 1, d - 1), None
-    )
+    support = _check_support(n, (n,) * d)
+    flat = -log2_binom(n + d - 1, d - 1), lambda x, k: np.zeros(k.size), (0,) * d, (n,) * d
+    compositions, log2_weights, _ = _product_spectrum(n, flat)
     return Spectrum(compositions, log2_weights, n, numerators=[1] * support, denominator=kappa)
 
 

@@ -5,12 +5,14 @@ from the Pascal recurrence, composition counts from explicit polynomial
 multiplication, compositions from a recursive generator, and entropies from
 direct sums over the recursively enumerated support.  The chain-rule
 entropies read log-factorials from ``math.lgamma`` and conditional densities
-from exact fractions.
+from exact fractions.  The 50-digit references use ``decimal``: exact
+factorials below 1000 and Stirling's series with ten Bernoulli terms above.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -112,7 +114,7 @@ def uniform_weights(n: int, d: int) -> dict[tuple[int, ...], Fraction]:
     return {parts: Fraction(1, len(support)) for parts in support}
 
 
-def _log2_factorials(m: int) -> list[float]:
+def _lgamma_factorial_bits(m: int) -> list[float]:
     return [math.lgamma(k + 1) / math.log(2.0) for k in range(m + 1)]
 
 
@@ -133,7 +135,7 @@ def chain_rule_entropies(levels: Sequence, ns: Sequence[int], *, finite: bool) -
     d = len(levels)
     if finite:
         L = sum(levels)
-        t = _log2_factorials(L)
+        t = _lgamma_factorial_bits(L)
 
         def hyper(total: int, marked: int, draws: int) -> tuple[list[float], int]:
             lo, hi = max(0, draws - (total - marked)), min(marked, draws)
@@ -154,7 +156,7 @@ def chain_rule_entropies(levels: Sequence, ns: Sequence[int], *, finite: bool) -
 
     else:
         p = [Fraction(x) for x in levels]
-        t = _log2_factorials(max(ns, default=0))
+        t = _lgamma_factorial_bits(max(ns, default=0))
 
         def binom(m: int, q: Fraction) -> tuple[list[float], int]:
             if q == 0 or q == 1:
@@ -184,3 +186,53 @@ def chain_rule_entropies(levels: Sequence, ns: Sequence[int], *, finite: bool) -
         return total
 
     return [entropy(n) for n in ns]
+
+
+_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+              Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+              Fraction(-174611, 330)]
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _decimal_ln_factorial(m: int) -> Decimal:
+    """ln m! to 60 digits (call inside a 60-digit context)."""
+    if m < 1000:
+        return Decimal(math.factorial(m)).ln()
+    x = Decimal(m)
+    total = x * x.ln() - x + (2 * _PI_50 * x).ln() / 2
+    for j, b in enumerate(_BERNOULLI, 1):
+        term = Decimal(b.numerator) / (Decimal(b.denominator) * (2 * j) * (2 * j - 1))
+        total += term / x ** (2 * j - 1)
+    return total
+
+
+def decimal_log2_binom(n: int, k: int) -> float:
+    """log2 C(n, k) from a 60-digit evaluation, rounded once to float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln_fact = _decimal_ln_factorial
+        return float((ln_fact(n) - ln_fact(k) - ln_fact(n - k)) / Decimal(2).ln())
+
+
+def small_level_weights(m: int, N: int, n: int) -> list[Fraction]:
+    """Exact weights C(m, j) C(N, n - j) / C(L, n), j = 0..m, of the sector (m, N) at block size n.
+
+    Built from the ratios C(N, n - j) / C(N, n), so no binomial of N is formed.
+    """
+    ratios = [Fraction(1)]
+    for j in range(1, m + 1):
+        ratios.append(ratios[-1] * Fraction(n - j + 1, N - n + j) if n - j >= 0 else Fraction(0))
+    raw = [math.comb(m, j) * r for j, r in enumerate(ratios)]
+    return [w / sum(raw) for w in raw]
+
+
+def decimal_entropy(weights: Sequence[Fraction]) -> float:
+    """-sum w log2 w of exact weights, from a 50-digit evaluation."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = Decimal(0)
+        for w in weights:
+            if w:
+                x = Decimal(w.numerator) / Decimal(w.denominator)
+                total -= x * x.ln()
+        return float(total / Decimal(2).ln())

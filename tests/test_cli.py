@@ -638,9 +638,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["entropy", "spectrum"])
     def test_log_factorial_guard_exits_3(self, runner, command):
+        # a sector past the former log-factorial guard (2^24 sites) now answers
         result = runner.invoke(main, [command, "--occ", "1000000000,1", "--n", "1"])
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        p = 1 / 1000000001  # the weight of the composition (0, 1)
+        if command == "entropy":
+            expected = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+            assert payload["report"]["exact_bits"] == pytest.approx(3.1340048e-08, rel=1e-7)
+            assert payload["report"]["exact_bits"] == pytest.approx(expected, abs=1e-15)
+        else:
+            log2_weights = [entry["log2_weight"] for entry in payload["entries"]]
+            assert log2_weights == pytest.approx([math.log2(p), math.log1p(-p) / math.log(2)],
+                                                 abs=1e-15)
+
+    @pytest.mark.parametrize("command", ["entropy", "spectrum"])
+    def test_counts_past_int64_exit_3(self, runner, command):
+        result = runner.invoke(main, [command, "--occ", "100000000000000000000,1", "--n", "1"])
         assert result.exit_code == 3
-        assert result.output.startswith("error: log-factorial table up to 10000000")
+        assert result.output.startswith("error: n = 1 or L = 100000000000000000001 is past")
+
+    def test_entropy_window_guard_exits_3(self, runner):
+        result = runner.invoke(main, ["entropy", "--L", "inf", "--dens", "1/2,1/2",
+                                      "--n", "100000000000000"])
+        assert result.exit_code == 3
+        assert result.output.startswith("error: block_entropy window")
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permutent import entropy
 from permutent.entropy import (
     asymptotic_entropy,
     asymptotic_validity,
@@ -23,18 +23,28 @@ from permutent.entropy import (
 )
 from permutent.oracle import build_state, dense_eigenvalues, partial_trace
 from permutent.spectrum import (
+    ResourceLimitError,
     SectorConfig,
     Spectrum,
+    _level_ranges,
     _product_form,
     exact_spectrum,
     thermo_spectrum,
     uniform_mixed_spectrum,
 )
 
-from _oracles import asymptotic_formula, chain_rule_entropies, finite_entropy, thermo_entropy
+from _oracles import (
+    asymptotic_formula,
+    chain_rule_entropies,
+    decimal_entropy,
+    finite_entropy,
+    small_level_weights,
+    thermo_entropy,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+TINY = Fraction(1, 2**30)
 LN2 = math.log(2.0)
 
 # closed form for the L=4, N=(2,2), n=2 block: weights {1/6, 2/3, 1/6}
@@ -58,13 +68,18 @@ class TestEntropyOfSpectrum:
         expected = finite_entropy((40, 40), 20)
         assert entropy_of_spectrum(s) == pytest.approx(expected, abs=1e-10)
 
-    def test_log_domain_result_does_not_depend_on_call_order(self, fresh_log2_table):
+    def test_log_domain_result_does_not_depend_on_call_order(self):
         large = SectorConfig.finite((400,) * 5)
-        fresh_log2_table()
         alone = entropy_of_spectrum(exact_spectrum(large, 40))
-        fresh_log2_table()
         exact_spectrum(SectorConfig.finite((60,) * 5), 30)
         assert entropy_of_spectrum(exact_spectrum(large, 40)) == alone
+
+    @pytest.mark.parametrize("m, N, n", [(1, 10**6, 999_999), (3, 4 * 10**6, 2 * 10**6)])
+    def test_large_sector_against_a_50_digit_value(self, m, N, n):
+        spec = exact_spectrum(SectorConfig.finite((m, N)), n)
+        assert spec.normalization_residual() < 1e-12
+        expected = decimal_entropy(small_level_weights(m, N, n))
+        assert entropy_of_spectrum(spec) == pytest.approx(expected, abs=1e-13)
 
     def test_converts_each_exact_weight_once(self, conversion_counter):
         s = conversion_counter.wrap(exact_spectrum(SectorConfig.finite((6, 5, 4)), 7))
@@ -112,11 +127,47 @@ class TestBlockEntropy:
             assert block_entropy(cfg, n) == pytest.approx(via_spectrum, abs=1e-9)
 
     def test_large_block_against_a_40_digit_value(self):
-        # -sum w log2 w over Binomial(20000, 1/3) in 40-digit arithmetic (mpmath);
-        # summing pmf * log2 k! directly, without the expansion about the mean,
-        # is about 5e-10 bits off
+        # -sum w log2 w over Binomial(20000, 1/3) in 40-digit arithmetic (mpmath); the
+        # float densities do not sum to exactly 1, which bounds the agreement near 1e-11
         cfg = SectorConfig.infinite((THIRD, 1 - THIRD))
         assert block_entropy(cfg, 20000) == pytest.approx(8.1059862679807468281, abs=1e-10)
+
+    def test_large_sector_against_a_50_digit_value(self):
+        expected = decimal_entropy(small_level_weights(2, 16_000_000, 3))
+        assert expected == pytest.approx(8.5459869083961843e-6, abs=1e-20)
+        got = block_entropy(SectorConfig.finite((2, 16_000_000)), 3)
+        assert got == pytest.approx(expected, abs=1e-13)
+
+    def test_sector_past_2_to_the_24_answers(self):
+        finite = block_entropy(SectorConfig.finite((10**8, 10**8)), 1000)
+        thermo = block_entropy(SectorConfig.infinite((HALF, HALF)), 1000)
+        # sampling without replacement from L = 2e8 sites lowers S by about (n/L)/(2 ln 2)
+        assert 0 < thermo - finite < 1e-5
+
+    def test_memory_at_sixteen_million_sites(self):
+        cfg = SectorConfig.finite((4 * 10**6,) * 4)
+        tracemalloc.start()
+        try:
+            got = block_entropy(cfg, 8 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert got == pytest.approx(asymptotic_entropy(cfg, 8 * 10**6), abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "cfg, n",
+        [(SectorConfig.infinite((p, 1 - p)), n) for p in (TINY, Fraction(1, 2**10), HALF)
+         for n in (10, 1000, 10**6)]
+        + [(SectorConfig.infinite((TINY, Fraction(1, 8), Fraction(7, 8) - TINY)), 10**5)]
+        + [(SectorConfig.finite(occ), n) for occ in ((1, 10**6), (7, 10**6 - 7), (300, 500_000))
+           for n in (10, 1000, 500_000)],
+    )
+    def test_window_against_the_full_range(self, cfg, n):
+        # skewed densities down to 2^-30 (about 1e-9); every density is exact in binary
+        c = _product_form(cfg, n)[0]
+        full = -math.fsum([c] + [pmf @ own / pmf.sum() for _, own, pmf in _level_laws(cfg, n)])
+        assert block_entropy(cfg, n) == pytest.approx(full, abs=2e-14)
 
     def test_boundaries_are_pure(self):
         cfg = SectorConfig.finite((5, 5))
@@ -259,12 +310,23 @@ def _marginals_from_rows(spectrum):
     return [np.bincount(col, weights=weights) for col in spectrum.compositions.T]
 
 
+def _level_laws(cfg, n):
+    """Per level, over all of its feasible counts k: k, f(x_i, k) and the law of k_i.
+
+    The law is the two-level weight c + f(x_i, k) + f(X - x_i, n - k): merging
+    the other levels into one adds their x.
+    """
+    c, f, xs, bounds = _product_form(cfg, n)
+    X = cfg.L or 1
+    for x, (lo, hi) in zip(xs, _level_ranges(n, bounds)):
+        k = np.arange(lo, hi + 1)
+        own = f(np.full(k.size, x), k)
+        yield k, own, np.exp2(c + own + f(np.full(k.size, X - x), n - k))
+
+
 def _marginals_from_product_form(cfg, n):
     """Each level's count law from the two-level weight of the product form."""
-    laws = []
-    for _, lo, lw in entropy._level_marginals(_product_form(cfg, n), cfg.L or 1, n):
-        laws.append(np.concatenate((np.zeros(lo), np.exp2(lw))))
-    return laws
+    return [np.concatenate((np.zeros(k[0]), pmf)) for k, _, pmf in _level_laws(cfg, n)]
 
 
 def _assert_same_laws(got, want):
@@ -335,6 +397,21 @@ class TestBlockSizeGuard:
             block_entropy(cfg, -1)
         with pytest.raises(ValueError, match="block size must be nonnegative"):
             entropy_report(cfg, -1)
+
+    @pytest.mark.parametrize(
+        "cfg", [SectorConfig.finite((10**15, 10**15)), SectorConfig.infinite((HALF, HALF))],
+        ids=["finite", "inf"],
+    )
+    def test_window_guard_refuses_before_building(self, cfg):
+        # about 2.6e8 counts in the two windows at n = 10^14
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="block_entropy window"):
+                block_entropy(cfg, 10**14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAsymptoticEntropy:

@@ -68,6 +68,19 @@ class TestCompositionMoments:
         assert cov[0, 0] == pytest.approx(expected_var, abs=1e-15)
         assert cov[0, 0] == pytest.approx(float(Fraction(1, 3)), abs=1e-15)
 
+    def test_counts_past_int64_products(self):
+        # counts of 10^10 square past 2^63; the moments still equal the exact ones
+        spec = exact_spectrum(SectorConfig.finite((3, 10**10)), 10**10, exact=True)
+        weights = [entry.weight_exact for entry in spec.entries]
+        rows = spec.compositions.tolist()
+        mean_ref = [sum(w * k[i] for w, k in zip(weights, rows)) for i in range(2)]
+        mean, cov = composition_moments(spec)
+        assert mean.tolist() == [float(m) for m in mean_ref]
+        for i in range(2):
+            for j in range(2):
+                second = sum(w * k[i] * k[j] for w, k in zip(weights, rows))
+                assert cov[i, j] == float(second - mean_ref[i] * mean_ref[j])
+
     def test_float_path_agrees_with_exact_path(self):
         exact_spec = thermo_spectrum((Fraction(1, 6), THIRD, HALF), 12)
         float_spec = thermo_spectrum((1 / 6, 1 / 3, 1 / 2), 12)

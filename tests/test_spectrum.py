@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,13 @@ from permutent import combinatorics, oracle, spectrum
 from permutent.combinatorics import (
     composition_count,
     enumerate_compositions,
-    log2_binom,
-    log2_factorial_table,
 )
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
     SectorConfig,
+    _product_form,
     dimension_symmetric_subspace,
     exact_spectrum,
     spectrum_to_json_obj,
@@ -405,7 +405,7 @@ class TestExactAgainstLogDomain:
 
 
 class TestExactLogWeights:
-    """Finite-sector log2 weights are the left-to-right sums of the level log binomials."""
+    """Finite-sector log2 weights are the left-to-right sums of the level factors, then c."""
 
     @given(st.data())
     @settings(max_examples=150)
@@ -417,18 +417,20 @@ class TestExactLogWeights:
         L = sum(occ)
         n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
         exact = data.draw(st.booleans())
-        spec = exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
+        cfg = SectorConfig.finite(occ)
+        spec = exact_spectrum(cfg, n, exact=exact)
+        c, f, _, _ = _product_form(cfg, n)
         expected = []
         for parts in spec.compositions.tolist():
             total = 0.0
             for N, k in zip(occ, parts):
-                total += log2_binom(N, k)
-            expected.append(total - log2_binom(L, n))
+                total += float(f(np.array([N]), np.array([k]))[0])
+            expected.append(total + c)
         assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
 
 
 class TestThermoLogWeights:
-    """d = 2 L = inf log2 weights: the per-k level factors summed left to right, then log2(n!)."""
+    """d = 2 L = inf log2 weights: the per-k level factors summed left to right, then c."""
 
     @pytest.mark.parametrize(
         "dens",
@@ -438,14 +440,19 @@ class TestThermoLogWeights:
     def test_per_k_formula_at_n_5000(self, dens):
         n = 5000
         spec = thermo_spectrum(dens, n, exact=False)
-        t = log2_factorial_table(n)
-        lp0, lp1 = (math.log2(p) for p in dens)
-        expected = [
-            (k * lp0 - float(t[k])) + ((n - k) * lp1 - float(t[n - k])) + float(t[n])
-            for k in range(n + 1)
-        ]
+        c, f, (p0, p1), _ = _product_form(SectorConfig.infinite(dens), n)
+        k = np.arange(n + 1)
+        f0, f1 = f(np.full(n + 1, p0), k).tolist(), f(np.full(n + 1, p1), k).tolist()
+        expected = [(f0[k] + f1[n - k]) + c for k in range(n + 1)]
         assert spec.compositions[:, 0].tolist() == list(range(n + 1))
         assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
+
+    def test_subnormal_density_keeps_finite_log_weights(self):
+        n, p = 40, 1e-320
+        spec = thermo_spectrum((p, 1 - p), n)
+        assert np.isfinite(spec.log2_weights).all()
+        assert spec.compositions[1].tolist() == [1, n - 1]
+        assert abs(spec.log2_weights[1] - math.log2(n * p)) < 1e-9
 
 
 class TestSupportGuard:
@@ -489,10 +496,15 @@ class TestSupportGuard:
             exact_spectrum(SectorConfig.finite((40_000, 40_000)), 40_000, exact=True)
 
     def test_exact_guard_sized_before_the_table(self, monkeypatch):
-        def fail(n):
-            raise AssertionError("log-factorial table built")
+        # the guard fires before the denominator C(L, n), the level factors or any row is built
+        def fail(*args):
+            raise AssertionError("built before the guard")
 
-        monkeypatch.setattr(spectrum, "log2_factorial_table", fail)
+        built = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda a, b: built.append((a, b)) or comb(a, b))
+        monkeypatch.setattr(spectrum, "_product_form", fail)
+        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         # 1,000,001 entries over C(1.6e7, 1e6), of about 5.4e6 bits
         with pytest.raises(ResourceLimitError, match="numerator bits"):
@@ -500,6 +512,20 @@ class TestSupportGuard:
         # one entry over C(1e5, 5e4), of about 30,100 digits
         with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
             exact_spectrum(SectorConfig.finite((100_000, 0)), 50_000, exact=True)
+        assert (16_000_000, 1_000_000) not in built and (100_000, 50_000) not in built
+
+    def test_level_rows_bounded_by_the_feasible_counts(self):
+        # each level's factors span max(0, n - other bounds)..min(b_i, n): 4 and 4 values here
+        tracemalloc.start()
+        try:
+            spec = exact_spectrum(SectorConfig.finite((3, 10**10)), 10**10, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert spec.compositions.tolist() == [[0, 10**10], [1, 10**10 - 1], [2, 10**10 - 2],
+                                              [3, 10**10 - 3]]
+        assert spec.normalization_residual() < 1e-15
 
     def test_exact_guard_builds_no_power(self):
         # B = 2 * 10^4000, so B^n has about 1.3e10 bits at n = 10^6
