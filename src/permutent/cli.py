@@ -160,6 +160,15 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text)
 
 
+def _csv_text(columns: str, rows: Sequence[tuple]) -> str:
+    """A CSV table under its header line: floats as repr, None as an empty field, else str."""
+    lines = [
+        ",".join(repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join([columns, *lines]) + "\n"
+
+
 def _json_text(obj: dict) -> str:
     """obj as indented JSON, headed by the generator version."""
     return json.dumps({"generator": f"permutent {__version__}", **obj}, indent=2) + "\n"
@@ -267,31 +276,22 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
                         "narrow the range or raise --step")  # len(ns) fails past sys.maxsize
     if sector.is_finite and n_max > sector.L:  # before any entropy, not at the first n past L
         raise ValueError(f"n exceeds L: n={n_max}, L={sector.L}")
-    reports = [entropy_report(sector, n) for n in ns]
-    occ_field = (
-        ";".join(map(str, sector.occupations))
-        if sector.is_finite
-        else ";".join(str(p) for p in sector.densities)  # type: ignore[union-attr]
-    )
+    reports = [(n, entropy_report(sector, n)) for n in ns]
+    occ_field = ";".join(map(str, sector.occupations or sector.densities))
     L_field = sector.L if sector.is_finite else "inf"
     if out_format == "csv":
-        lines = [SWEEP_CSV_COLUMNS]
-        for n, rep in zip(ns, reports):
-            s_asym = rep.asymptotic_bits
-            asym_field = repr(s_asym) if s_asym is not None else ""
-            gap_field = repr(rep.exact_bits - s_asym) if s_asym is not None else ""
-            lines.append(
-                f"{L_field},{sector.d},{n},{occ_field},{rep.exact_bits!r},{asym_field},"
-                f"{rep.sup_bound_bits!r},{gap_field}"
-            )
-        _write_text(out, "\n".join(lines) + "\n")
+        rows = []
+        for n, rep in reports:
+            asym = rep.asymptotic_bits
+            gap = None if asym is None else rep.exact_bits - asym
+            rows.append((L_field, sector.d, n, occ_field, rep.exact_bits, asym,
+                         rep.sup_bound_bits, gap))
+        _write_text(out, _csv_text(SWEEP_CSV_COLUMNS, rows))
     else:
-        asym = [(n, rep.asymptotic_bits) for n, rep in zip(ns, reports)
-                if rep.asymptotic_bits is not None]
-        exact = [(n, rep.exact_bits) for n, rep in zip(ns, reports)]
-        series = [_entropy_series("asymptotic", "line", asym),
-                  _entropy_series("exact", "points", exact)]
-        _write_text(out, _entropy_chart(series, f"Block entropy, L={L_field}, d={sector.d}"))
+        asym = [(n, rep.asymptotic_bits) for n, rep in reports if rep.asymptotic_bits is not None]
+        series = [Series("asymptotic", "line", asym),
+                  Series("exact", "points", [(n, rep.exact_bits) for n, rep in reports])]
+        _write_text(out, render_chart(series, title=f"Block entropy, L={L_field}, d={sector.d}"))
 
 
 @main.command("corrections")
@@ -310,14 +310,11 @@ def cmd_corrections(L, d, central_charge, n_min, n_max, step, out):
         raise ValueError(f"corrections need 0 < n_min <= n_max < L, got [{n_min}, {n_max}]")
     base, extra = divmod(L, d)
     sector = SectorConfig.finite([base + (1 if i < extra else 0) for i in range(d)])
-    lines = [CORRECTIONS_CSV_COLUMNS]
-    for n in _block_range(n_min, n_max, step):
-        rep = finite_size_corrections(sector, n, central_charge)
-        lines.append(
-            f"{n / L!r},{rep.delta_per_bits!r},{rep.delta_per_leading_bits!r},"
-            f"{rep.delta_cr_bits!r},{rep.delta_cr_leading_bits!r}"
-        )
-    _write_text(out, "\n".join(lines) + "\n")
+    reports = [(n, finite_size_corrections(sector, n, central_charge))
+               for n in _block_range(n_min, n_max, step)]
+    rows = [(n / L, rep.delta_per_bits, rep.delta_per_leading_bits, rep.delta_cr_bits,
+             rep.delta_cr_leading_bits) for n, rep in reports]
+    _write_text(out, _csv_text(CORRECTIONS_CSV_COLUMNS, rows))
 
 
 @main.command("verify")
@@ -396,7 +393,7 @@ def cmd_figures(out_dir, points, max_l):
         ("entropy_scaling_by_spin.svg", by_spin,
          "Block entropy by local spin, L=120, equal occupations"),
     ):
-        (out_dir / name).write_text(_entropy_chart(series, title))
+        (out_dir / name).write_text(render_chart(series, title=title))
         click.echo(f"wrote {out_dir / name}", err=True)
 
 
@@ -406,18 +403,7 @@ def _scaling_series(
     """The asymptotic curve over curve_ns and the exact points over point_ns."""
     asym = [(n, asymptotic_entropy(sector, n)) for n in curve_ns]
     exact = [(n, block_entropy(sector, n)) for n in point_ns]
-    return [_entropy_series(f"asymptotic {tag}", "line", asym),
-            _entropy_series(f"exact {tag}", "points", exact)]
-
-
-def _entropy_series(label: str, style: str, points: Sequence[tuple[int, float]]) -> Series:
-    """A chart series from (block size, entropy in bits) pairs."""
-    xs = [float(n) for n, _ in points]
-    return Series(label=label, xs=xs, ys=[bits for _, bits in points], style=style)
-
-
-def _entropy_chart(series: list[Series], title: str) -> str:
-    return render_chart(series, title=title, x_label="block size n", y_label="S (bits)")
+    return [Series(f"asymptotic {tag}", "line", asym), Series(f"exact {tag}", "points", exact)]
 
 
 def _sample_range(lo: int, hi: int, count: int) -> list[int]:

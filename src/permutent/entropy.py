@@ -14,6 +14,7 @@ All entropies are in bits; "nats" exist only as an output formatting option.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -252,13 +253,7 @@ def fit_prefactor(points: Sequence[tuple[int, float]]) -> float:
         raise ValueError("prefactor fit needs n >= 2")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("prefactor fit needs strictly increasing n")
-    xs = [math.log2(n) for n in ns]
-    ys = [s for _, s in points]
-    xbar = math.fsum(xs) / len(xs)
-    ybar = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return statistics.linear_regression([math.log2(n) for n in ns], [s for _, s in points]).slope
 
 
 def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:

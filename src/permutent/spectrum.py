@@ -199,11 +199,15 @@ class Spectrum:
 
 def dimension_symmetric_subspace(n: int, d: int) -> int:
     """Dimension of the permutation-symmetric subspace of n sites, binom(n+d-1, d-1)."""
+    _check_symmetric(n, d)
+    return math.comb(n + d - 1, d - 1)
+
+
+def _check_symmetric(n: int, d: int) -> None:
     if n < 0:
         raise ValueError("block size must be nonnegative")
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    return math.comb(n + d - 1, d - 1)
 
 
 def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
@@ -212,6 +216,9 @@ def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
     Levels are taken largest bound first while the taken bounds sum to at most
     n and the others to at least n; every choice of parts on the taken levels
     then extends to a composition.  Stops once the product passes the guard.
+    The m levels whose bound is at least n hold any composition of n among
+    themselves, C(n + m - 1, m - 1) of them; past 2^64 that count is not built
+    but replaced by a power of two below it, read off log2_binom.
     """
     rest = sum(bounds)
     if n > rest:
@@ -224,13 +231,23 @@ def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
         if taken > n or rest < n or product > MAX_SPECTRUM_SUPPORT:
             break
         product *= b + 1
-    return product
+    m = sum(b >= n for b in bounds)
+    if m == 0:
+        return product
+    log2_free = log2_binom(n + m - 1, m - 1)
+    free = math.comb(n + m - 1, m - 1) if log2_free < 64 else 1 << int(log2_free - 1)
+    return max(product, free)
 
 
 def _check_size(what: str, size: int) -> None:
-    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built."""
+    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built.
+
+    A size past 2^64 is shown by its power of two: its digits could pass Python's
+    int-to-str limit.
+    """
     if size > MAX_SPECTRUM_SUPPORT:
-        raise ResourceLimitError(f"{what} {size} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+        shown = size if size <= 2**64 else f"2^{math.log2(size):.1f}"
+        raise ResourceLimitError(f"{what} {shown} exceeds guard {MAX_SPECTRUM_SUPPORT}")
 
 
 def _check_support(n: int, bounds: Sequence[int]) -> int:
@@ -452,11 +469,11 @@ def thermo_spectrum(
 
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
-    kappa = dimension_symmetric_subspace(n, d)
-    support = _check_support(n, (n,) * d)
+    _check_symmetric(n, d)
+    kappa = _check_support(n, (n,) * d)  # kappa(n), refused before it is built
     flat = -log2_binom(n + d - 1, d - 1), lambda x, k: np.zeros(k.size), (0,) * d, (n,) * d
     compositions, log2_weights, _ = _product_spectrum(n, flat)
-    return Spectrum(compositions, log2_weights, n, numerators=[1] * support, denominator=kappa)
+    return Spectrum(compositions, log2_weights, n, numerators=[1] * kappa, denominator=kappa)
 
 
 def spectrum_header(spectrum: Spectrum) -> dict:

@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG line/scatter charts.
+"""Minimal deterministic SVG line/scatter charts of entropy against block size.
 
 Hand-rolled on purpose: output must be byte-identical across runs and
 machines, so no plotting library (with embedded timestamps, font probing or
@@ -9,11 +9,13 @@ axes, ticks, curves, point markers, legend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 __all__ = ["Series", "render_chart"]
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+AXIS_COLOR = "#333333"
+SANS = {"font_family": "sans-serif"}
 
 WIDTH = 660
 HEIGHT = 460
@@ -23,18 +25,19 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 52
 
 
-@dataclass
-class Series:
+class Series(NamedTuple):
+    """One chart series: its legend label, "line" or "points", and its (x, y) pairs."""
+
     label: str
-    xs: list[float] = field(default_factory=list)
-    ys: list[float] = field(default_factory=list)
-    style: str = "line"  # "line" or "points"
+    style: str
+    points: Sequence[tuple[float, float]]
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 7) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About seven ticks over [lo, hi], spaced 1, 2 or 5 times a power of ten."""
     if hi <= lo:
         hi = lo + 1.0
-    raw_step = (hi - lo) / max_ticks
+    raw_step = (hi - lo) / 7
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * magnitude
@@ -49,26 +52,26 @@ def _nice_ticks(lo: float, hi: float, max_ticks: int = 7) -> list[float]:
     return ticks
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _fmt(value: object) -> str:
+    """Floats (screen coordinates) to two decimals, anything else as str."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
-def _fmt_tick(value: float) -> str:
-    return f"{value:g}"
+def _element(tag: str, text: str | None = None, **attrs: object) -> str:
+    """One SVG element with its attributes in order (an_attr written an-attr).
+
+    Self-closes without text; attribute values go through _fmt.
+    """
+    fields = "".join(f' {name.replace("_", "-")}="{_fmt(value)}"' for name, value in attrs.items())
+    return f"<{tag}{fields}/>" if text is None else f"<{tag}{fields}>{text}</{tag}>"
 
 
-def render_chart(
-    series: list[Series],
-    *,
-    title: str,
-    x_label: str,
-    y_label: str,
-) -> str:
-    xs = [x for s in series for x in s.xs]
-    ys = [y for s in series for y in s.ys if math.isfinite(y)]
+def render_chart(series: Sequence[Series], *, title: str) -> str:
+    """S (bits) against block size n as an SVG document, one element per line."""
+    xs = [x for s in series for x, _ in s.points]
+    ys = [y for s in series for _, y in s.points if math.isfinite(y)]
     if not xs or not ys:
-        xs = [0.0, 1.0]
-        ys = [0.0, 1.0]
+        xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -76,8 +79,7 @@ def render_chart(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -88,83 +90,44 @@ def render_chart(
     def sy(y: float) -> float:
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-    ]
-    axis_color = "#333333"
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" '
-        f'stroke="{axis_color}" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" '
-        f'stroke="{axis_color}" stroke-width="1"/>'
-    )
+    mid_x, mid_y = MARGIN_LEFT + plot_w // 2, MARGIN_TOP + plot_h // 2
+    axis = {"stroke": AXIS_COLOR, "stroke_width": 1}
+    small = {**SANS, "font_size": 11}  # tick labels and legend
+    axis_label = {"text_anchor": "middle", **SANS, "font_size": 13}
+    body = [
+        _element("rect", width="100%", height="100%", fill="white"),
+        _element("text", title, x=WIDTH // 2, y=22, text_anchor="middle", **SANS, font_size=15),
+        _element("line", x1=x0, y1=y0, x2=x0 + plot_w, y2=y0, **axis),
+        _element("line", x1=x0, y1=MARGIN_TOP, x2=x0, y2=y0, **axis),
+    ]
     for tick in _nice_ticks(x_lo, x_hi):
         px = sx(tick)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" '
-            f'stroke="{axis_color}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick)}</text>'
-        )
+        body += [_element("line", x1=px, y1=y0, x2=px, y2=y0 + 5, **axis),
+                 _element("text", f"{tick:g}", x=px, y=y0 + 18, text_anchor="middle", **small)]
     for tick in _nice_ticks(y_lo, y_hi):
         py = sy(tick)
-        out.append(
-            f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" '
-            f'stroke="{axis_color}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick)}</text>'
-        )
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{y_label}</text>'
-    )
+        body += [_element("line", x1=x0 - 5, y1=py, x2=x0, y2=py, **axis),
+                 _element("text", f"{tick:g}", x=x0 - 8, y=py + 4, text_anchor="end", **small)]
+    body.append(_element("text", "block size n", x=mid_x, y=HEIGHT - 12, **axis_label))
+    body.append(_element("text", "S (bits)", x=18, y=mid_y, **axis_label,
+                         transform=f"rotate(-90 18 {mid_y})"))
 
     legend_x = MARGIN_LEFT + plot_w + 14
-    legend_y = MARGIN_TOP + 8
-    for index, s in enumerate(series):
+    for index, (label, style, points) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        points = [
-            (sx(x), sy(y)) for x, y in zip(s.xs, s.ys) if math.isfinite(x) and math.isfinite(y)
-        ]
-        if s.style == "line" and len(points) >= 2:
-            path = "M " + " L ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
-            out.append(
-                f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        screen = [(sx(x), sy(y)) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+        if style == "line" and len(screen) >= 2:
+            path = "M " + " L ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in screen)
+            body.append(_element("path", d=path, fill="none", stroke=color, stroke_width="1.5"))
         else:
-            for px, py in points:
-                out.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.6" fill="{color}"/>'
-                )
-        marker_y = legend_y + 18 * index
-        if s.style == "line":
-            out.append(
-                f'<line x1="{legend_x}" y1="{marker_y - 4}" x2="{legend_x + 18}" '
-                f'y2="{marker_y - 4}" stroke="{color}" stroke-width="1.5"/>'
-            )
+            body += [_element("circle", cx=px, cy=py, r="2.6", fill=color) for px, py in screen]
+        marker_y = MARGIN_TOP + 8 + 18 * index
+        if style == "line":
+            body.append(_element("line", x1=legend_x, y1=marker_y - 4, x2=legend_x + 18,
+                                 y2=marker_y - 4, stroke=color, stroke_width="1.5"))
         else:
-            out.append(
-                f'<circle cx="{legend_x + 9}" cy="{marker_y - 4}" r="2.6" fill="{color}"/>'
-            )
-        out.append(
-            f'<text x="{legend_x + 24}" y="{marker_y}" font-family="sans-serif" '
-            f'font-size="11">{s.label}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            body.append(_element("circle", cx=legend_x + 9, cy=marker_y - 4, r="2.6", fill=color))
+        body.append(_element("text", label, x=legend_x + 24, y=marker_y, **small))
+    return _element("svg", "\n".join(["", *body, ""]), xmlns="http://www.w3.org/2000/svg",
+                    width=WIDTH, height=HEIGHT, viewBox=f"0 0 {WIDTH} {HEIGHT}") + "\n"

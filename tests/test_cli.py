@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permutent
-from permutent import cli
+from permutent import cli, svgplot
 from permutent.cli import main
 from permutent.combinatorics import composition_count
 from permutent.entropy import EntropyReport
@@ -413,6 +413,12 @@ class TestSweepCommand:
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
 
+    def test_element_writer(self):
+        circle = svgplot._element("circle", cx=1.0, cy=2, r="2.6")
+        assert circle == '<circle cx="1.00" cy="2" r="2.6"/>'
+        assert (svgplot._element("text", "S", x=0.125, font_size=11)
+                == '<text x="0.12" font-size="11">S</text>')
+
     def test_single_point_svg(self, runner, tmp_path):
         # one exact point at n = 0 and no asymptotic value: zero x and y spans
         out = tmp_path / "one.svg"
@@ -678,6 +684,25 @@ class TestExitCodes:
         result = subprocess.run([sys.executable, "-m", "permutent.cli", *args],
                                 capture_output=True, env=env, timeout=20, check=False)
         assert result.returncode == 3, result.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--uniform", "--d", "2000000", "--n", "2000000"],
+            ["--uniform", "--d", "200000", "--n", "200000"],
+            ["--L", "inf", "--dens", ",".join(["1/2000"] * 2000), "--n", "1000000"],
+        ],
+        ids=["uniform-2e6", "uniform-2e5", "inf-2000-levels"],
+    )
+    def test_unbounded_supports_exit_3_at_once(self, args):
+        # the counts have 1.2e6, 1.2e5 and 6,300 digits: composition_count of the first
+        # takes minutes, and printing any of them passes Python's int-to-str limit
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-m", "permutent.cli", "spectrum", *args],
+                                capture_output=True, env=env, timeout=5, check=False)
+        assert result.returncode == 3, result.stderr.decode()
+        assert re.fullmatch(r"error: spectrum support of at least 2\^\d+\.\d exceeds guard \d+\n",
+                            result.stderr.decode())
 
     def test_figures_out_dir_over_a_file(self, runner, tmp_path):
         taken = tmp_path / "file"

@@ -475,6 +475,44 @@ class TestSupportGuard:
     def test_lower_bound_never_exceeds_count(self, bounds, n):
         assert spectrum._support_lower_bound(n, bounds) <= composition_count(n, bounds)
 
+    @pytest.mark.parametrize("n, d", [(0, 2), (1, 2), (7, 3), (40, 5), (300, 4)])
+    def test_lower_bound_exact_on_unbounded_levels(self, n, d):
+        # every level holds all n sites, as for the uniform mixture and L = inf
+        assert spectrum._support_lower_bound(n, (n,) * d) == dimension_symmetric_subspace(n, d)
+        assert spectrum._support_lower_bound(n, (n, 0) * d) == dimension_symmetric_subspace(n, d)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform_mixed_spectrum(200_000, 200_000),
+            lambda: uniform_mixed_spectrum(2_000_000, 2_000_000),
+            lambda: thermo_spectrum((Fraction(1, 2000),) * 2000, 1_000_000),
+        ],
+        ids=["uniform-2e5", "uniform-2e6", "inf-2000-levels"],
+    )
+    def test_unbounded_levels_refused_before_any_count(self, monkeypatch, build):
+        # each support C(n + m - 1, m - 1) has over 6,000 digits; none is built or counted
+        comb = math.comb
+
+        def small_comb(a, b):
+            assert min(b, a - b) < 100, "count built"
+            return comb(a, b)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        monkeypatch.setattr(spectrum, "composition_count", small_comb)
+        with pytest.raises(ResourceLimitError, match=r"at least 2\^\d+\.\d exceeds guard"):
+            build()
+
+    def test_counts_past_2_64_shown_by_their_power_of_two(self):
+        # the lower bound is 10,000; the count, about 2^10122.5, has about 3,050 digits
+        with pytest.raises(ResourceLimitError, match=r"support 2\^10122\.5 exceeds guard"):
+            exact_spectrum(SectorConfig.finite((9999,) * 3000), 10_000)
+        with pytest.raises(ResourceLimitError, match=r"support 2\^186\.8 exceeds guard"):
+            exact_spectrum(SectorConfig.finite((999,) * 30), 1000)
+        # at most 2^64 the count itself is shown
+        with pytest.raises(ResourceLimitError, match="at least 2003001 exceeds guard"):
+            uniform_mixed_spectrum(2000, 3)
+
     def test_lower_bound_refuses_without_counting(self, monkeypatch):
         def fail(total, bounds):
             raise AssertionError("composition_count called")
