@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .combinatorics import enumerate_compositions
+from .combinatorics import ResourceLimitError, enumerate_compositions
 from .entropy import (
     asymptotic_entropy,
     block_entropy,
@@ -31,7 +31,6 @@ from .entropy import (
 )
 from .oracle import MatchReport, _block_dim, verify_theorem, verify_uniform_mixture
 from .spectrum import (
-    ResourceLimitError,
     SectorConfig,
     Spectrum,
     exact_spectrum,

@@ -37,7 +37,6 @@ __all__ = [
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
-    "bits_to_nats",
 ]
 
 LN2 = math.log(2.0)

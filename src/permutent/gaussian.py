@@ -38,8 +38,12 @@ class GaussianModel:
     dim: int
     mean: np.ndarray
     covariance: np.ndarray
-    det_A: float
     log2_det_covariance: float
+
+    @property
+    def det_A(self) -> float:
+        """1/det(covariance), read off log2_det_covariance; OverflowError past float range."""
+        return 2.0 ** (-self.log2_det_covariance)
 
 
 def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +113,7 @@ def build_gaussian(densities: Sequence, n: int, L: int | None = None) -> Gaussia
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"covariance is not positive definite: {exc}") from exc
     log2_det_cov = 2.0 * float(np.log2(np.diag(chol)).sum())
-    det_A = 2.0 ** (-log2_det_cov)
-    return GaussianModel(
-        dim=dim, mean=mean, covariance=cov, det_A=det_A, log2_det_covariance=log2_det_cov
-    )
+    return GaussianModel(dim=dim, mean=mean, covariance=cov, log2_det_covariance=log2_det_cov)
 
 
 def gaussian_entropy(model: GaussianModel) -> float:

@@ -24,16 +24,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .combinatorics import enumerate_compositions
-from .spectrum import (
-    ResourceLimitError,
-    SectorConfig,
-    dimension_symmetric_subspace,
-    exact_spectrum,
-)
+from .combinatorics import ResourceLimitError, enumerate_compositions
+from .spectrum import SectorConfig, exact_spectrum, uniform_mixed_spectrum
 
 __all__ = [
-    "ResourceLimitError",
     "EigensolverConvergenceError",
     "MatchReport",
     "build_state",
@@ -250,13 +244,14 @@ def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchR
     reduced state is Y Y^T / K, the sum of the sector partial traces over K.
     Y^T Y / K has the same nonzero eigenvalues, so whichever of the two is
     smaller (d^n against K d^(L-n)) is diagonalised, and its nonzero
-    eigenvalues are compared against kappa(n) copies of 1/kappa(n).  A block
-    past MAX_DENSITY_DIM is refused before any state is built.
+    eigenvalues are compared against the weights of uniform_mixed_spectrum,
+    kappa(n) copies of 1/kappa(n).  A block past MAX_DENSITY_DIM is refused
+    before any state is built.
     """
     dim_block = _block_dim(d, L, n)
     sectors = list(enumerate_compositions(L, (L,) * d))
     y = np.hstack([build_state(SectorConfig.finite(o)).reshape(dim_block, -1) for o in sectors])
     gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
     dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)
-    kappa_n = dimension_symmetric_subspace(n, d)
-    return _match({"L": L, "d": d, "occupations": None}, n, dense, [1.0 / kappa_n] * kappa_n, tol)
+    formula = uniform_mixed_spectrum(n, d).weights
+    return _match({"L": L, "d": d, "occupations": None}, n, dense, formula, tol)

@@ -34,7 +34,6 @@ from .combinatorics import (
 )
 
 __all__ = [
-    "ResourceLimitError",
     "SectorConfig",
     "SpectrumEntry",
     "Spectrum",
@@ -42,9 +41,7 @@ __all__ = [
     "exact_spectrum",
     "thermo_spectrum",
     "uniform_mixed_spectrum",
-    "spectrum_header",
     "spectrum_to_json_obj",
-    "weight_strings",
 ]
 
 # Exact rational weights are kept automatically up to this system size (L for

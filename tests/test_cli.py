@@ -130,6 +130,15 @@ class TestSpectrumCommand:
         assert result.stderr.startswith("error: cutoff must lie in [0, 0.1)")
         assert result.stdout == ""
 
+    def test_cutoff_dropping_more_than_ten_cutoffs_exits_1(self, runner):
+        dens = ",".join(["1/2"] + ["1/4000"] * 2000)
+        result = runner.invoke(main, ["spectrum", "--L", "inf", "--dens", dens, "--n", "1",
+                                      "--cutoff", "0.001"])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cutoff 0.001 drops 5.000e-01")
+        assert result.stdout == ""
+
     def test_exact_below_the_smallest_float_exits_1(self, runner):
         # a density of 10^-400 rounds to float 0.0, which would drop its level
         big = 10**400
@@ -316,6 +325,16 @@ class TestEntropyCommand:
             bits["report"]["exact_bits"] * math.log(2.0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("d, n, gaussian_bits", [(200, 1, -357.0136), (400, 10, -249.2554)],
+                             ids=["d200-n1", "d400-n10"])
+    def test_determinant_past_float_range(self, runner, d, n, gaussian_bits):
+        # 1/det of the Gaussian covariance is 2^1528.8 and 2^2132.1: past the float range
+        dens = ",".join([f"1/{d}"] * d)
+        result = run_ok(runner, ["entropy", "--L", "inf", "--dens", dens, "--n", str(n)])
+        payload = json.loads(result.stdout)
+        assert_valid(payload, REPORT_SCHEMA)
+        assert payload["report"]["gaussian_bits"] == pytest.approx(gaussian_bits, abs=1e-4)
+
     def test_block_too_large_fails_validation(self, runner):
         result = runner.invoke(main, ["entropy", "--occ", "3,3", "--n", "7"])
         assert result.exit_code == 1
@@ -359,7 +378,7 @@ class TestSweepCommand:
         assert result.exit_code == 3
         assert result.stderr.startswith("error: sweep work estimate")
 
-    # 99,379 block sizes at L = 1.6e7: sum of d*n is 1.6e12, about 11 h of entropies
+    # 99,379 block sizes at L = 1.6e7: an estimated sum of d*n of 1.6e12
     COSTLY_SWEEP = ["sweep", "--occ", "8000000,8000000", "--n-min", "0",
                     "--n-max", "16000000", "--step", "161"]
 
@@ -643,7 +662,7 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("command", ["entropy", "spectrum"])
-    def test_log_factorial_guard_exits_3(self, runner, command):
+    def test_sector_past_2_24_sites_answers(self, runner, command):
         # a sector past the former log-factorial guard (2^24 sites) now answers
         result = runner.invoke(main, [command, "--occ", "1000000000,1", "--n", "1"])
         assert result.exit_code == 0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -336,6 +337,19 @@ class TestVerifyUniformMixture:
         report = verify_uniform_mixture(3, 2, 0)
         assert report.passed
         assert report.support_size_dense == 1
+
+    def test_formula_side_is_the_library_builder(self, monkeypatch):
+        real = oracle.uniform_mixed_spectrum
+
+        def perturbed(n, d):
+            weights = list(real(n, d).weights)
+            weights[0] += 1e-6
+            return SimpleNamespace(weights=weights)
+
+        monkeypatch.setattr(oracle, "uniform_mixed_spectrum", perturbed)
+        report = verify_uniform_mixture(4, 2, 2)
+        assert not report.passed
+        assert report.max_abs_dev == pytest.approx(1e-6, rel=1e-6)
 
     def test_missing_eigenvalues_count_as_deviation(self, monkeypatch):
         # a dense side that finds one eigenvalue fewer is padded with a zero

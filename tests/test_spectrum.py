@@ -292,6 +292,11 @@ class TestThermoSpectrum:
         with pytest.raises(ValueError):
             thermo_spectrum((HALF, HALF), 10, cutoff=1e-6, exact=True)
 
+    def test_cutoff_dropping_more_than_ten_cutoffs_refused(self):
+        # the 2000 levels of weight 1/4000 fall below 1e-3 of the largest, 1/2
+        with pytest.raises(ValueError, match="cutoff 0.001 drops 5.000e-01 of the weight"):
+            thermo_spectrum([1 / 2] + [1 / 4000] * 2000, 1, cutoff=1e-3)
+
     @pytest.mark.parametrize("cutoff", [-1e-9, 0.1, 2.0, math.inf, math.nan])
     def test_cutoff_outside_range_rejected(self, cutoff):
         # at 0.1 or more the dropped-mass check (10 * cutoff) could never fire
@@ -533,7 +538,7 @@ class TestSupportGuard:
         with pytest.raises(ResourceLimitError, match="numerator bits"):
             exact_spectrum(SectorConfig.finite((40_000, 40_000)), 40_000, exact=True)
 
-    def test_exact_guard_sized_before_the_table(self, monkeypatch):
+    def test_exact_guard_fires_before_any_integer_is_built(self, monkeypatch):
         # the guard fires before the denominator C(L, n), the level factors or any row is built
         def fail(*args):
             raise AssertionError("built before the guard")
