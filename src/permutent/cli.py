@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,9 +48,10 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 
 SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
-# Budget for the exact entropies of a sweep or of the figures L = inf series: the sum of
-# d * n over their block sizes, an upper bound on the O(d * sqrt(n)) block_entropy.  Admits
-# the default charts and --max-l 1000000 at 40 points (6.0e7); refuses --points 1000 (1.5e9).
+# Budget for the exact entropies of a sweep or of the figures L = inf series, in the counts
+# block_entropy sums: at most d * (13 sqrt(n) + 42) at block size n, plus 500 for the call
+# (85-150 us a call, 0.2-0.6 us a count, on a 2-vCPU x86-64 VM); a sweep at the guard takes
+# up to about 20 s.  Admits figures --max-l 1000000 --points 1000 (4.0e7, 5 s).
 MAX_ENTROPY_WORK = 100_000_000
 
 CORRECTIONS_CSV_COLUMNS = (
@@ -91,12 +93,12 @@ def _block_range(n_min: int, n_max: int, step: int = 1) -> range:
     return range(n_min, n_max + 1, step)
 
 
-def _check_entropy_work(command: str, d: int, count: int, first: int, last: int, hint: str) -> None:
-    """Refuse count sizes spread evenly over first..last whose sum of d*n passes MAX_ENTROPY_WORK."""
-    work = d * count * (first + last) // 2
+def _check_entropy_work(command: str, d: int, count: int, last: int, hint: str) -> None:
+    """Refuse count block sizes up to last, each charged as the largest, past MAX_ENTROPY_WORK."""
+    work = count * (d * (13 * (math.isqrt(last) + 1) + 42) + 500)
     if work > MAX_ENTROPY_WORK:
         raise ResourceLimitError(
-            f"{command} work estimate {work} (sum of d*n over the exact points) "
+            f"{command} work estimate {work} (block_entropy counts, plus 500 a block size) "
             f"exceeds guard {MAX_ENTROPY_WORK}; {hint}"
         )
 
@@ -271,7 +273,7 @@ def cmd_sweep(L, d, occ, dens, n_min, n_max, step, out_format, out):
     """Sweep the block size: exact entropy, asymptotic value, sup bound, gap."""
     sector = _build_sector(L, d, occ, dens)
     ns = _block_range(n_min, n_max, step)
-    _check_entropy_work("sweep", sector.d, (n_max - n_min) // step + 1, n_min, ns[-1],
+    _check_entropy_work("sweep", sector.d, (n_max - n_min) // step + 1, ns[-1],
                         "narrow the range or raise --step")  # len(ns) fails past sys.maxsize
     if sector.is_finite and n_max > sector.L:  # before any entropy, not at the first n past L
         raise ValueError(f"n exceeds L: n={n_max}, L={sector.L}")
@@ -374,7 +376,7 @@ def cmd_figures(out_dir, points, max_l):
         raise ValueError("--max-l must be >= 1")
     inf_sector = SectorConfig.infinite((Fraction(1, 3),) * 3)
     # the L = inf series samples min(points, max_l) sizes spread over 1..max_l
-    _check_entropy_work("figures", inf_sector.d, min(points, max_l), 1, max_l,
+    _check_entropy_work("figures", inf_sector.d, min(points, max_l), max_l,
                         "lower --max-l or --points")
     inf_ns = _sample_range(1, max_l, points)
     out_dir.mkdir(parents=True, exist_ok=True)

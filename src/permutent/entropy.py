@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import log2_binom
-from .gaussian import build_gaussian, gaussian_entropy
-from .spectrum import SectorConfig, Spectrum, _check_size, _level_ranges, _product_form, _stacked
+from .spectrum import (SectorConfig, Spectrum, _check_size, _check_symmetric, _level_ranges,
+                       _product_form, _stacked)
 
 __all__ = [
     "EntropyReport",
@@ -31,7 +31,6 @@ __all__ = [
     "entropy_of_spectrum",
     "block_entropy",
     "asymptotic_entropy",
-    "asymptotic_validity",
     "max_entropy_bound",
     "effective_spin",
     "finite_size_corrections",
@@ -146,49 +145,35 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
     return 0.0 - math.fsum([c, *means.tolist()])  # +0.0, not -0.0, for a pure block
 
 
-def _positive_densities(cfg: SectorConfig) -> tuple[float, ...]:
-    p = cfg.density_floats
-    if any(x <= ZERO_DENSITY_TOL for x in p):
-        raise ValueError(
-            "asymptotic form needs all densities > 0; apply effective_spin "
-            "to drop empty levels first"
-        )
-    return p
+def _occupied(cfg: SectorConfig) -> tuple[float, ...]:
+    """The densities of the levels that effective_spin keeps, as floats."""
+    return tuple(map(float, effective_spin(cfg.density_fractions).reduced_densities))
+
+
+def _closed_form(p: tuple[float, ...], g: float) -> float:
+    """C + sigma_eff*log2(2*pi*e * g) over the occupied densities p, sigma_eff = (len(p) - 1)/2."""
+    return 0.5 * math.fsum(map(math.log2, p)) + (len(p) - 1) / 2.0 * (LOG2_2PIE + math.log2(g))
 
 
 def asymptotic_entropy(cfg: SectorConfig, n: int) -> float:
-    """Large-n entropy: C + sigma*log2(2*pi*e * n(L-n)/L), C = log2(prod p)/2.
+    """Large-n entropy: C + sigma_eff*log2(2*pi*e * n(L-n)/L), C = log2(prod p)/2.
 
-    For the thermodynamic limit the geometric factor is just n.
+    Only the occupied levels count (effective_spin), so empty levels give the reduced
+    sector's value.  For the thermodynamic limit the geometric factor is just n.
     """
-    p = _positive_densities(cfg)
-    sigma = float(cfg.sigma)
-    C = 0.5 * math.fsum(math.log2(x) for x in p)
-    if cfg.is_finite:
-        L = cfg.L
-        assert L is not None
-        if not 0 < n < L:
-            raise ValueError(f"asymptotic form needs 0 < n < L, got n={n}, L={L}")
-        return C + sigma * (LOG2_2PIE + math.log2(n * (L - n) / L))
-    if n < 1:
+    p, L = _occupied(cfg), cfg.L
+    if len(p) < 2:
+        raise ValueError("asymptotic form needs at least two occupied levels")
+    if L is None and n < 1:
         raise ValueError("asymptotic form needs n >= 1")
-    return C + sigma * (LOG2_2PIE + math.log2(n))
-
-
-def asymptotic_validity(cfg: SectorConfig, n: int) -> bool:
-    """Whether n * prod(p_k) clears the stated validity floor of 10."""
-    prod = 1.0
-    for x in cfg.density_floats:
-        prod *= x
-    return n * prod >= ASYMPTOTIC_VALIDITY_FLOOR
+    if L is not None and not 0 < n < L:
+        raise ValueError(f"asymptotic form needs 0 < n < L, got n={n}, L={L}")
+    return _closed_form(p, n * (L - n) / L if L else n)
 
 
 def max_entropy_bound(n: int, d: int) -> float:
     """Upper limit log2 binom(n + d - 1, d - 1), saturated by the uniform mixture."""
-    if n < 0:
-        raise ValueError("block size must be nonnegative")
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
+    _check_symmetric(n, d)
     return log2_binom(n + d - 1, d - 1)
 
 
@@ -256,28 +241,21 @@ def fit_prefactor(points: Sequence[tuple[int, float]]) -> float:
 
 
 def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
-    """Exact entropy plus all closed-form comparisons at block size n.
+    """Exact entropy plus all closed-form comparisons at block size n, on the occupied levels.
 
-    Levels with vanishing density are dropped (effective-spin reduction)
-    before evaluating the asymptotic and Gaussian forms, which require
-    strictly positive densities.
+    The Gaussian value is the asymptotic law with n(L-n)/(L-1) for n(L-n)/L, the closed-form
+    determinant of the hypergeometric covariance; at L = inf the two are equal.
     """
     exact = block_entropy(cfg, n)  # validates n first
-    L = cfg.L  # None at L = inf; dropping empty levels leaves it unchanged
-    reduced = effective_spin(cfg.density_fractions).reduced_densities
-    asym: float | None = None
-    gauss: float | None = None
-    C: float | None = None
+    p, L = _occupied(cfg), cfg.L
+    asym = gauss = C = None
     valid = False
-    if len(reduced) >= 2:
-        reduced_cfg = (
-            SectorConfig.finite(p * L for p in reduced) if L else SectorConfig.infinite(reduced)
-        )
-        C = 0.5 * math.fsum(math.log2(float(p)) for p in reduced)
-        valid = asymptotic_validity(reduced_cfg, n)
+    if len(p) >= 2:
+        C = 0.5 * math.fsum(map(math.log2, p))
+        valid = n * math.prod(p) >= ASYMPTOTIC_VALIDITY_FLOOR
         if (0 < n < L) if L else n >= 1:
-            asym = asymptotic_entropy(reduced_cfg, n)
-            gauss = gaussian_entropy(build_gaussian(reduced, n, L))
+            asym = asymptotic_entropy(cfg, n)
+            gauss = _closed_form(p, n * (L - n) / (L - 1)) if L else asym
     return EntropyReport(exact_bits=exact, asymptotic_bits=asym, gaussian_bits=gauss,
                          sup_bound_bits=max_entropy_bound(n, cfg.d), constant_C_bits=C,
                          asymptotic_valid=valid)

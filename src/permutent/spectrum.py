@@ -37,7 +37,6 @@ __all__ = [
     "SectorConfig",
     "SpectrumEntry",
     "Spectrum",
-    "dimension_symmetric_subspace",
     "exact_spectrum",
     "thermo_spectrum",
     "uniform_mixed_spectrum",
@@ -194,12 +193,6 @@ class Spectrum:
         return abs(math.fsum(self.weights) + self.dropped_mass - 1.0)
 
 
-def dimension_symmetric_subspace(n: int, d: int) -> int:
-    """Dimension of the permutation-symmetric subspace of n sites, binom(n+d-1, d-1)."""
-    _check_symmetric(n, d)
-    return math.comb(n + d - 1, d - 1)
-
-
 def _check_symmetric(n: int, d: int) -> None:
     if n < 0:
         raise ValueError("block size must be nonnegative")
@@ -293,7 +286,8 @@ def _product_form(cfg: SectorConfig, n: int) -> tuple[float, Callable, tuple, tu
     levels adds their x.
     """
     if max(n, cfg.L or 0) > 2**63 - 1:  # f takes int64 counts
-        raise ResourceLimitError(f"n = {n} or L = {cfg.L} is past the int64 counts of the form")
+        sizes = f"n = {n}" if cfg.L is None else f"n = {n} or L = {cfg.L}"
+        raise ResourceLimitError(f"{sizes} is past the int64 counts of the form")
     ln2, occ = math.log(2.0), cfg.occupations
     if occ is not None:
         L = sum(occ)
@@ -312,7 +306,8 @@ def _product_form(cfg: SectorConfig, n: int) -> tuple[float, Callable, tuple, tu
 
 def _level_ranges(n: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
     """Each level's counts lo..hi at block size n that occur in some composition, as (lo, hi)."""
-    return [(max(0, n - sum(bounds) + b), min(b, n)) for b in bounds]
+    total = sum(bounds)  # once: a level's lo is what the other levels' bounds cannot hold
+    return [(max(0, n - total + b), min(b, n)) for b in bounds]
 
 
 def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:

@@ -378,7 +378,7 @@ class TestSweepCommand:
         assert result.exit_code == 3
         assert result.stderr.startswith("error: sweep work estimate")
 
-    # 99,379 block sizes at L = 1.6e7: an estimated sum of d*n of 1.6e12
+    # 99,379 block sizes at L = 1.6e7: an estimated 1.0e10 block_entropy counts
     COSTLY_SWEEP = ["sweep", "--occ", "8000000,8000000", "--n-min", "0",
                     "--n-max", "16000000", "--step", "161"]
 
@@ -588,8 +588,9 @@ class TestFiguresCommand:
 
     @pytest.mark.parametrize(
         "args",
-        [["--max-l", "1000000", "--points", "1000"], ["--max-l", "40000000", "--points", "2"],
-         ["--max-l", "200000", "--points", "2000"], ["--max-l", "30000000", "--points", "2000000"],
+        [["--max-l", "10000000000", "--points", "1000"],
+         ["--max-l", "10000000000000", "--points", "2"],
+         ["--max-l", "200000", "--points", "20000"], ["--max-l", "30000000", "--points", "2000000"],
          ["--max-l", str(10**30), "--points", str(10**30)]],
         ids=["points-1000", "two-points", "more-points", "sample-too-long", "huge"],
     )

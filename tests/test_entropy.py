@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from permutent.entropy import (
     asymptotic_entropy,
-    asymptotic_validity,
     bits_to_nats,
     block_entropy,
     effective_spin,
@@ -21,6 +21,7 @@ from permutent.entropy import (
     fit_prefactor,
     max_entropy_bound,
 )
+from permutent.gaussian import build_gaussian, gaussian_entropy
 from permutent.oracle import build_state, dense_eigenvalues, partial_trace
 from permutent.spectrum import (
     ResourceLimitError,
@@ -450,10 +451,20 @@ class TestAsymptoticEntropy:
             assert asymptotic_entropy(cfg, n) == pytest.approx(expected, abs=1e-12)
             assert asymptotic_formula((p, q), n, L) == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_density_directs_to_effective_spin(self):
-        cfg = SectorConfig.infinite((HALF, HALF, Fraction(0)))
-        with pytest.raises(ValueError, match="effective_spin"):
-            asymptotic_entropy(cfg, 50)
+    @pytest.mark.parametrize(
+        "cfg, reduced",
+        [(SectorConfig.infinite((HALF, 0, HALF)), SectorConfig.infinite((HALF, HALF))),
+         (SectorConfig.finite((30, 0, 30)), SectorConfig.finite((30, 30)))],
+        ids=["inf", "finite"],
+    )
+    def test_empty_levels_take_the_reduced_sector(self, cfg, reduced):
+        for n in (1, 17, 59):
+            assert asymptotic_entropy(cfg, n) == asymptotic_entropy(reduced, n)
+
+    def test_fewer_than_two_occupied_levels_rejected(self):
+        for cfg in (SectorConfig.infinite((0, 1, 0)), SectorConfig.finite((0, 9))):
+            with pytest.raises(ValueError, match="at least two occupied levels"):
+                asymptotic_entropy(cfg, 3)
 
     def test_block_boundaries_rejected(self):
         cfg = SectorConfig.finite((5, 5))
@@ -462,11 +473,6 @@ class TestAsymptoticEntropy:
                 asymptotic_entropy(cfg, n)
         with pytest.raises(ValueError, match="needs n >= 1"):
             asymptotic_entropy(SectorConfig.infinite((HALF, HALF)), 0)
-
-    def test_validity_flag(self):
-        cfg = SectorConfig.infinite((THIRD, THIRD, THIRD))
-        assert not asymptotic_validity(cfg, 100)  # 100/27 < 10
-        assert asymptotic_validity(cfg, 1000)
 
 
 class TestMaxEntropyBound:
@@ -633,6 +639,44 @@ class TestEntropyReport:
         )
         assert report.gaussian_bits == pytest.approx(6.6357, abs=5e-5)
         assert report.gaussian_bits == pytest.approx(report.exact_bits, abs=1e-4)
+
+    @given(st.one_of(_finite_cases(), _infinite_cases()))
+    @example(((30, 0, 30, 20), [1, 40, 79]))
+    @example(((HALF, Fraction(0), HALF), [1, 6, 40]))
+    @example(((0, 7, 0), [3]))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_gaussian_is_the_covariance_entropy(self, case):
+        levels, ns = case
+        finite = isinstance(levels[0], int)
+        cfg = SectorConfig.finite(levels) if finite else SectorConfig.infinite(levels)
+        occupied = [p for p in cfg.density_fractions if p > 0]
+        for n in ns:
+            got = entropy_report(cfg, n).gaussian_bits
+            if len(occupied) < 2 or n == 0 or n == cfg.L:
+                assert got is None
+            else:
+                reference = gaussian_entropy(build_gaussian(occupied, n, cfg.L))
+                assert got == pytest.approx(reference, abs=1e-12), n
+
+    def test_memory_at_four_thousand_levels(self):
+        # no (d - 1) x (d - 1) covariance: a 245 MiB peak when the report factorised one
+        cfg = SectorConfig.infinite((Fraction(1, 4000),) * 4000)
+        tracemalloc.start()
+        try:
+            report = entropy_report(cfg, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert report.gaussian_bits == report.asymptotic_bits
+
+    def test_many_levels_take_linear_time(self):
+        # O(d^2) while each level's range summed all d bounds again (0.34 s at d = 8,000)
+        cfg = SectorConfig.infinite((Fraction(1, 50_000),) * 50_000)
+        start = time.perf_counter()
+        report = entropy_report(cfg, 1)
+        assert time.perf_counter() - start < 5.0
+        assert report.exact_bits == pytest.approx(math.log2(50_000), abs=1e-9)
 
     def test_boundary_has_no_asymptotics(self):
         report = entropy_report(SectorConfig.finite((5, 5)), 0)

@@ -9,6 +9,7 @@ code.
 
 from __future__ import annotations
 
+import difflib
 import os
 import subprocess
 import sys
@@ -77,7 +78,11 @@ def run_cli(args: list[str], out: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
-    assert run_cli(GOLDEN[name], tmp_path / name) == expected
+    got = run_cli(GOLDEN[name], tmp_path / name)
+    if got != expected:  # show the differing lines; the bytes must still match exactly
+        diff = difflib.unified_diff(expected.decode().splitlines(keepends=True),
+                                    got.decode().splitlines(keepends=True), name, "output", n=0)
+        pytest.fail("".join(diff), pytrace=False)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from permutent.spectrum import (
     ResourceLimitError,
     SectorConfig,
     _product_form,
-    dimension_symmetric_subspace,
     exact_spectrum,
     spectrum_to_json_obj,
     thermo_spectrum,
@@ -90,22 +89,24 @@ class TestSectorConfig:
 
 
 class TestDimension:
+    """The symmetric subspace of n sites, binom(n + d - 1, d - 1), is the uniform mixture's support."""
+
     def test_qubit_pair(self):
-        assert dimension_symmetric_subspace(2, 2) == 3
+        assert uniform_mixed_spectrum(2, 2).support_size == math.comb(3, 1) == 3
 
     def test_qutrit_pair(self):
-        assert dimension_symmetric_subspace(2, 3) == 6
+        assert uniform_mixed_spectrum(2, 3).support_size == math.comb(4, 2) == 6
 
     def test_larger_case_against_enumeration(self):
         expected = sum(1 for _ in brute_compositions(10, (10,) * 4))
-        assert expected == 286
-        assert dimension_symmetric_subspace(10, 4) == expected
+        assert expected == 286 == math.comb(13, 3)
+        assert uniform_mixed_spectrum(10, 4).support_size == expected
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            dimension_symmetric_subspace(-1, 2)
-        with pytest.raises(ValueError):
-            dimension_symmetric_subspace(2, 1)
+        with pytest.raises(ValueError, match="block size must be nonnegative"):
+            uniform_mixed_spectrum(-1, 2)
+        with pytest.raises(ValueError, match="local dimension must be >= 2"):
+            uniform_mixed_spectrum(2, 1)
 
 
 class TestExactSpectrum:
@@ -325,7 +326,7 @@ class TestUniformMixedSpectrum:
     def test_support_is_symmetric_subspace_dimension(self):
         for n, d in ((0, 2), (5, 3), (12, 4)):
             s = uniform_mixed_spectrum(n, d)
-            assert s.support_size == dimension_symmetric_subspace(n, d)
+            assert s.support_size == math.comb(n + d - 1, d - 1)
             assert sum(e.weight_exact for e in s.entries) == 1
 
 
@@ -483,8 +484,8 @@ class TestSupportGuard:
     @pytest.mark.parametrize("n, d", [(0, 2), (1, 2), (7, 3), (40, 5), (300, 4)])
     def test_lower_bound_exact_on_unbounded_levels(self, n, d):
         # every level holds all n sites, as for the uniform mixture and L = inf
-        assert spectrum._support_lower_bound(n, (n,) * d) == dimension_symmetric_subspace(n, d)
-        assert spectrum._support_lower_bound(n, (n, 0) * d) == dimension_symmetric_subspace(n, d)
+        assert spectrum._support_lower_bound(n, (n,) * d) == math.comb(n + d - 1, d - 1)
+        assert spectrum._support_lower_bound(n, (n, 0) * d) == math.comb(n + d - 1, d - 1)
 
     @pytest.mark.parametrize(
         "build",
@@ -603,7 +604,7 @@ class TestSupportGuard:
         spectrum._check_exact_bits(1, 10**4300)
 
     def test_limit_admits_largest_documented_spectrum(self):
-        assert dimension_symmetric_subspace(200, 4) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
+        assert math.comb(203, 3) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
         assert 1_373_701 * (4**200).bit_length() <= spectrum.MAX_EXACT_BITS
         spectrum._check_exact_bits(1_373_701, 4**200)
 
