@@ -2,7 +2,8 @@
 
 Everything downstream (spectrum weights, entropies, Gaussian moments) reduces
 to binomial/multinomial coefficients evaluated over bounded integer
-compositions.  Two numeric representations are kept side by side:
+compositions, listed by one level-by-level walk for the spectrum builders and
+enumerate_compositions alike.  Two numeric representations are kept side by side:
 
 * exact arbitrary-precision integers / rationals, used for identity checks
   and moderate system sizes, and
@@ -28,6 +29,22 @@ __all__ = [
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the desk-scale guards."""
+
+
+# Largest spectrum a builder materialises, and most counts block_entropy sums; larger
+# requests fail fast.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
+MAX_SPECTRUM_SUPPORT = 2_000_000
+
+
+def _check_size(what: str, size: int) -> None:
+    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built.
+
+    A size past 2^64 is shown by its power of two: its digits could pass Python's
+    int-to-str limit.
+    """
+    if size > MAX_SPECTRUM_SUPPORT:
+        shown = size if size <= 2**64 else f"2^{math.log2(size):.1f}"
+        raise ResourceLimitError(f"{what} {shown} exceeds guard {MAX_SPECTRUM_SUPPORT}")
 
 
 # Q(m) for m < 16, where Stirling's series below is not yet accurate to float64
@@ -84,52 +101,61 @@ def log2_binom(n: int, k: int) -> float:
     return (_q(n) - _q(small) - _q(large) + spread) / math.log(2.0)
 
 
+def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
+    """The compositions of total under bounds in lexicographic order, as (links, last).
+
+    Each prefix row is repeated once per admissible part of the next level, in ascending
+    order.  links[i] holds the prefix row and the part k_i of every row after level i; last
+    holds the last level's parts.  Needs d >= 1 and total <= sum(bounds).  Every prefix
+    extends to a composition, so a level is refused past MAX_SPECTRUM_SUPPORT rows, unbuilt.
+    """
+    rest = sum(bounds)
+    left = np.array([total])
+    links = []
+    for b in bounds[:-1]:
+        rest -= b  # what the later levels can hold
+        lo = np.maximum(0, left - rest)
+        counts = np.minimum(b, left) - lo + 1
+        ends = np.cumsum(counts)
+        _check_size("composition support of at least", int(ends[-1]))
+        prefix = np.repeat(np.arange(left.size), counts)
+        k = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
+        links.append((prefix, k))
+        left = left[prefix] - k
+    return links, left
+
+
+def _matrix(links: Sequence, last: np.ndarray) -> np.ndarray:
+    """The int64 (support, d) composition matrix of a walk, filled from its links."""
+    matrix = np.empty((last.size, len(links) + 1), dtype=np.int64)
+    matrix[:, -1] = last
+    row = np.arange(last.size)
+    for i, (prefix, k) in reversed(list(enumerate(links))):
+        matrix[:, i] = k[row]
+        row = prefix[row]
+    return matrix
+
+
 def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All vectors k with sum(k) == total and 0 <= k_i <= bounds_i.
 
     Lexicographic order, each composition exactly once.  The stream is empty
     when sum(bounds) < total and holds the single all-zero vector for
-    total == 0.  Iterative next-composition steps, independent of the
-    spectrum builders' walk so the two can check each other.
+    total == 0.  Read off the spectrum builders' own walk, 4,096 rows at a
+    time; a support past MAX_SPECTRUM_SUPPORT raises ResourceLimitError.
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")
     if any(b < 0 for b in bounds):
         raise ValueError("composition bounds must be nonnegative")
-    d = len(bounds)
-    if d == 0:
-        if total == 0:
-            yield ()
+    if total > sum(bounds):
         return
-    # suffix[i] = bounds[i] + ... + bounds[d-1]
-    suffix = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-    if total > suffix[0]:
+    if len(bounds) == 0:
+        yield ()
         return
-    parts = [0] * d
-    rem = total
-    for i in range(d):  # lexicographic minimum pushes mass to the right
-        parts[i] = max(0, rem - suffix[i + 1])
-        rem -= parts[i]
-    yield tuple(parts)
-    while True:
-        # rightmost position that can absorb one unit from its right tail
-        tail = 0
-        j = d - 2
-        while j >= 0:
-            tail += parts[j + 1]
-            if tail > 0 and parts[j] < bounds[j]:
-                break
-            j -= 1
-        if j < 0:
-            return
-        parts[j] += 1
-        rem = tail - 1
-        for i in range(j + 1, d):
-            parts[i] = max(0, rem - suffix[i + 1])
-            rem -= parts[i]
-        yield tuple(parts)
+    matrix = _matrix(*_walk(total, bounds))
+    for start in range(0, len(matrix), 4096):
+        yield from map(tuple, matrix[start : start + 4096].tolist())
 
 
 def composition_count(total: int, bounds: Sequence[int]) -> int:

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import log2_binom
-from .spectrum import (SectorConfig, Spectrum, _check_size, _check_symmetric, _level_ranges,
-                       _product_form, _stacked)
+from .combinatorics import _check_size, log2_binom
+from .spectrum import (SectorConfig, Spectrum, _check_symmetric, _level_ranges, _product_form,
+                       _stacked)
 
 __all__ = [
     "EntropyReport",
@@ -254,7 +254,7 @@ def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
         C = 0.5 * math.fsum(map(math.log2, p))
         valid = n * math.prod(p) >= ASYMPTOTIC_VALIDITY_FLOOR
         if (0 < n < L) if L else n >= 1:
-            asym = asymptotic_entropy(cfg, n)
+            asym = _closed_form(p, n * (L - n) / L if L else n)  # asymptotic_entropy(cfg, n)
             gauss = _closed_form(p, n * (L - n) / (L - 1)) if L else asym
     return EntropyReport(exact_bits=exact, asymptotic_bits=asym, gaussian_bits=gauss,
                          sup_bound_bits=max_entropy_bound(n, cfg.d), constant_C_bits=C,

@@ -18,13 +18,13 @@ check is a partial trace and a dense diagonalisation of the state itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
-from .combinatorics import ResourceLimitError, enumerate_compositions
+from .combinatorics import ResourceLimitError
 from .spectrum import SectorConfig, exact_spectrum, uniform_mixed_spectrum
 
 __all__ = [
@@ -197,7 +197,7 @@ def _match(
     config: dict, n: int, dense: list[float], formula: list[float], tol: float
 ) -> MatchReport:
     """Compare two descending eigenvalue lists, the shorter padded with zeros."""
-    pairs = zip_longest(dense, formula, fillvalue=0.0)
+    pairs = itertools.zip_longest(dense, formula, fillvalue=0.0)
     max_dev = max((abs(x - y) for x, y in pairs), default=0.0)
     return MatchReport(
         config=config,
@@ -249,7 +249,7 @@ def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchR
     before any state is built.
     """
     dim_block = _block_dim(d, L, n)
-    sectors = list(enumerate_compositions(L, (L,) * d))
+    sectors = [o for o in itertools.product(range(L + 1), repeat=d) if sum(o) == L]
     y = np.hstack([build_state(SectorConfig.finite(o)).reshape(dim_block, -1) for o in sectors])
     gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
     dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)

@@ -24,14 +24,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    ResourceLimitError,
-    _bd0,
-    _q,
-    _q_array,
-    composition_count,
-    log2_binom,
-)
+from .combinatorics import (MAX_SPECTRUM_SUPPORT, ResourceLimitError, _bd0, _check_size, _matrix,
+                            _q, _q_array, _walk, composition_count, log2_binom)
 
 __all__ = [
     "SectorConfig",
@@ -49,10 +43,6 @@ __all__ = [
 EXACT_AUTO_MAX_L = 300
 
 DENSITY_SUM_TOL = 1e-12
-
-# Largest spectrum a builder materialises, and most counts block_entropy sums; larger
-# requests fail fast.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
-MAX_SPECTRUM_SUPPORT = 2_000_000
 
 # Largest estimate, support * bit length of the shared denominator, of the
 # integer numerators an exact spectrum may hold.  Admits the 5.5e8 bits of
@@ -85,6 +75,9 @@ class SectorConfig:
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.occupations is not None:
+            if any(n != int(n) for n in self.occupations):
+                raise ValueError(f"occupations must be integers, got {self.occupations}")
+            object.__setattr__(self, "occupations", tuple(map(int, self.occupations)))
             if any(n < 0 for n in self.occupations):
                 raise ValueError("occupations must be nonnegative")
             if sum(self.occupations) < 1:
@@ -98,7 +91,7 @@ class SectorConfig:
 
     @classmethod
     def finite(cls, occupations: Sequence[int]) -> "SectorConfig":
-        return cls(occupations=tuple(int(n) for n in occupations))
+        return cls(occupations=tuple(occupations))
 
     @classmethod
     def infinite(cls, densities: Sequence) -> "SectorConfig":
@@ -229,17 +222,6 @@ def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
     return max(product, free)
 
 
-def _check_size(what: str, size: int) -> None:
-    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built.
-
-    A size past 2^64 is shown by its power of two: its digits could pass Python's
-    int-to-str limit.
-    """
-    if size > MAX_SPECTRUM_SUPPORT:
-        shown = size if size <= 2**64 else f"2^{math.log2(size):.1f}"
-        raise ResourceLimitError(f"{what} {shown} exceeds guard {MAX_SPECTRUM_SUPPORT}")
-
-
 def _check_support(n: int, bounds: Sequence[int]) -> int:
     """The support size, refused above MAX_SPECTRUM_SUPPORT (cheap lower bound first)."""
     _check_size("spectrum support of at least", _support_lower_bound(n, bounds))
@@ -330,45 +312,30 @@ def _product_spectrum(
     times multinomial(n; k) with ``multinomial``: the binomials
     binom(left_i, k_i) over the sites left before each level.
 
-    Built one level at a time: every prefix row is repeated once per
-    admissible part of the next level, in ascending order, so the rows come
-    out in lexicographic order.  Each level keeps the index of every row's
-    prefix, and the matrix is filled from them at the end.
+    The rows are those of combinatorics' walk, so they come out in
+    lexicographic order; factors and numerators are gathered along its links.
     """
     log_const, f, xs, bounds = form
-    suffix = list(accumulate(reversed(bounds), initial=0))[::-1]  # suffix[i] = sum(bounds[i:])
     ranges = _level_ranges(n, bounds)
     x, ks, starts = _stacked(xs, ranges)
     log_factors = f(x, ks)
     offsets = [start - lo for start, (lo, _) in zip(starts, ranges)]  # k sits at index k + offset
-    left = np.array([n])
+    links, last = _walk(n, bounds)
     log_sum = np.zeros(1)
     exact = None if exact_factors is None else np.array(exact_factors, dtype=object)
     nums = None if exact is None else np.ones(1, dtype=object)
-    links = []
-    for i, (b, offset) in enumerate(zip(bounds[:-1], offsets)):
-        lo = np.maximum(0, left - suffix[i + 1])
-        counts = np.minimum(b, left) - lo + 1
-        prefix = np.repeat(np.arange(left.size), counts)
-        k = np.arange(prefix.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        links.append((prefix, k))
+    left = np.array([n])
+    for (prefix, k), offset in zip(links, offsets):
         log_sum = log_sum[prefix] + log_factors[k + offset]
         if nums is not None:
             nums = nums[prefix] * exact[k + offset]
             if multinomial:
                 nums *= _comb(left[prefix], k)
-        left = left[prefix] - k
-    # the last level takes every site left, which its bound always admits
-    log_sum = log_sum + log_factors[left + offsets[-1]]
+                left = left[prefix] - k
+    log_sum = log_sum + log_factors[last + offsets[-1]]
     if nums is not None:
-        nums *= exact[left + offsets[-1]]
-    compositions = np.empty((left.size, len(bounds)), dtype=np.int64)
-    compositions[:, -1] = left
-    row = np.arange(left.size)
-    for i, (prefix, k) in reversed(list(enumerate(links))):
-        compositions[:, i] = k[row]
-        row = prefix[row]
-    return compositions, log_sum + log_const, None if nums is None else nums.tolist()
+        nums *= exact[last + offsets[-1]]
+    return _matrix(links, last), log_sum + log_const, None if nums is None else nums.tolist()
 
 
 def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> Spectrum:
@@ -463,8 +430,8 @@ def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     _check_symmetric(n, d)
     kappa = _check_support(n, (n,) * d)  # kappa(n), refused before it is built
-    flat = -log2_binom(n + d - 1, d - 1), lambda x, k: np.zeros(k.size), (0,) * d, (n,) * d
-    compositions, log2_weights, _ = _product_spectrum(n, flat)
+    log2_weights = np.full(kappa, 0.0 - log2_binom(n + d - 1, d - 1))  # +0.0 at n = 0
+    compositions = _matrix(*_walk(n, (n,) * d))
     return Spectrum(compositions, log2_weights, n, numerators=[1] * kappa, denominator=kappa)
 
 

@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutent.combinatorics import composition_count, enumerate_compositions, log2_binom
+from permutent.combinatorics import (
+    ResourceLimitError,
+    composition_count,
+    enumerate_compositions,
+    log2_binom,
+)
 
 from _oracles import brute_compositions, decimal_log2_binom, pascal_binom, poly_composition_count
 
@@ -145,6 +151,17 @@ class TestEnumeration:
                 term *= math.comb(b, k)
             acc += term
         assert acc == math.comb(L, total)
+
+    def test_oversized_support_refused_before_the_first_tuple(self):
+        # C(109, 9) ~ 4.3e12 compositions; the fourth level alone would hold C(104, 4) ~ 4.6e6 rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="composition support of at least"):
+                next(iter(enumerate_compositions(100, (100,) * 10)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_wide_bounds_count(self):
         assert composition_count(9, (1,) * 18) == math.comb(18, 9)

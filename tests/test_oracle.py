@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -359,3 +361,18 @@ class TestVerifyUniformMixture:
         assert not report.passed
         assert (report.support_size_formula, report.support_size_dense) == (3, 2)
         assert report.max_abs_dev == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_oracle_imports_only_its_comparison_targets():
+    """The dense side shares no code with the formula path: it imports only what it compares."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "permutent" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "permutent"
+        ):
+            names.update(alias.name for alias in node.names)
+    compared = {"SectorConfig", "exact_spectrum", "uniform_mixed_spectrum"}
+    assert names == {"ResourceLimitError", *compared}

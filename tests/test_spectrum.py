@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 
 import permutent
 from permutent import combinatorics, oracle, spectrum
-from permutent.combinatorics import (
-    composition_count,
-    enumerate_compositions,
-)
+from permutent.combinatorics import composition_count
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
     MAX_SPECTRUM_SUPPORT,
@@ -86,6 +83,19 @@ class TestSectorConfig:
             SectorConfig.infinite((Fraction(3, 2), Fraction(-1, 2)))
         with pytest.raises(TypeError):
             SectorConfig.infinite((None, 1))
+
+    @pytest.mark.parametrize("occupations", [(2.7, 3), (2.5, 1.5), (2, Fraction(7, 2))])
+    def test_rejects_non_integral_occupations(self, occupations):
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            SectorConfig.finite(occupations)
+        with pytest.raises(ValueError, match="occupations must be integers"):
+            SectorConfig(occupations=occupations)
+
+    def test_integral_occupations_become_ints(self):
+        for occupations in ((2.0, 3), (np.int64(2), np.int8(3)), [2, Fraction(6, 2)]):
+            cfg = SectorConfig(occupations=occupations)
+            assert cfg == SectorConfig.finite((2, 3))
+            assert all(type(n) is int for n in cfg.occupations)
 
 
 class TestDimension:
@@ -331,7 +341,11 @@ class TestUniformMixedSpectrum:
 
 
 class TestEntryOrder:
-    """Every builder labels its entries in the order of the reference enumerator."""
+    """Every builder labels its entries in the order of the recursive test enumerator.
+
+    brute_compositions shares no code with the builders' walk, which
+    enumerate_compositions also reads.
+    """
 
     @staticmethod
     def assert_order(spec, reference):
@@ -350,7 +364,7 @@ class TestEntryOrder:
         n = data.draw(st.one_of(st.sampled_from([0, L]), st.integers(min_value=0, max_value=L)))
         exact = data.draw(st.booleans())
         spec = exact_spectrum(SectorConfig.finite(occ), n, exact=exact)
-        self.assert_order(spec, enumerate_compositions(n, occ))
+        self.assert_order(spec, brute_compositions(n, tuple(occ)))
 
     @given(st.data())
     @settings(max_examples=150)
@@ -363,12 +377,12 @@ class TestEntryOrder:
         n = data.draw(st.integers(min_value=0, max_value=9))
         spec = thermo_spectrum(dens, n, exact=data.draw(st.booleans()))
         bounds = [n if c else 0 for c in counts]
-        self.assert_order(spec, enumerate_compositions(n, bounds))
+        self.assert_order(spec, brute_compositions(n, tuple(bounds)))
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=5))
     def test_uniform_mixture(self, n, d):
         spec = uniform_mixed_spectrum(n, d)
-        self.assert_order(spec, enumerate_compositions(n, (n,) * d))
+        self.assert_order(spec, brute_compositions(n, (n,) * d))
 
 
 class TestExactAgainstLogDomain:
