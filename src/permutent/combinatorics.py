@@ -35,16 +35,15 @@ class ResourceLimitError(RuntimeError):
 # requests fail fast.  Admits the 1,373,701 entries of thermo_spectrum((1/4,)*4, 200).
 MAX_SPECTRUM_SUPPORT = 2_000_000
 
+# Most int64 cells, support * d, of a composition matrix: past d = 4 the walk's row guard
+# is MAX_SPECTRUM_CELLS // d, so the matrix and the walk's links stay bounded at any d.
+MAX_SPECTRUM_CELLS = 8_000_000
 
-def _check_size(what: str, size: int) -> None:
-    """Refuse a size above MAX_SPECTRUM_SUPPORT before anything of that size is built.
 
-    A size past 2^64 is shown by its power of two: its digits could pass Python's
-    int-to-str limit.
-    """
-    if size > MAX_SPECTRUM_SUPPORT:
-        shown = size if size <= 2**64 else f"2^{math.log2(size):.1f}"
-        raise ResourceLimitError(f"{what} {shown} exceeds guard {MAX_SPECTRUM_SUPPORT}")
+def _check_size(what: str, size: int, guard: int = MAX_SPECTRUM_SUPPORT) -> None:
+    """Refuse a size above guard before anything of that size is built."""
+    if size > guard:
+        raise ResourceLimitError(f"{what} {size} exceeds guard {guard}")
 
 
 # Q(m) for m < 16, where Stirling's series below is not yet accurate to float64
@@ -106,20 +105,30 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
 
     Each prefix row is repeated once per admissible part of the next level, in ascending
     order.  links[i] holds the prefix row and the part k_i of every row after level i; last
-    holds the last level's parts.  Needs d >= 1 and total <= sum(bounds).  Every prefix
-    extends to a composition, so a level is refused past MAX_SPECTRUM_SUPPORT rows, unbuilt.
+    holds the last level's parts.  Needs d >= 1 and total <= sum(bounds).
+
+    The only support guard: every prefix extends to a composition and rows never decrease,
+    so a level past min(MAX_SPECTRUM_SUPPORT, MAX_SPECTRUM_CELLS // d) rows is refused
+    unbuilt.  Each prefix's count is clipped at guard + 1 before summing, so the sum cannot
+    wrap and passes exactly when the true count does; each bound, and what the later levels
+    can hold, is clamped to total, which changes no composition and keeps every count in
+    int64.  A total past 2^63 - 1 is refused.
     """
+    if total > 2**63 - 1:
+        raise ResourceLimitError("composition total past 2^63 - 1, the int64 counts")
+    guard = min(MAX_SPECTRUM_SUPPORT, MAX_SPECTRUM_CELLS // len(bounds))
     rest = sum(bounds)
     left = np.array([total])
     links = []
     for b in bounds[:-1]:
         rest -= b  # what the later levels can hold
-        lo = np.maximum(0, left - rest)
-        counts = np.minimum(b, left) - lo + 1
+        lo = np.maximum(0, left - min(rest, total))
+        counts = np.minimum(np.minimum(min(b, total), left) - lo, guard) + 1
         ends = np.cumsum(counts)
-        _check_size("composition support of at least", int(ends[-1]))
+        _check_size("composition support of at least", int(ends[-1]), guard)
         prefix = np.repeat(np.arange(left.size), counts)
-        k = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
+        k = np.arange(ends[-1])
+        k -= np.repeat(ends - counts - lo, counts)
         links.append((prefix, k))
         left = left[prefix] - k
     return links, left
@@ -142,7 +151,8 @@ def enumerate_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[
     Lexicographic order, each composition exactly once.  The stream is empty
     when sum(bounds) < total and holds the single all-zero vector for
     total == 0.  Read off the spectrum builders' own walk, 4,096 rows at a
-    time; a support past MAX_SPECTRUM_SUPPORT raises ResourceLimitError.
+    time; the walk raises ResourceLimitError, before the first tuple, for a
+    support past its row guard (see _walk) and for a total past 2^63 - 1.
     """
     if total < 0:
         raise ValueError("composition total must be nonnegative")

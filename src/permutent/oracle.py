@@ -245,10 +245,16 @@ def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchR
     Y^T Y / K has the same nonzero eigenvalues, so whichever of the two is
     smaller (d^n against K d^(L-n)) is diagonalised, and its nonzero
     eigenvalues are compared against the weights of uniform_mixed_spectrum,
-    kappa(n) copies of 1/kappa(n).  A block past MAX_DENSITY_DIM is refused
-    before any state is built.
+    kappa(n) copies of 1/kappa(n).  A block past MAX_DENSITY_DIM, and a Y of
+    more than MAX_STATE_AMPLITUDES amplitudes (K = C(L + d - 1, d - 1) states
+    of d^L each), are refused before any sector is listed.
     """
     dim_block = _block_dim(d, L, n)
+    stacked = math.comb(L + d - 1, L) * _check_power("state", d, L, MAX_STATE_AMPLITUDES)
+    if stacked > MAX_STATE_AMPLITUDES:
+        raise ResourceLimitError(
+            f"mixture of {stacked} amplitudes exceeds guard {MAX_STATE_AMPLITUDES}"
+        )
     sectors = [o for o in itertools.product(range(L + 1), repeat=d) if sum(o) == L]
     y = np.hstack([build_state(SectorConfig.finite(o)).reshape(dim_block, -1) for o in sectors])
     gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y

@@ -24,8 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import (MAX_SPECTRUM_SUPPORT, ResourceLimitError, _bd0, _check_size, _matrix,
-                            _q, _q_array, _walk, composition_count, log2_binom)
+from .combinatorics import ResourceLimitError, _bd0, _matrix, _q, _q_array, _walk, log2_binom
 
 __all__ = [
     "SectorConfig",
@@ -75,9 +74,13 @@ class SectorConfig:
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if self.occupations is not None:
-            if any(n != int(n) for n in self.occupations):
+            try:
+                integral = tuple(map(int, self.occupations))
+            except (OverflowError, ValueError):  # int() of an infinity or a NaN
+                integral = None
+            if integral != tuple(self.occupations):
                 raise ValueError(f"occupations must be integers, got {self.occupations}")
-            object.__setattr__(self, "occupations", tuple(map(int, self.occupations)))
+            object.__setattr__(self, "occupations", integral)
             if any(n < 0 for n in self.occupations):
                 raise ValueError("occupations must be nonnegative")
             if sum(self.occupations) < 1:
@@ -193,43 +196,6 @@ def _check_symmetric(n: int, d: int) -> None:
         raise ValueError("local dimension must be >= 2")
 
 
-def _support_lower_bound(n: int, bounds: Sequence[int]) -> int:
-    """A lower bound on composition_count(n, bounds) in O(d log d) steps.
-
-    Levels are taken largest bound first while the taken bounds sum to at most
-    n and the others to at least n; every choice of parts on the taken levels
-    then extends to a composition.  Stops once the product passes the guard.
-    The m levels whose bound is at least n hold any composition of n among
-    themselves, C(n + m - 1, m - 1) of them; past 2^64 that count is not built
-    but replaced by a power of two below it, read off log2_binom.
-    """
-    rest = sum(bounds)
-    if n > rest:
-        return 0
-    taken = 0
-    product = 1
-    for b in sorted(bounds, reverse=True):
-        taken += b
-        rest -= b
-        if taken > n or rest < n or product > MAX_SPECTRUM_SUPPORT:
-            break
-        product *= b + 1
-    m = sum(b >= n for b in bounds)
-    if m == 0:
-        return product
-    log2_free = log2_binom(n + m - 1, m - 1)
-    free = math.comb(n + m - 1, m - 1) if log2_free < 64 else 1 << int(log2_free - 1)
-    return max(product, free)
-
-
-def _check_support(n: int, bounds: Sequence[int]) -> int:
-    """The support size, refused above MAX_SPECTRUM_SUPPORT (cheap lower bound first)."""
-    _check_size("spectrum support of at least", _support_lower_bound(n, bounds))
-    support = composition_count(n, bounds)
-    _check_size("spectrum support", support)
-    return support
-
-
 def _check_exact_bits(support: int, denominator: int | None, log2_den: float = 0.0) -> None:
     """Refuse exact weights past MAX_EXACT_BITS or past the writers' digit limit.
 
@@ -300,7 +266,11 @@ def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:
 
 
 def _product_spectrum(
-    n: int, form: tuple, exact_factors: Sequence[int] | None = None, multinomial: bool = False
+    n: int,
+    form: tuple,
+    walk: tuple,
+    exact_factors: Sequence[int] | None = None,
+    multinomial: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
     """Columns of the spectrum of a product form (c, f, x, b), weight(k) = 2^c prod_i 2^f(x_i, k_i).
 
@@ -312,15 +282,18 @@ def _product_spectrum(
     times multinomial(n; k) with ``multinomial``: the binomials
     binom(left_i, k_i) over the sites left before each level.
 
-    The rows are those of combinatorics' walk, so they come out in
-    lexicographic order; factors and numerators are gathered along its links.
+    ``walk`` is combinatorics' _walk(n, b), run by the caller before any
+    table is built, so that the walk's guard decides the size alone; its rows
+    come out in lexicographic order, and factors and numerators are gathered
+    along its links.  Every level's range is at most the support, so the
+    tables are as bounded as the walk.
     """
     log_const, f, xs, bounds = form
     ranges = _level_ranges(n, bounds)
     x, ks, starts = _stacked(xs, ranges)
     log_factors = f(x, ks)
     offsets = [start - lo for start, (lo, _) in zip(starts, ranges)]  # k sits at index k + offset
-    links, last = _walk(n, bounds)
+    links, last = walk
     log_sum = np.zeros(1)
     exact = None if exact_factors is None else np.array(exact_factors, dtype=object)
     nums = None if exact is None else np.ones(1, dtype=object)
@@ -356,7 +329,8 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         raise ValueError(f"n exceeds L: n={n}, L={L}")
     if exact is None:
         exact = L <= EXACT_AUTO_MAX_L
-    support = _check_support(n, occupations)
+    walk = _walk(n, occupations)
+    support = walk[1].size
     binoms, denominator = None, 1
     if exact:
         _check_exact_bits(support, None, log2_binom(L, n))
@@ -364,7 +338,8 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
         _check_exact_bits(support, denominator)
         ranges = zip(occupations, _level_ranges(n, occupations))
         binoms = [math.comb(N, k) for N, (lo, hi) in ranges for k in range(lo, hi + 1)]
-    compositions, log2_weights, numerators = _product_spectrum(n, _product_form(cfg, n), binoms)
+    form = _product_form(cfg, n)
+    compositions, log2_weights, numerators = _product_spectrum(n, form, walk, binoms)
     return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator)
 
 
@@ -399,8 +374,9 @@ def thermo_spectrum(
     if exact and cutoff > 0.0:
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
-    form = _product_form(cfg, n)
-    support = _check_support(n, form[3])
+    form = _product_form(cfg, n)  # O(1): its bounds b_i are what the walk needs
+    walk = _walk(n, form[3])
+    support = walk[1].size
     pows, denominator = None, 1
     if exact:
         # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
@@ -410,7 +386,9 @@ def thermo_spectrum(
         _check_exact_bits(support, denominator)
         ranges = zip(dens, _level_ranges(n, form[3]))
         pows = [int(p * B) ** k for p, (lo, hi) in ranges for k in range(lo, hi + 1)]
-    compositions, log2_weights, numerators = _product_spectrum(n, form, pows, multinomial=True)
+    compositions, log2_weights, numerators = _product_spectrum(
+        n, form, walk, pows, multinomial=True
+    )
 
     dropped_mass = 0.0
     if cutoff > 0.0:
@@ -429,9 +407,10 @@ def thermo_spectrum(
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     _check_symmetric(n, d)
-    kappa = _check_support(n, (n,) * d)  # kappa(n), refused before it is built
+    links, last = _walk(n, (n,) * d)
+    kappa = last.size
     log2_weights = np.full(kappa, 0.0 - log2_binom(n + d - 1, d - 1))  # +0.0 at n = 0
-    compositions = _matrix(*_walk(n, (n,) * d))
+    compositions = _matrix(links, last)
     return Spectrum(compositions, log2_weights, n, numerators=[1] * kappa, denominator=kappa)
 
 

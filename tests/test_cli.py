@@ -706,23 +706,24 @@ class TestExitCodes:
         assert result.returncode == 3, result.stderr.decode()
 
     @pytest.mark.parametrize(
-        "args",
+        "args, rows, guard",
         [
-            ["--uniform", "--d", "2000000", "--n", "2000000"],
-            ["--uniform", "--d", "200000", "--n", "200000"],
-            ["--L", "inf", "--dens", ",".join(["1/2000"] * 2000), "--n", "1000000"],
+            (["--uniform", "--d", "2000000", "--n", "2000000"], 5, 4),
+            (["--uniform", "--d", "200000", "--n", "200000"], 41, 40),
+            (["--L", "inf", "--dens", ",".join(["1/2000"] * 2000), "--n", "1000000"], 4001, 4000),
         ],
         ids=["uniform-2e6", "uniform-2e5", "inf-2000-levels"],
     )
-    def test_unbounded_supports_exit_3_at_once(self, args):
+    def test_unbounded_supports_exit_3_at_once(self, args, rows, guard):
         # the counts have 1.2e6, 1.2e5 and 6,300 digits: composition_count of the first
-        # takes minutes, and printing any of them passes Python's int-to-str limit
+        # takes minutes, and printing any of them passes Python's int-to-str limit; the walk
+        # refuses the first level, its counts clipped at the guard of 8e6 cells over d levels
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         result = subprocess.run([sys.executable, "-m", "permutent.cli", "spectrum", *args],
                                 capture_output=True, env=env, timeout=5, check=False)
         assert result.returncode == 3, result.stderr.decode()
-        assert re.fullmatch(r"error: spectrum support of at least 2\^\d+\.\d exceeds guard \d+\n",
-                            result.stderr.decode())
+        message = f"error: composition support of at least {rows} exceeds guard {guard}\n"
+        assert re.fullmatch(re.escape(message), result.stderr.decode())
 
     def test_figures_out_dir_over_a_file(self, runner, tmp_path):
         taken = tmp_path / "file"

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +166,52 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_wrapping_row_count_refused_in_a_subprocess(self):
+        # four prefixes of about 2^61 parts each: an unclipped int64 sum wraps to 4 rows and
+        # np.repeat then crashes the interpreter, so the call runs in a child of its own
+        code = (
+            "from permutent.combinatorics import ResourceLimitError, enumerate_compositions\n"
+            "try:\n"
+            "    next(iter(enumerate_compositions(2**61 + 1, (1, 1, 1, 2**61 + 1, 2**61 + 1))))\n"
+            "except ResourceLimitError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                                timeout=60, check=False)
+        assert result.returncode == 0, (result.returncode, result.stderr.decode())
+        assert result.stdout.decode() == (
+            "composition support of at least 12800008 exceeds guard 1600000\n"
+        )
+
+    def test_bounds_past_int64_clamped_to_the_total(self):
+        assert list(enumerate_compositions(1, (2**63, 1))) == [(0, 1), (1, 0)]
+        assert list(enumerate_compositions(2, (10**30, 10**30, 1))) == list(
+            brute_compositions(2, (2, 2, 1))
+        )
+
+    def test_total_past_int64_refused(self):
+        with pytest.raises(ResourceLimitError, match=r"past 2\^63 - 1"):
+            list(enumerate_compositions(10**30, (10**30,)))
+        with pytest.raises(ResourceLimitError, match=r"past 2\^63 - 1"):
+            list(enumerate_compositions(2**63, (2**62, 2**62)))
+        assert list(enumerate_compositions(2**63 - 1, (2**63 - 1,))) == [(2**63 - 1,)]
+
+    def test_many_levels_refused_by_their_cells(self):
+        # 10^5 rows of 10^5 levels would be a 75 GiB matrix; the guard is 8e6 cells / 10^5
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as refused:
+                next(iter(enumerate_compositions(1, (1,) * 100_000)))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "composition support of at least 81 exceeds guard 80"
+        assert elapsed < 1.0
         assert peak < 20 * 2**20
 
     def test_wide_bounds_count(self):

@@ -7,7 +7,9 @@ import re
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from permutent.cli import main
 from permutent.spectrum import weight_strings
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -17,6 +19,26 @@ def library_tour() -> str:
     """The first python block after the "## Library tour" heading."""
     section = README.read_text().split("## Library tour", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def support_refusals() -> list[tuple[str, str, str]]:
+    """(command, N, G) for each example of the "*Spectrum support.*" exit-code bullet."""
+    bullet = README.read_text().split("  - *Spectrum support.*", 1)[1].split("\n  - ", 1)[0]
+    bullet = re.sub(r"\s+", " ", bullet)
+    return re.findall(r"`(spectrum [^`]+)` \(N = (\d+), G = (\d+)\)", bullet)
+
+
+def test_support_refusals_cover_every_example():
+    # a README edit that breaks the example pattern fails here instead of dropping a check
+    assert len(support_refusals()) == 5
+
+
+@pytest.mark.parametrize("command, rows, guard", support_refusals())
+def test_support_refusal_exits_3_with_its_documented_message(command, rows, guard):
+    args = command.replace("1,2,...,400", ",".join(map(str, range(1, 401)))).split()[1:]
+    result = CliRunner().invoke(main, ["spectrum", *args])
+    assert result.exit_code == 3
+    assert result.stderr == f"error: composition support of at least {rows} exceeds guard {guard}\n"
 
 
 def test_library_tour_runs_and_matches_its_comments():

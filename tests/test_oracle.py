@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -259,6 +260,24 @@ class TestSmallerSide:
             verify_theorem(SectorConfig.finite((6, 5)), 11)
         with pytest.raises(ResourceLimitError, match="block dimension 2048"):
             verify_uniform_mixture(11, 2, 11)
+
+    @pytest.mark.parametrize(
+        "L, d, amplitudes", [(12, 3, 91 * 3**12), (6, 10, 5005 * 10**6), (10, 3, 66 * 3**10)]
+    )
+    def test_mixture_refused_before_any_sector_is_listed(self, monkeypatch, L, d, amplitudes):
+        # K = C(L + d - 1, d - 1) states of d^L amplitudes each, stacked side by side
+        def fail(*args, **kwargs):
+            raise AssertionError("sector listed or built")
+
+        monkeypatch.setattr(itertools, "product", fail)
+        monkeypatch.setattr(oracle, "build_state", fail)
+        with pytest.raises(ResourceLimitError) as refused:
+            verify_uniform_mixture(L, d, 1)
+        assert str(refused.value) == f"mixture of {amplitudes} amplitudes exceeds guard 2000000"
+
+    def test_mixture_guard_admits_its_largest_grid(self):
+        # 55 states of 3^9 amplitudes: 1,082,565, within the guard
+        assert verify_uniform_mixture(9, 3, 1).passed
 
 
 class TestGuardsPastTheIntStrLimit:

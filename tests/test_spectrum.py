@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,10 +14,9 @@ from hypothesis import strategies as st
 
 import permutent
 from permutent import combinatorics, oracle, spectrum
-from permutent.combinatorics import composition_count
+from permutent.combinatorics import MAX_SPECTRUM_CELLS, MAX_SPECTRUM_SUPPORT
 from permutent.entropy import entropy_of_spectrum
 from permutent.spectrum import (
-    MAX_SPECTRUM_SUPPORT,
     ResourceLimitError,
     SectorConfig,
     _product_form,
@@ -84,7 +84,10 @@ class TestSectorConfig:
         with pytest.raises(TypeError):
             SectorConfig.infinite((None, 1))
 
-    @pytest.mark.parametrize("occupations", [(2.7, 3), (2.5, 1.5), (2, Fraction(7, 2))])
+    @pytest.mark.parametrize(
+        "occupations",
+        [(2.7, 3), (2.5, 1.5), (2, Fraction(7, 2)), (math.inf, 1), (1, -math.inf), (math.nan, 2)],
+    )
     def test_rejects_non_integral_occupations(self, occupations):
         with pytest.raises(ValueError, match="occupations must be integers"):
             SectorConfig.finite(occupations)
@@ -487,31 +490,19 @@ class TestSupportGuard:
         with pytest.raises(ResourceLimitError):
             thermo_spectrum((Fraction(1, 20),) * 20, 20_000)
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=30), max_size=8),
-        st.integers(min_value=0, max_value=120),
-    )
-    @settings(max_examples=400)
-    def test_lower_bound_never_exceeds_count(self, bounds, n):
-        assert spectrum._support_lower_bound(n, bounds) <= composition_count(n, bounds)
-
-    @pytest.mark.parametrize("n, d", [(0, 2), (1, 2), (7, 3), (40, 5), (300, 4)])
-    def test_lower_bound_exact_on_unbounded_levels(self, n, d):
-        # every level holds all n sites, as for the uniform mixture and L = inf
-        assert spectrum._support_lower_bound(n, (n,) * d) == math.comb(n + d - 1, d - 1)
-        assert spectrum._support_lower_bound(n, (n, 0) * d) == math.comb(n + d - 1, d - 1)
-
     @pytest.mark.parametrize(
-        "build",
+        "build, message",
         [
-            lambda: uniform_mixed_spectrum(200_000, 200_000),
-            lambda: uniform_mixed_spectrum(2_000_000, 2_000_000),
-            lambda: thermo_spectrum((Fraction(1, 2000),) * 2000, 1_000_000),
+            (lambda: uniform_mixed_spectrum(200_000, 200_000), "at least 41 exceeds guard 40"),
+            (lambda: uniform_mixed_spectrum(2_000_000, 2_000_000), "at least 5 exceeds guard 4"),
+            (lambda: thermo_spectrum((Fraction(1, 2000),) * 2000, 1_000_000),
+             "at least 4001 exceeds guard 4000"),
         ],
         ids=["uniform-2e5", "uniform-2e6", "inf-2000-levels"],
     )
-    def test_unbounded_levels_refused_before_any_count(self, monkeypatch, build):
-        # each support C(n + m - 1, m - 1) has over 6,000 digits; none is built or counted
+    def test_unbounded_levels_refused_before_any_count(self, monkeypatch, build, message):
+        # each support C(n + m - 1, m - 1) has over 6,000 digits; none is built or counted,
+        # and the first level's counts are clipped at the guard of 8e6 cells over d levels
         comb = math.comb
 
         def small_comb(a, b):
@@ -519,28 +510,77 @@ class TestSupportGuard:
             return comb(a, b)
 
         monkeypatch.setattr(math, "comb", small_comb)
-        monkeypatch.setattr(spectrum, "composition_count", small_comb)
-        with pytest.raises(ResourceLimitError, match=r"at least 2\^\d+\.\d exceeds guard"):
+        monkeypatch.setattr(combinatorics, "composition_count", small_comb)
+        with pytest.raises(ResourceLimitError) as refused:
             build()
+        assert str(refused.value) == f"composition support of {message}"
 
     def test_counts_past_2_64_shown_by_their_power_of_two(self):
-        # the lower bound is 10,000; the count, about 2^10122.5, has about 3,050 digits
-        with pytest.raises(ResourceLimitError, match=r"support 2\^10122\.5 exceeds guard"):
-            exact_spectrum(SectorConfig.finite((9999,) * 3000), 10_000)
-        with pytest.raises(ResourceLimitError, match=r"support 2\^186\.8 exceeds guard"):
-            exact_spectrum(SectorConfig.finite((999,) * 30), 1000)
-        # at most 2^64 the count itself is shown
-        with pytest.raises(ResourceLimitError, match="at least 2003001 exceeds guard"):
-            uniform_mixed_spectrum(2000, 3)
+        # the supports, about 2^10122.5 and 2^186.8, are refused at the first level past the
+        # guard with a plain count of that level's rows; no count of the support is built
+        cases = [
+            (lambda: exact_spectrum(SectorConfig.finite((9999,) * 3000), 10_000),
+             "at least 2667 exceeds guard 2666"),
+            (lambda: exact_spectrum(SectorConfig.finite((999,) * 30), 1000),
+             "at least 501499 exceeds guard 266666"),
+            (lambda: uniform_mixed_spectrum(2000, 3), "at least 2003001 exceeds guard 2000000"),
+        ]
+        for build, message in cases:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as refused:
+                build()
+            assert time.perf_counter() - start < 1.0
+            assert str(refused.value) == f"composition support of {message}"
 
     def test_lower_bound_refuses_without_counting(self, monkeypatch):
         def fail(total, bounds):
             raise AssertionError("composition_count called")
 
-        monkeypatch.setattr(spectrum, "composition_count", fail)
-        # the three largest levels alone admit 401 * 400 * 399 ~ 6.4e7 compositions
-        with pytest.raises(ResourceLimitError, match="at least"):
+        monkeypatch.setattr(combinatorics, "composition_count", fail)
+        # the first seven levels already hold 8! = 40,320 prefixes, past 8e6 cells / 400 levels
+        with pytest.raises(ResourceLimitError) as refused:
             exact_spectrum(SectorConfig.finite(range(1, 401)), 40_100)
+        assert str(refused.value) == "composition support of at least 40320 exceeds guard 20000"
+
+    def test_walk_is_the_only_support_guard(self, monkeypatch):
+        def fail(total, bounds):
+            raise AssertionError("composition_count called")
+
+        monkeypatch.setattr(combinatorics, "composition_count", fail)
+        built = [
+            (exact_spectrum(SectorConfig.finite((6, 5, 4)), 7), (6, 5, 4)),
+            (thermo_spectrum((THIRD,) * 3, 4), (4,) * 3),
+            (uniform_mixed_spectrum(3, 3), (3,) * 3),
+        ]
+        for spec, bounds in built:
+            assert spec.compositions.tolist() == [
+                list(k) for k in brute_compositions(spec.block_size, bounds)
+            ]
+        refused = [
+            lambda: exact_spectrum(SectorConfig.finite((1000,) * 5), 2500),
+            lambda: thermo_spectrum((Fraction(1, 5),) * 5, 400),
+            lambda: uniform_mixed_spectrum(400, 5),
+            lambda: uniform_mixed_spectrum(1, 100_000),
+            lambda: exact_spectrum(SectorConfig.finite((1,) * 100_000), 1),
+        ]
+        for build in refused:
+            with pytest.raises(ResourceLimitError, match=r"^composition support of at least "):
+                build()
+
+    def test_many_levels_refused_by_their_cells(self):
+        # a support of 10^5 rows of 10^5 levels: a 75 GiB matrix, refused at 81 rows
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as refused:
+                uniform_mixed_spectrum(1, 100_000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "composition support of at least 81 exceeds guard 80"
+        assert elapsed < 1.0
+        assert peak < 20 * 2**20
 
     def test_exact_weights_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -619,6 +659,7 @@ class TestSupportGuard:
 
     def test_limit_admits_largest_documented_spectrum(self):
         assert math.comb(203, 3) == 1_373_701 <= MAX_SPECTRUM_SUPPORT
+        assert MAX_SPECTRUM_SUPPORT * 4 <= MAX_SPECTRUM_CELLS  # the cells bind only past d = 4
         assert 1_373_701 * (4**200).bit_length() <= spectrum.MAX_EXACT_BITS
         spectrum._check_exact_bits(1_373_701, 4**200)
 
