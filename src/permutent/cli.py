@@ -15,8 +15,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import click
 import numpy as np
@@ -53,6 +54,9 @@ SWEEP_CSV_COLUMNS = "L,d,n,occupations,S_exact,S_asym,S_sup,gap"
 # (85-150 us a call, 0.2-0.6 us a count, on a 2-vCPU x86-64 VM); a sweep at the guard takes
 # up to about 20 s.  Admits figures --max-l 1000000 --points 1000 (4.0e7, 5 s).
 MAX_ENTROPY_WORK = 100_000_000
+
+# Rows per chunk of the spectrum writers: a chunk is formatted and written before the next.
+SPECTRUM_CHUNK_ROWS = 4096
 
 CORRECTIONS_CSV_COLUMNS = (
     "n_over_L,delta_per_bits,delta_per_leading_bits,delta_cr_bits,delta_cr_leading_bits"
@@ -153,12 +157,16 @@ def _sector_options(command):
     return command
 
 
-def _write_text(path: Path | None, text: str) -> None:
+def _write_text(path: Path | None, text: str | Iterable[str]) -> None:
+    """Write text, or each chunk of an iterable as it is made, to path or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
 
 
 def _csv_text(columns: str, rows: Sequence[tuple]) -> str:
@@ -175,18 +183,22 @@ def _json_text(obj: dict) -> str:
     return json.dumps({"generator": f"permutent {__version__}", **obj}, indent=2) + "\n"
 
 
-def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> str:
-    """Each row as template % (k_0, ..., k_{d-1}, log2 weight[, weight string]), sep-joined.
+def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> Iterator[str]:
+    """Each row as template % (k_0, ..., k_{d-1}, log2 weight[, weight string]), sep-joined,
+    yielded SPECTRUM_CHUNK_ROWS rows at a time.
 
     %r prints floats as json does; the weight strings (digits, "/") need no escaping."""
-    columns = [*spectrum.compositions.T.tolist(), spectrum.log2_weights.tolist()]
-    if spectrum.is_exact:
-        columns.append(weight_strings(spectrum))
-    return sep.join(map(template.__mod__, zip(*columns)))
+    for start in range(0, spectrum.support_size, SPECTRUM_CHUNK_ROWS):
+        rows = slice(start, start + SPECTRUM_CHUNK_ROWS)
+        columns = [*spectrum.compositions[rows].T.tolist(), spectrum.log2_weights[rows].tolist()]
+        if spectrum.is_exact:
+            columns.append(weight_strings(spectrum, rows))
+        yield (sep if start else "") + sep.join(map(template.__mod__, zip(*columns)))
 
 
-def _spectrum_json(spectrum: Spectrum) -> str:
-    """The bytes of _json_text(spectrum_to_json_obj(spectrum)), one template per spectrum."""
+def _spectrum_json(spectrum: Spectrum) -> Iterator[str]:
+    """The bytes of _json_text(spectrum_to_json_obj(spectrum)) in chunks, one template per
+    spectrum; refused here, before the first chunk, when JSON cannot hold it."""
     if not np.isfinite(spectrum.log2_weights).all():
         raise ValueError("spectrum has a non-finite log2 weight, which JSON cannot hold")
     head = _json_text({"header": spectrum_header(spectrum)})[: -len("\n}\n")]
@@ -196,13 +208,14 @@ def _spectrum_json(spectrum: Spectrum) -> str:
         f'    {{\n      "composition": [\n        {levels}\n      ],\n'
         f'      "log2_weight": %r{weight}\n    }}'
     )
-    records = _spectrum_rows(spectrum, template, ",\n")
-    return f'{head},\n  "entries": [\n{records}\n  ]\n}}\n'
+    records = _spectrum_rows(spectrum, template, ",\n")  # lazy: nothing is formatted yet
+    return chain([f'{head},\n  "entries": [\n'], records, ["\n  ]\n}\n"])
 
 
-def _spectrum_csv(spectrum: Spectrum) -> str:
+def _spectrum_csv(spectrum: Spectrum) -> Iterator[str]:
     template = ";".join(["%d"] * spectrum.d) + (",%r,%s" if spectrum.is_exact else ",%r,")
-    return "composition,log2_weight,weight\n" + _spectrum_rows(spectrum, template, "\n") + "\n"
+    records = _spectrum_rows(spectrum, template, "\n")
+    return chain(["composition,log2_weight,weight\n"], records, ["\n"])
 
 
 @click.group(cls=_Group)

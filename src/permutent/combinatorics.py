@@ -104,8 +104,9 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
     """The compositions of total under bounds in lexicographic order, as (links, last).
 
     Each prefix row is repeated once per admissible part of the next level, in ascending
-    order.  links[i] holds the prefix row and the part k_i of every row after level i; last
-    holds the last level's parts.  Needs d >= 1 and total <= sum(bounds).
+    order.  links[i] holds the prefix row and the part k_i of every row after level i, or
+    None, at no cost, where min(b_i, total) = 0 (each k_i is 0, the rows stay); last holds
+    the last level's parts.  Needs d >= 1 and total <= sum(bounds).
 
     The only support guard: every prefix extends to a composition and rows never decrease,
     so a level past min(MAX_SPECTRUM_SUPPORT, MAX_SPECTRUM_CELLS // d) rows is refused
@@ -122,6 +123,9 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
     links = []
     for b in bounds[:-1]:
         rest -= b  # what the later levels can hold
+        if min(b, total) == 0:
+            links.append(None)
+            continue
         lo = np.maximum(0, left - min(rest, total))
         counts = np.minimum(np.minimum(min(b, total), left) - lo, guard) + 1
         ends = np.cumsum(counts)
@@ -136,12 +140,14 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
 
 def _matrix(links: Sequence, last: np.ndarray) -> np.ndarray:
     """The int64 (support, d) composition matrix of a walk, filled from its links."""
-    matrix = np.empty((last.size, len(links) + 1), dtype=np.int64)
+    matrix = np.zeros((last.size, len(links) + 1), dtype=np.int64)
     matrix[:, -1] = last
     row = np.arange(last.size)
-    for i, (prefix, k) in reversed(list(enumerate(links))):
-        matrix[:, i] = k[row]
-        row = prefix[row]
+    for i in reversed(range(len(links))):
+        if links[i] is not None:
+            prefix, k = links[i]
+            matrix[:, i] = k[row]
+            row = prefix[row]
     return matrix
 
 

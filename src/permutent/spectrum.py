@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import ResourceLimitError, _bd0, _matrix, _q, _q_array, _walk, log2_binom
+from .combinatorics import MAX_SPECTRUM_CELLS, ResourceLimitError, _bd0, _check_size, _matrix
+from .combinatorics import _q, _q_array, _walk, log2_binom
 
 __all__ = [
     "SectorConfig",
@@ -298,7 +299,10 @@ def _product_spectrum(
     exact = None if exact_factors is None else np.array(exact_factors, dtype=object)
     nums = None if exact is None else np.ones(1, dtype=object)
     left = np.array([n])
-    for (prefix, k), offset in zip(links, offsets):
+    for link, offset in zip(links, offsets):
+        if link is None:  # k = 0 in every row, at bound 0 or n = 0: a factor of 1, 2^(+-0.0)
+            continue
+        prefix, k = link
         log_sum = log_sum[prefix] + log_factors[k + offset]
         if nums is not None:
             nums = nums[prefix] * exact[k + offset]
@@ -407,6 +411,7 @@ def thermo_spectrum(
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:
     """Flat spectrum of the uniformly mixed global state: kappa(n) equal weights."""
     _check_symmetric(n, d)
+    _check_size("cells of a single row", d, MAX_SPECTRUM_CELLS)  # before (n,) * d is built
     links, last = _walk(n, (n,) * d)
     kappa = last.size
     log2_weights = np.full(kappa, 0.0 - log2_binom(n + d - 1, d - 1))  # +0.0 at n = 0
@@ -435,14 +440,15 @@ def spectrum_header(spectrum: Spectrum) -> dict:
     }
 
 
-def weight_strings(spectrum: Spectrum) -> list[str] | None:
-    """Each exact weight as str(Fraction(num, den)), without the Fraction; None in the log domain."""
+def weight_strings(spectrum: Spectrum, rows: slice = slice(None)) -> list[str] | None:
+    """Each exact weight of the rows as str(Fraction(num, den)), without the Fraction; None in
+    the log domain."""
     if spectrum.numerators is None:
         return None
     den = spectrum.denominator
     return [
         str(num // g) if (g := math.gcd(num, den)) == den else f"{num // g}/{den // g}"
-        for num in spectrum.numerators
+        for num in spectrum.numerators[rows]
     ]
 
 

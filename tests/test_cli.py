@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -293,7 +295,7 @@ class TestSpectrumWriters:
         self.assert_writers_match(args, lambda: spectrum)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_log2_weight_refused(self, runner, monkeypatch, bad):
+    def test_non_finite_log2_weight_refused(self, runner, monkeypatch, tmp_path, bad):
         spectrum = Spectrum(np.array([[1, 0], [0, 1]]), np.array([-1.0, bad]), 1)
         with pytest.raises(ValueError, match="non-finite log2 weight"):
             cli._spectrum_json(spectrum)
@@ -302,6 +304,38 @@ class TestSpectrumWriters:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: spectrum has a non-finite log2 weight")
         assert result.stdout == ""
+        # the writers stream, so the refusal must come before the output file is opened
+        out = tmp_path / "spectrum.json"
+        result = runner.invoke(main, ["spectrum", "--uniform", "--d", "2", "--n", "1",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: spectrum has a non-finite log2 weight")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 11, 12])
+    def test_chunk_boundaries(self, monkeypatch, chunk_rows):
+        # 11 rows (--occ 3,2,4 --n 4): chunks of one row, uneven chunks, one whole chunk, one
+        # chunk larger than the spectrum
+        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", chunk_rows)
+        spectrum = exact_spectrum(SectorConfig.finite((3, 2, 4)), 4)
+        assert spectrum.support_size == 11
+        self.assert_writers_match(["--occ", "3,2,4", "--n", "4"], lambda: spectrum)
+
+    def test_writer_memory_is_bounded_by_a_chunk(self, tmp_path):
+        # 176,851 exact rows, 44.7 MB of JSON: the whole document held as rows, joined string
+        # and copy peaked at 148.6 MB traced; streamed, the spectrum and a chunk remain
+        out = tmp_path / "spectrum.json"
+        args = ["spectrum", "--L", "inf", "--d", "4", "--dens", "1/4,1/4,1/4,1/4", "--n", "100",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            main(args, standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        spectrum = thermo_spectrum([Fraction(1, 4)] * 4, 100)
+        assert out.read_text() == reference_spectrum_json(spectrum)
 
 
 class TestEntropyCommand:
@@ -724,6 +758,19 @@ class TestExitCodes:
         assert result.returncode == 3, result.stderr.decode()
         message = f"error: composition support of at least {rows} exceeds guard {guard}\n"
         assert re.fullmatch(re.escape(message), result.stderr.decode())
+
+    def test_uniform_levels_past_the_cells_exit_3_at_once(self):
+        # one row needs d cells; the bounds tuple (n,) * d alone would be 8 GB
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        args = ["spectrum", "--uniform", "--d", "1000000000", "--n", "1"]
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "permutent.cli", *args],
+                                capture_output=True, env=env, timeout=5, check=False)
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 3, result.stderr.decode()
+        assert result.stderr.decode() == (
+            "error: cells of a single row 1000000000 exceeds guard 8000000\n"
+        )
 
     def test_figures_out_dir_over_a_file(self, runner, tmp_path):
         taken = tmp_path / "file"

@@ -567,6 +567,21 @@ class TestSupportGuard:
             with pytest.raises(ResourceLimitError, match=r"^composition support of at least "):
                 build()
 
+    def test_uniform_levels_refused_before_their_bounds(self):
+        # a single row needs d cells: the bounds (n,) * d alone would take 8 GB here
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as refused:
+                uniform_mixed_spectrum(1, 10**9)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "cells of a single row 1000000000 exceeds guard 8000000"
+        assert elapsed < 1.0
+        assert peak < 2**20
+
     def test_many_levels_refused_by_their_cells(self):
         # a support of 10^5 rows of 10^5 levels: a 75 GiB matrix, refused at 81 rows
         tracemalloc.start()
