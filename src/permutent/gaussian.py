@@ -13,9 +13,7 @@ which level is eliminated does not affect the determinant or the entropy.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -29,6 +27,13 @@ __all__ = [
     "build_gaussian",
     "gaussian_entropy",
 ]
+
+# The exact moments' rows per float64 limb product, limb bytes per chunk (its float64 copy
+# stays within 1 MiB) and bound on rows and shifted counts; composition_moments says why
+# they keep every sum exact.  MAX_SPECTRUM_SUPPORT keeps every built spectrum within them.
+MOMENT_CHUNK_ROWS = 4096
+MOMENT_CHUNK_LIMBS = 2**17
+MOMENT_COUNT_BOUND = 2**21
 
 
 @dataclass
@@ -49,30 +54,26 @@ class GaussianModel:
 def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix of the composition under the weights.
 
-    When the spectrum carries exact weights the sums are accumulated exactly,
-    as integers over its shared denominator, one column at a time, and only
-    the final division rounds; otherwise plain float summation is used.
+    Exact weights give the floats of the exact rational moments: the sums are
+    integers over the shared denominator and only the final division rounds.
+    They are taken in chunks of MOMENT_CHUNK_ROWS = 4096 rows (fewer when a
+    row's numerator is wider than MOMENT_CHUNK_LIMBS / 4096 = 32 bytes), so
+    memory is set by the chunk, not the support.  Each count is shifted by
+    its level's minimum (no covariance changes, and the mean adds the minimum
+    back), so u < support <= 2^21.  Per chunk, one float64 product of the
+    numerators' byte limbs with the columns [1, u_i, u_i*(u_j >> 11),
+    u_i*(u_j & 2047)], i <= j, gives every sum: each entry is an integer
+    below 4096 * 255 * 2^32 < 2^53, exact in any summation order.  The
+    chunks add up in int64 (below 2^21 * 255 * 2^32 < 2^63).  The ones
+    column checks that the weights sum to 1.  A spectrum past 2^21 rows or
+    count span (none that the builders admit) is refused with ValueError.
+
+    Log-domain weights use plain float summation.
     """
-    d = spectrum.d
     if spectrum.support_size == 0:
         raise ValueError("empty spectrum has no moments")
-    nums = spectrum.numerators
-    if nums is not None:
-        den = spectrum.denominator
-        if sum(nums) != den:
-            raise ValueError("exact spectrum weights do not sum to 1")
-
-        def expect(column: np.ndarray) -> Fraction:
-            return Fraction(sum(map(operator.mul, nums, column.tolist())), den)
-
-        wraps = spectrum.compositions.max() > math.isqrt(2**63 - 1)  # int64 products would wrap
-        ks = spectrum.compositions.astype(object if wraps else np.int64, copy=False)
-        mean_frac = [expect(ks[:, i]) for i in range(d)]
-        cov = np.empty((d, d))
-        for i, j in combinations_with_replacement(range(d), 2):
-            central = expect(ks[:, i] * ks[:, j]) - mean_frac[i] * mean_frac[j]
-            cov[i, j] = cov[j, i] = float(central)
-        return np.array([float(m) for m in mean_frac]), cov
+    if spectrum.numerators is not None:
+        return _exact_moments(spectrum.compositions, spectrum.numerators, spectrum.denominator)
     ks = spectrum.compositions.astype(np.float64)
     w = np.array(spectrum.weights)
     total = w.sum()
@@ -80,6 +81,49 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     centered = ks - mean
     cov = (centered.T * w) @ centered / total
     return mean, np.asarray(cov)
+
+
+def _exact_moments(ks: np.ndarray, nums: list[int], den: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact moments of the counts ks under the weights nums/den; see composition_moments."""
+    support, d = ks.shape
+    lo = ks.min(axis=0)
+    if support > MOMENT_COUNT_BOUND or (ks.max(axis=0) - lo >= MOMENT_COUNT_BOUND).any():
+        raise ValueError(f"exact moments need at most {MOMENT_COUNT_BOUND} rows and count spans")
+    width = (den.bit_length() + 7) // 8
+    first, second = np.array(list(combinations_with_replacement(range(d), 2))).T
+    pairs = first.size
+    step = max(1, min(MOMENT_CHUNK_ROWS, MOMENT_CHUNK_LIMBS // width, support))
+    buffer = np.ones((1 + d + 2 * pairs, step))  # row 0 stays the ones column
+    acc = np.zeros((len(buffer), width), dtype=np.int64)
+    for start in range(0, support, step):
+        rows = slice(start, start + step)
+        try:
+            raw = b"".join([num.to_bytes(width, "little") for num in nums[rows]])
+        except OverflowError:  # negative, or too wide for the denominator
+            raise ValueError("exact numerators must lie in [0, denominator]") from None
+        limbs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        u = (ks[rows] - lo).T.copy()  # one row per level
+        cols = buffer[:, : u.shape[1]]
+        cols[1 : d + 1] = u
+        ui, uj = u[first], u[second]
+        np.multiply(ui, uj >> 11, out=cols[d + 1 : d + 1 + pairs], casting="unsafe")
+        np.multiply(ui, uj & 2047, out=cols[d + 1 + pairs :], casting="unsafe")
+        acc += (cols @ limbs).astype(np.int64)
+    # a column's sum is sum_b acc[c, b] * 256^b: byte t of every acc[c, b], read as one
+    # little-endian integer, sits 8t bits up
+    grid = acc.astype("<i8").view(np.uint8).reshape(len(acc), width, 8).transpose(0, 2, 1)
+    sums = [sum(int.from_bytes(row.tobytes(), "little") << 8 * t for t, row in enumerate(col))
+            for col in grid]
+    total, firsts = sums[0], sums[1 : d + 1]
+    highs, lows = sums[d + 1 : d + 1 + pairs], sums[d + 1 + pairs :]
+    if total != den:
+        raise ValueError("exact spectrum weights do not sum to 1")
+    # int / int rounds once, correctly: the floats of the exact rational moments
+    mean = np.array([(s + m * den) / den for s, m in zip(firsts, lo.tolist())])
+    cov = np.empty((d, d))
+    for i, j, high, low in zip(first.tolist(), second.tolist(), highs, lows):
+        cov[i, j] = cov[j, i] = ((high * 2048 + low) * den - firsts[i] * firsts[j]) / den**2
+    return mean, cov
 
 
 def build_gaussian(densities: Sequence, n: int, L: int | None = None) -> GaussianModel:

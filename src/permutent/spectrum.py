@@ -388,8 +388,9 @@ def thermo_spectrum(
         _check_exact_bits(support, None, n * math.log2(B))
         denominator = B**n
         _check_exact_bits(support, denominator)
-        ranges = zip(dens, _level_ranges(n, form[3]))
-        pows = [int(p * B) ** k for p, (lo, hi) in ranges for k in range(lo, hi + 1)]
+        scaled = [p.numerator * (B // p.denominator) for p in dens]
+        ranges = zip(scaled, _level_ranges(n, form[3]))
+        pows = [a**k for a, (lo, hi) in ranges for k in range(lo, hi + 1)]
     compositions, log2_weights, numerators = _product_spectrum(
         n, form, walk, pows, multinomial=True
     )

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutent.combinatorics import MAX_SPECTRUM_SUPPORT
 from permutent.entropy import asymptotic_entropy
 from permutent.gaussian import (
+    MOMENT_CHUNK_ROWS,
+    MOMENT_COUNT_BOUND,
     build_gaussian,
     composition_moments,
     gaussian_entropy,
 )
 from permutent.spectrum import (
     SectorConfig,
+    Spectrum,
     exact_spectrum,
     thermo_spectrum,
     uniform_mixed_spectrum,
@@ -91,8 +96,6 @@ class TestCompositionMoments:
         assert np.allclose(c1, c2, atol=1e-9)
 
     def test_empty_spectrum_rejected(self):
-        from permutent.spectrum import Spectrum
-
         empty = Spectrum(np.empty((0, 2), dtype=np.int64), np.empty(0), 3)
         with pytest.raises(ValueError):
             composition_moments(empty)
@@ -143,6 +146,100 @@ class TestExactMomentsBitExact:
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=4))
     def test_uniform_mixture(self, n, d):
         self.assert_moments_exact(uniform_mixed_spectrum(n, d), uniform_weights(n, d))
+
+
+class TestExactMomentKernel:
+    """The chunked limb products give the moments of plain per-column Fraction sums."""
+
+    @staticmethod
+    def column_sums_reference(spec):
+        nums, den, d = spec.numerators, spec.denominator, spec.d
+        cols = spec.compositions.T.tolist()
+
+        def expect(column):
+            return Fraction(sum(num * k for num, k in zip(nums, column)), den)
+
+        mean = [expect(cols[i]) for i in range(d)]
+        cov = [
+            [float(expect([a * b for a, b in zip(cols[i], cols[j])]) - mean[i] * mean[j])
+             for j in range(d)]
+            for i in range(d)
+        ]
+        return [float(m) for m in mean], cov
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # several chunks, counts past 2^11 (the split's high part is nonzero)
+            lambda: uniform_mixed_spectrum(10_000, 2),
+            # numerators over 2^5000, 626 bytes wide: 209 rows a chunk
+            lambda: thermo_spectrum((HALF, HALF), 5000, exact=True),
+            # an empty level: its shifted count is 0 in every row
+            lambda: exact_spectrum(SectorConfig.finite((6, 0, 5, 4)), 7),
+            # the block edges n = 0 and n = L: one row each
+            lambda: exact_spectrum(SectorConfig.finite((6, 5, 4)), 0),
+            lambda: exact_spectrum(SectorConfig.finite((6, 5, 4)), 15),
+            lambda: thermo_spectrum((THIRD, THIRD, THIRD), 0, exact=True),
+        ],
+        ids=["uniform-10000-2", "thermo-half-5000", "empty-level", "n-0", "n-L", "thermo-n-0"],
+    )
+    def test_edges_match_column_sums(self, build):
+        spec = build()
+        mean, cov = composition_moments(spec)
+        ref_mean, ref_cov = self.column_sums_reference(spec)
+        assert mean.tolist() == ref_mean
+        assert cov.tolist() == ref_cov
+
+    def test_exactness_bound_holds(self):
+        # every spectrum the builders admit has at most 2^21 rows, so a level's shifted count is
+        # below 2^21; raising the support guard or the chunk must fail here, not round silently
+        assert MAX_SPECTRUM_SUPPORT <= MOMENT_COUNT_BOUND == 2**21
+        top = MOMENT_COUNT_BOUND - 1
+        assert top * (top >> 11) < 2**32 and top * 2047 < 2**32  # the split count columns
+        assert MOMENT_CHUNK_ROWS * 255 * 2**32 < 2**53  # one chunk's float64 sums are exact
+        assert MOMENT_COUNT_BOUND * 255 * 2**32 < 2**63  # the int64 totals over every row
+
+    @pytest.mark.parametrize(
+        "numerators",
+        [[1, 4, 2], [1, 4, 0], [7, -1, 0], [2**20, 0, 0], [-6, 12, 0]],
+        ids=["sum-over", "sum-under", "negative", "too-wide", "negative-sum-ok"],
+    )
+    def test_bad_numerators_raise_value_error(self, numerators):
+        # exact_spectrum((2, 2), 2) has numerators [1, 4, 1] over 6; a doctored copy must raise
+        # ValueError, not OverflowError from the limb split
+        good = exact_spectrum(SectorConfig.finite((2, 2)), 2)
+        assert good.numerators == [1, 4, 1] and good.denominator == 6
+        bad = Spectrum(good.compositions, good.log2_weights, 2, good.sector, numerators, 6)
+        with pytest.raises(ValueError):
+            composition_moments(bad)
+
+    def test_span_past_the_bound_refused(self):
+        # no builder makes a level span 2^21 (a level's range is below the support); a doctored
+        # spectrum that does is refused, not rounded
+        parts = np.array([[0, MOMENT_COUNT_BOUND], [MOMENT_COUNT_BOUND, 0]])
+        spec = Spectrum(parts, np.full(2, -1.0), MOMENT_COUNT_BOUND, None, [1, 1], 2)
+        with pytest.raises(ValueError, match="count spans"):
+            composition_moments(spec)
+        parts[parts == 0] = 1  # a span of 2^21 - 1 is admitted
+        spec = Spectrum(parts, np.full(2, -1.0), MOMENT_COUNT_BOUND + 1, None, [1, 1], 2)
+        mean, _ = composition_moments(spec)
+        assert mean.tolist() == [(MOMENT_COUNT_BOUND + 1) / 2] * 2
+
+    def test_memory_is_set_by_the_chunk(self):
+        # 46,376 rows at d = 5, 176,851 at d = 4 and 5,001 of 626-byte numerators: all stay under
+        # one bound (the object-dtype matrix products once tried here grew with the support)
+        for spec in (
+            exact_spectrum(SectorConfig.finite((60,) * 5), 30),
+            thermo_spectrum((Fraction(1, 4),) * 4, 100),
+            thermo_spectrum((HALF, HALF), 5000, exact=True),
+        ):
+            tracemalloc.start()
+            try:
+                composition_moments(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (spec.support_size, peak)
 
 
 class TestBuildGaussian:
