@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +27,12 @@ __all__ = [
     "gaussian_entropy",
 ]
 
-# The exact moments' rows per float64 limb product, limb bytes per chunk (its float64 copy
-# stays within 1 MiB) and bound on rows and shifted counts; composition_moments says why
-# they keep every sum exact.  MAX_SPECTRUM_SUPPORT keeps every built spectrum within them.
+# The exact moments' rows per float64 limb product, cells per chunk (a chunk's limbs and its
+# columns each stay within 2^17 float64s, 1 MiB) and bound on rows and shifted counts;
+# composition_moments says why they keep every sum exact.  MAX_SPECTRUM_SUPPORT keeps every
+# built spectrum within them.
 MOMENT_CHUNK_ROWS = 4096
-MOMENT_CHUNK_LIMBS = 2**17
+MOMENT_CHUNK_CELLS = 2**17
 MOMENT_COUNT_BOUND = 2**21
 
 
@@ -56,17 +56,20 @@ def composition_moments(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
     Exact weights give the floats of the exact rational moments: the sums are
     integers over the shared denominator and only the final division rounds.
-    They are taken in chunks of MOMENT_CHUNK_ROWS = 4096 rows (fewer when a
-    row's numerator is wider than MOMENT_CHUNK_LIMBS / 4096 = 32 bytes), so
-    memory is set by the chunk, not the support.  Each count is shifted by
-    its level's minimum (no covariance changes, and the mean adds the minimum
-    back), so u < support <= 2^21.  Per chunk, one float64 product of the
-    numerators' byte limbs with the columns [1, u_i, u_i*(u_j >> 11),
-    u_i*(u_j & 2047)], i <= j, gives every sum: each entry is an integer
-    below 4096 * 255 * 2^32 < 2^53, exact in any summation order.  The
-    chunks add up in int64 (below 2^21 * 255 * 2^32 < 2^63).  The ones
-    column checks that the weights sum to 1.  A spectrum past 2^21 rows or
-    count span (none that the builders admit) is refused with ValueError.
+    They are taken in chunks of at most MOMENT_CHUNK_ROWS = 4096 rows, fewer
+    when a row's numerator bytes or its 1 + d + d(d+1) columns pass
+    MOMENT_CHUNK_CELLS / 4096 = 32: a chunk's limbs and columns each stay
+    within 2^17 cells (one row alone passes that from d = 362).  So memory is
+    set by the chunk and by the d(d+1)/2 moments (their sums and the returned
+    arrays), not by the support.  Each count is shifted by its level's
+    minimum (no covariance changes, and the mean adds the minimum back), so
+    u < support <= 2^21.  Per chunk, one float64 product of the numerators'
+    byte limbs with the columns [1, u_i, u_i*(u_j >> 11), u_i*(u_j & 2047)],
+    i <= j, gives every sum: each entry is an integer below
+    4096 * 255 * 2^32 < 2^53, exact in any summation order.  The chunks add
+    up in int64 (below 2^21 * 255 * 2^32 < 2^63).  The ones column checks
+    that the weights sum to 1.  A spectrum past 2^21 rows or count span
+    (none that the builders admit) is refused with ValueError.
 
     Log-domain weights use plain float summation.
     """
@@ -90,10 +93,11 @@ def _exact_moments(ks: np.ndarray, nums: list[int], den: int) -> tuple[np.ndarra
     if support > MOMENT_COUNT_BOUND or (ks.max(axis=0) - lo >= MOMENT_COUNT_BOUND).any():
         raise ValueError(f"exact moments need at most {MOMENT_COUNT_BOUND} rows and count spans")
     width = (den.bit_length() + 7) // 8
-    first, second = np.array(list(combinations_with_replacement(range(d), 2))).T
+    first, second = np.triu_indices(d)
     pairs = first.size
-    step = max(1, min(MOMENT_CHUNK_ROWS, MOMENT_CHUNK_LIMBS // width, support))
-    buffer = np.ones((1 + d + 2 * pairs, step))  # row 0 stays the ones column
+    columns = 1 + d + 2 * pairs
+    step = max(1, min(MOMENT_CHUNK_ROWS, MOMENT_CHUNK_CELLS // max(width, columns), support))
+    buffer = np.ones((columns, step))  # row 0 stays the ones column
     acc = np.zeros((len(buffer), width), dtype=np.int64)
     for start in range(0, support, step):
         rows = slice(start, start + step)
@@ -108,12 +112,9 @@ def _exact_moments(ks: np.ndarray, nums: list[int], den: int) -> tuple[np.ndarra
         ui, uj = u[first], u[second]
         np.multiply(ui, uj >> 11, out=cols[d + 1 : d + 1 + pairs], casting="unsafe")
         np.multiply(ui, uj & 2047, out=cols[d + 1 + pairs :], casting="unsafe")
-        acc += (cols @ limbs).astype(np.int64)
-    # a column's sum is sum_b acc[c, b] * 256^b: byte t of every acc[c, b], read as one
-    # little-endian integer, sits 8t bits up
-    grid = acc.astype("<i8").view(np.uint8).reshape(len(acc), width, 8).transpose(0, 2, 1)
-    sums = [sum(int.from_bytes(row.tobytes(), "little") << 8 * t for t, row in enumerate(col))
-            for col in grid]
+        np.add(acc, cols @ limbs, out=acc, casting="unsafe")  # exact integers below 2^53
+    # a column's sum is sum_b acc[c, b] * 256^b
+    sums = [sum(limb << 8 * b for b, limb in enumerate(col.tolist())) for col in acc]
     total, firsts = sums[0], sums[1 : d + 1]
     highs, lows = sums[d + 1 : d + 1 + pairs], sums[d + 1 + pairs :]
     if total != den:

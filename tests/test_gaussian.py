@@ -147,26 +147,6 @@ class TestExactMomentsBitExact:
     def test_uniform_mixture(self, n, d):
         self.assert_moments_exact(uniform_mixed_spectrum(n, d), uniform_weights(n, d))
 
-
-class TestExactMomentKernel:
-    """The chunked limb products give the moments of plain per-column Fraction sums."""
-
-    @staticmethod
-    def column_sums_reference(spec):
-        nums, den, d = spec.numerators, spec.denominator, spec.d
-        cols = spec.compositions.T.tolist()
-
-        def expect(column):
-            return Fraction(sum(num * k for num, k in zip(nums, column)), den)
-
-        mean = [expect(cols[i]) for i in range(d)]
-        cov = [
-            [float(expect([a * b for a, b in zip(cols[i], cols[j])]) - mean[i] * mean[j])
-             for j in range(d)]
-            for i in range(d)
-        ]
-        return [float(m) for m in mean], cov
-
     @pytest.mark.parametrize(
         "build",
         [
@@ -183,12 +163,14 @@ class TestExactMomentKernel:
         ],
         ids=["uniform-10000-2", "thermo-half-5000", "empty-level", "n-0", "n-L", "thermo-n-0"],
     )
-    def test_edges_match_column_sums(self, build):
+    def test_kernel_edges(self, build):
+        # the chunked limb products at their edges, against the spectrum's own exact weights
         spec = build()
-        mean, cov = composition_moments(spec)
-        ref_mean, ref_cov = self.column_sums_reference(spec)
-        assert mean.tolist() == ref_mean
-        assert cov.tolist() == ref_cov
+        self.assert_moments_exact(spec, {e.parts: e.weight_exact for e in spec.entries})
+
+
+class TestExactMomentKernel:
+    """The bounds and checks that keep the chunked limb products exact."""
 
     def test_exactness_bound_holds(self):
         # every spectrum the builders admit has at most 2^21 rows, so a level's shifted count is
@@ -225,13 +207,26 @@ class TestExactMomentKernel:
         mean, _ = composition_moments(spec)
         assert mean.tolist() == [(MOMENT_COUNT_BOUND + 1) / 2] * 2
 
+    def test_wide_spectrum_matches_its_closed_form(self):
+        # 100 levels: 10,201 columns a row, so 12 rows a chunk over 5,050 rows.  The uniform
+        # mixture is Dirichlet-multinomial with unit parameters: mean n/d, variance
+        # n(d-1)(n+d)/(d^2(d+1)), covariance -n(n+d)/(d^2(d+1)), each rounded once
+        n, d = 2, 100
+        mean, cov = composition_moments(uniform_mixed_spectrum(n, d))
+        assert mean.tolist() == [float(Fraction(n, d))] * d
+        expected = np.full((d, d), float(Fraction(-n * (n + d), d * d * (d + 1))))
+        np.fill_diagonal(expected, float(Fraction(n * (d - 1) * (n + d), d * d * (d + 1))))
+        assert cov.tolist() == expected.tolist()
+
     def test_memory_is_set_by_the_chunk(self):
-        # 46,376 rows at d = 5, 176,851 at d = 4 and 5,001 of 626-byte numerators: all stay under
-        # one bound (the object-dtype matrix products once tried here grew with the support)
+        # 46,376 rows at d = 5, 176,851 at d = 4, 5,001 of 626-byte numerators and 5,050 at
+        # d = 100 (10,201 columns a row): all stay under one bound (the object-dtype matrix
+        # products once tried here grew with the support)
         for spec in (
             exact_spectrum(SectorConfig.finite((60,) * 5), 30),
             thermo_spectrum((Fraction(1, 4),) * 4, 100),
             thermo_spectrum((HALF, HALF), 5000, exact=True),
+            uniform_mixed_spectrum(2, 100),
         ):
             tracemalloc.start()
             try:
