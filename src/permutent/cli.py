@@ -350,16 +350,16 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
     for d, max_l in ((2, d2_max_l), (3, d3_max_l)):
         for L in range(1, max_l + 1):
             for occupations in enumerate_compositions(L, (L,) * d):
-                for n in range(L + 1):
-                    perturb = 0.0 if reports else inject_fault  # the first theorem case only
-                    cfg = SectorConfig.finite(occupations)
-                    reports.append(verify_theorem(cfg, n, tol, perturb=perturb))
-                    _echo_mismatch("theorem", reports[-1])
+                perturb = 0.0 if reports else inject_fault  # the first theorem case only
+                cfg = SectorConfig.finite(occupations)
+                batch = verify_theorem(cfg, range(L + 1), tol, perturb=perturb)
+                _echo_mismatches("theorem", batch)
+                reports += batch
     for d in (2, 3):
         for L in range(1, uniform_max_l + 1):
-            for n in range(L + 1):
-                reports.append(verify_uniform_mixture(L, d, n, tol))
-                _echo_mismatch("uniform", reports[-1])
+            batch = verify_uniform_mixture(L, d, range(L + 1), tol)
+            _echo_mismatches("uniform", batch)
+            reports += batch
     if not reports:
         click.echo("warning: empty verification grid, nothing checked", err=True)
     failures = [r for r in reports if not r.passed]
@@ -371,10 +371,11 @@ def cmd_verify(d2_max_l, d3_max_l, uniform_max_l, tol, out, inject_fault):
         sys.exit(EXIT_MISMATCH)
 
 
-def _echo_mismatch(kind: str, report: MatchReport) -> None:
-    if not report.passed:
-        click.echo(f"MISMATCH {kind}: config={report.config} n={report.n} "
-                   f"max_abs_dev={report.max_abs_dev:.3e}", err=True)
+def _echo_mismatches(kind: str, reports: list[MatchReport]) -> None:
+    for report in reports:
+        if not report.passed:
+            click.echo(f"MISMATCH {kind}: config={report.config} n={report.n} "
+                       f"max_abs_dev={report.max_abs_dev:.3e}", err=True)
 
 
 @main.command("figures")

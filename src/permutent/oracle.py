@@ -210,54 +210,73 @@ def _match(
 
 
 def verify_theorem(
-    cfg: SectorConfig, n: int, tol: float = 1e-10, *, perturb: float = 0.0
-) -> MatchReport:
+    cfg: SectorConfig, ns: list[int] | range, tol: float = 1e-10, *, perturb: float = 0.0
+) -> list[MatchReport]:
     """Match the hypergeometric weights against dense partial-trace eigenvalues.
 
-    The state is pure, so the block and its complement have the same nonzero
-    reduced spectrum: the first n sites are kept when 2n <= L, otherwise the
-    last L - n (``state.T`` reverses the site axes).  The solver sees a
-    d^min(n, L-n) square matrix.  A block past MAX_DENSITY_DIM is refused
-    before the state is built, whichever side is diagonalised.
+    One report per block size in ``ns``, in order, all from one state: it is
+    built once per sector.  The state is pure, so the block and its
+    complement have the same nonzero reduced spectrum: the first n sites are
+    kept when 2n <= L, otherwise the last L - n (``state.T`` reverses the site
+    axes).  The solver sees a d^min(n, L-n) square matrix.  Each n gets its
+    own partial trace and diagonalisation; the spectrum of n is never reused
+    for L - n, since that symmetry is part of what is checked.  A block past
+    MAX_DENSITY_DIM is refused before the state is built, whichever side
+    would be diagonalised.
 
-    ``perturb`` shifts the largest dense eigenvalue by the given amount before
-    the comparison; it exists purely as a self-test hook for the harness.
+    ``perturb`` shifts the largest dense eigenvalue of the first report by
+    the given amount before the comparison; it exists purely as a self-test
+    hook for the harness.
     """
+    ns = list(ns)
     if cfg.L is not None:  # build_state refuses an infinite sector
-        _block_dim(cfg.d, cfg.L, n)
+        for n in ns:
+            _block_dim(cfg.d, cfg.L, n)
     state = build_state(cfg)
     L = state.ndim
-    rho = partial_trace(state, n) if 2 * n <= L else partial_trace(state.T, L - n)
-    dense = dense_eigenvalues(rho, tol=1e-8)
-    if perturb and dense:
-        dense[0] += perturb
-    formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
-    config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
-    return _match(config, n, dense, formula, tol)
+    reports = []
+    for n in ns:
+        rho = partial_trace(state, n) if 2 * n <= L else partial_trace(state.T, L - n)
+        dense = dense_eigenvalues(rho, tol=1e-8)
+        if perturb and dense and not reports:
+            dense[0] += perturb
+        formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
+        config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
+        reports.append(_match(config, n, dense, formula, tol))
+    return reports
 
 
-def verify_uniform_mixture(L: int, d: int, n: int, tol: float = 1e-10) -> MatchReport:
+def verify_uniform_mixture(
+    L: int, d: int, ns: list[int] | range, tol: float = 1e-10
+) -> list[MatchReport]:
     """Check the flat reduced spectrum of the equally-weighted sector mixture.
 
-    The mixture is the average of the K sector projectors.  With each sector
-    state reshaped to d^n x d^(L-n) and the K of them side by side in Y, its
-    reduced state is Y Y^T / K, the sum of the sector partial traces over K.
-    Y^T Y / K has the same nonzero eigenvalues, so whichever of the two is
-    smaller (d^n against K d^(L-n)) is diagonalised, and its nonzero
-    eigenvalues are compared against the weights of uniform_mixed_spectrum,
-    kappa(n) copies of 1/kappa(n).  A block past MAX_DENSITY_DIM, and a Y of
-    more than MAX_STATE_AMPLITUDES amplitudes (K = C(L + d - 1, d - 1) states
-    of d^L each), are refused before any sector is listed.
+    One report per block size in ``ns``, in order; the K sector states are
+    built once per mixture.  The mixture is the average of the K sector
+    projectors.  With each sector state reshaped to d^n x d^(L-n) and the K
+    of them side by side in Y, its reduced state is Y Y^T / K, the sum of the
+    sector partial traces over K.  Y^T Y / K has the same nonzero
+    eigenvalues, so whichever of the two is smaller (d^n against K d^(L-n))
+    is diagonalised, and its nonzero eigenvalues are compared against the
+    weights of uniform_mixed_spectrum, kappa(n) copies of 1/kappa(n).  A
+    block past MAX_DENSITY_DIM at any n, and a Y of more than
+    MAX_STATE_AMPLITUDES amplitudes (K = C(L + d - 1, d - 1) states of d^L
+    each), are refused before any sector is listed.
     """
-    dim_block = _block_dim(d, L, n)
+    ns = list(ns)
+    dims = [_block_dim(d, L, n) for n in ns]
     stacked = math.comb(L + d - 1, L) * _check_power("state", d, L, MAX_STATE_AMPLITUDES)
     if stacked > MAX_STATE_AMPLITUDES:
         raise ResourceLimitError(
             f"mixture of {stacked} amplitudes exceeds guard {MAX_STATE_AMPLITUDES}"
         )
     sectors = [o for o in itertools.product(range(L + 1), repeat=d) if sum(o) == L]
-    y = np.hstack([build_state(SectorConfig.finite(o)).reshape(dim_block, -1) for o in sectors])
-    gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
-    dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)
-    formula = uniform_mixed_spectrum(n, d).weights
-    return _match({"L": L, "d": d, "occupations": None}, n, dense, formula, tol)
+    states = [build_state(SectorConfig.finite(o)) for o in sectors]
+    reports = []
+    for n, dim_block in zip(ns, dims):
+        y = np.hstack([state.reshape(dim_block, -1) for state in states])
+        gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
+        dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)
+        formula = uniform_mixed_spectrum(n, d).weights
+        reports.append(_match({"L": L, "d": d, "occupations": None}, n, dense, formula, tol))
+    return reports

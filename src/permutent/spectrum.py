@@ -90,7 +90,7 @@ class SectorConfig:
             assert self.densities is not None
             if any(p < 0 for p in self.densities):
                 raise ValueError("densities must be nonnegative")
-            if abs(float(sum(self.densities)) - 1.0) > DENSITY_SUM_TOL:
+            if abs(float(self._density_sum) - 1.0) > DENSITY_SUM_TOL:
                 raise ValueError("densities must sum to 1 within 1e-12")
 
     @classmethod
@@ -126,9 +126,20 @@ class SectorConfig:
         L = sum(self.occupations)
         return tuple(Fraction(n, L) for n in self.occupations)
 
-    @property
+    @functools.cached_property
     def density_floats(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.density_fractions)
+
+    @functools.cached_property
+    def _density_sum(self) -> Fraction:
+        """The exact sum of the densities, taken once: the check above and thermo_spectrum read it.
+
+        Summed as integers over the common denominator: one big-integer sum, not a reduced
+        Fraction per addition.
+        """
+        ratios = [p.as_integer_ratio() for p in self.density_fractions]
+        common = math.lcm(*(q for _, q in ratios))
+        return Fraction(sum(a * (common // q) for a, q in ratios), common)
 
 
 class SpectrumEntry(NamedTuple):
@@ -255,15 +266,17 @@ def _product_form(cfg: SectorConfig, n: int) -> tuple[float, Callable, tuple, tu
 
 def _level_ranges(n: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
     """Each level's counts lo..hi at block size n that occur in some composition, as (lo, hi)."""
-    total = sum(bounds)  # once: a level's lo is what the other levels' bounds cannot hold
-    return [(max(0, n - total + b), min(b, n)) for b in bounds]
+    short = n - sum(bounds)  # once: a level's lo is what the other levels' bounds cannot hold
+    return [(short + b if short + b > 0 else 0, b if b < n else n) for b in bounds]
 
 
 def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:
     """Arrays (x, k) holding each level's x beside each k of its range, and each level's start."""
     sizes = [hi - lo + 1 for lo, hi in ranges]
-    k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
-    return np.array(xs).repeat(sizes), k, list(accumulate(sizes[:-1], initial=0))
+    starts = list(accumulate(sizes[:-1], initial=0))
+    shifts = np.array([lo - start for (lo, _), start in zip(ranges, starts)])
+    k = np.arange(starts[-1] + sizes[-1]) + shifts.repeat(sizes)  # lo..hi at start..
+    return np.array(xs).repeat(sizes), k, starts
 
 
 def _product_spectrum(
@@ -367,10 +380,12 @@ def thermo_spectrum(
         raise ValueError(f"block size must be nonnegative, got {n}")
     if not 0.0 <= cutoff < MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF:g}), got {cutoff!r}")
-    dens = tuple(Fraction(p) for p in densities)
-    cfg = SectorConfig.infinite(dens)
+    cfg = SectorConfig.infinite(densities)
+    dens = cfg.density_fractions
     # a density that rounds to float 0.0 drops its level, harmless only in the log domain
-    exact_possible = sum(dens) == 1 and all(float(p) > 0 for p in dens if p > 0)
+    exact_possible = cfg._density_sum == 1 and all(
+        f > 0 or p == 0 for p, f in zip(dens, cfg.density_floats)
+    )
     if exact is None:
         exact = exact_possible and cutoff == 0.0 and n <= EXACT_AUTO_MAX_L
     if exact and not exact_possible:

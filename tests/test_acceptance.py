@@ -66,11 +66,10 @@ def test_criterion_01_theorem_oracle_equivalence():
         for L in range(1, max_l + 1):
             for occupations in _occupancy_vectors(L, d):
                 cfg = SectorConfig.finite(occupations)
-                for n in range(L + 1):
-                    report = verify_theorem(cfg, n, tol=1e-10)
+                for report in verify_theorem(cfg, range(L + 1), tol=1e-10):
                     cases += 1
                     worst = max(worst, report.max_abs_dev)
-                    assert report.passed, (occupations, n, report.max_abs_dev)
+                    assert report.passed, (occupations, report.n, report.max_abs_dev)
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 60.0
     assert _verdict(
@@ -214,8 +213,8 @@ def test_criterion_06_sup_bound_saturation():
     dense_ok = True
     for d in (2, 3):
         for L in range(1, 7):
-            for n in range(L + 1):
-                if not verify_uniform_mixture(L, d, n, tol=1e-10).passed:
+            for report in verify_uniform_mixture(L, d, range(L + 1), tol=1e-10):
+                if not report.passed:
                     dense_ok = False
     ok = worst < 1e-12 and dense_ok
     assert _verdict(

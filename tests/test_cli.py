@@ -553,6 +553,30 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert all(case["pass"] for case in payload["cases"])
 
+    def test_one_check_call_per_sector_and_per_mixture(self, runner, monkeypatch):
+        # perfbench's tracer wraps these two names in cli, so every case must go through them
+        theorem, uniform = [], []
+
+        def counted(calls, real):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "verify_theorem", counted(theorem, cli.verify_theorem))
+        monkeypatch.setattr(cli, "verify_uniform_mixture",
+                            counted(uniform, cli.verify_uniform_mixture))
+        result = run_ok(runner, ["verify", "--d2-max-l", "3", "--d3-max-l", "2",
+                                 "--uniform-max-l", "2"])
+        sectors = [cfg.occupations for cfg, *_ in theorem]
+        assert len(sectors) == len(set(sectors)) == (2 + 3 + 4) + (3 + 6)  # d = 2 and d = 3
+        assert all(list(ns) == list(range(cfg.L + 1)) for cfg, ns, *_ in theorem)
+        assert [(L, d, list(ns)) for L, d, ns, _ in uniform] == [
+            (L, d, list(range(L + 1))) for d in (2, 3) for L in (1, 2)]
+        cases = sum(len(args[1]) for args in theorem) + sum(len(args[2]) for args in uniform)
+        assert cases == (4 + 9 + 16) + (6 + 18) + 2 * (2 + 3)
+        assert "verified 63 cases, 0 failures" in result.output
+
     def test_empty_grid_warns(self, runner, tmp_path):
         out = tmp_path / "verify.json"
         result = run_ok(runner, ["verify", "--d2-max-l", "0", "--d3-max-l", "0",

@@ -57,4 +57,4 @@ def test_library_tour_runs_and_matches_its_comments():
     assert values["entropy_of_spectrum(spec)"] == pytest.approx(1.251629, abs=5e-7)
     assert values["block_entropy(cfg, 2)"] == pytest.approx(values["entropy_of_spectrum(spec)"],
                                                            abs=1e-12)
-    assert values["verify_theorem(cfg, 2).passed"] is True
+    assert values["verify_theorem(cfg, [2])[0].passed"] is True

@@ -242,24 +242,24 @@ class TestSmallerSide:
     def test_theorem_diagonalises_the_smaller_side(self, monkeypatch, occupations):
         shapes = recorded_shapes(monkeypatch)
         L, d = sum(occupations), len(occupations)
-        for n in range(L + 1):
-            assert verify_theorem(SectorConfig.finite(occupations), n).passed
+        reports = verify_theorem(SectorConfig.finite(occupations), range(L + 1))
+        assert [r.passed for r in reports] == [True] * (L + 1)
         assert shapes == [(d ** min(n, L - n),) * 2 for n in range(L + 1)]
 
     @pytest.mark.parametrize("L, d", [(5, 2), (4, 3), (6, 3)])
     def test_mixture_diagonalises_the_smaller_side(self, monkeypatch, L, d):
         shapes = recorded_shapes(monkeypatch)
         K = math.comb(L + d - 1, d - 1)  # one sector per composition of L into d levels
-        for n in range(L + 1):
-            assert verify_uniform_mixture(L, d, n).passed
+        reports = verify_uniform_mixture(L, d, range(L + 1))
+        assert [r.passed for r in reports] == [True] * (L + 1)
         assert shapes == [(min(d**n, K * d ** (L - n)),) * 2 for n in range(L + 1)]
 
     def test_guards_refuse_the_block_whichever_side_is_diagonalised(self):
         # 2^11 = 2048 > 2000; the complement would be 1 x 1
         with pytest.raises(ResourceLimitError, match="block dimension 2048"):
-            verify_theorem(SectorConfig.finite((6, 5)), 11)
+            verify_theorem(SectorConfig.finite((6, 5)), [11])
         with pytest.raises(ResourceLimitError, match="block dimension 2048"):
-            verify_uniform_mixture(11, 2, 11)
+            verify_uniform_mixture(11, 2, [11])
 
     @pytest.mark.parametrize(
         "L, d, amplitudes", [(12, 3, 91 * 3**12), (6, 10, 5005 * 10**6), (10, 3, 66 * 3**10)]
@@ -272,12 +272,12 @@ class TestSmallerSide:
         monkeypatch.setattr(itertools, "product", fail)
         monkeypatch.setattr(oracle, "build_state", fail)
         with pytest.raises(ResourceLimitError) as refused:
-            verify_uniform_mixture(L, d, 1)
+            verify_uniform_mixture(L, d, [1])
         assert str(refused.value) == f"mixture of {amplitudes} amplitudes exceeds guard 2000000"
 
     def test_mixture_guard_admits_its_largest_grid(self):
         # 55 states of 3^9 amplitudes: 1,082,565, within the guard
-        assert verify_uniform_mixture(9, 3, 1).passed
+        assert verify_uniform_mixture(9, 3, [1])[0].passed
 
 
 class TestGuardsPastTheIntStrLimit:
@@ -286,10 +286,10 @@ class TestGuardsPastTheIntStrLimit:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: verify_theorem(SectorConfig.finite((10_000, 10_000)), 15_000),
+            lambda: verify_theorem(SectorConfig.finite((10_000, 10_000)), [15_000]),
             lambda: build_state(SectorConfig.finite((10_000, 10_000))),
-            lambda: verify_uniform_mixture(20_000, 2, 15_000),
-            lambda: verify_theorem(SectorConfig.finite((10**7,) * 3), 10**7),
+            lambda: verify_uniform_mixture(20_000, 2, [15_000]),
+            lambda: verify_theorem(SectorConfig.finite((10**7,) * 3), [10**7]),
         ],
         ids=["theorem", "state", "mixture", "theorem-d3-L3e7"],
     )
@@ -299,40 +299,116 @@ class TestGuardsPastTheIntStrLimit:
             call()
 
 
+def counted_builds(monkeypatch):
+    """A list that grows by one on each oracle.build_state call."""
+    calls, real = [], oracle.build_state
+
+    def count(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(oracle, "build_state", count)
+    return calls
+
+
+def as_json(reports):
+    return [r.to_json_obj() for r in reports]
+
+
+class TestBatchedChecks:
+    """A list of block sizes shares the built states and changes no report."""
+
+    @pytest.mark.parametrize("ns", [[2], [0, 4], range(5), [4, 0, 3, 1, 2, 2]])
+    def test_theorem_builds_one_state_whatever_the_block_sizes(self, monkeypatch, ns):
+        calls = counted_builds(monkeypatch)
+        reports = verify_theorem(SectorConfig.finite((2, 1, 1)), ns)
+        assert len(calls) == 1
+        assert [r.n for r in reports] == list(ns)
+
+    @pytest.mark.parametrize("L, d", [(3, 2), (4, 3)])
+    @pytest.mark.parametrize("ns", [[1], "all"])
+    def test_mixture_builds_each_sector_state_once(self, monkeypatch, L, d, ns):
+        ns = range(L + 1) if ns == "all" else ns
+        calls = counted_builds(monkeypatch)
+        reports = verify_uniform_mixture(L, d, ns)
+        assert len(calls) == math.comb(L + d - 1, d - 1)  # K sectors
+        assert len({c.occupations for c in calls}) == len(calls)
+        assert [r.n for r in reports] == list(ns)
+
+    @pytest.mark.parametrize("occupations", [(2, 0, 2), (0, 3), (3, 2, 1), (1, 0, 0, 2), (4, 3)])
+    def test_theorem_equals_the_single_block_calls(self, occupations):
+        cfg = SectorConfig.finite(occupations)
+        L = cfg.L
+        single = [verify_theorem(cfg, [n])[0] for n in range(L + 1)]
+        assert as_json(verify_theorem(cfg, range(L + 1))) == as_json(single)
+        backwards = verify_theorem(cfg, range(L, -1, -1))  # n = L first, then its complement
+        assert as_json(backwards) == as_json(single[::-1])
+        assert all(r.passed for r in single)
+
+    @pytest.mark.parametrize("L, d", [(1, 2), (4, 2), (3, 3)])
+    def test_mixture_equals_the_single_block_calls(self, L, d):
+        single = [verify_uniform_mixture(L, d, [n])[0] for n in range(L + 1)]
+        assert as_json(verify_uniform_mixture(L, d, range(L + 1))) == as_json(single)
+        assert as_json(verify_uniform_mixture(L, d, [L, 0])) == as_json([single[L], single[0]])
+        assert all(r.passed for r in single)
+
+    def test_any_block_past_the_guard_refuses_before_a_state_is_built(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("state built")
+
+        monkeypatch.setattr(oracle, "build_state", fail)
+        # n = 0 alone would pass; 2^11 = 2048 > 2000 at n = 11
+        with pytest.raises(ResourceLimitError, match="block dimension 2048"):
+            verify_theorem(SectorConfig.finite((6, 5)), [0, 11])
+        with pytest.raises(ResourceLimitError, match="block dimension 2048"):
+            verify_uniform_mixture(11, 2, [0, 11])
+
+    def test_perturb_moves_the_first_report_only(self):
+        cfg = SectorConfig.finite((2, 2))
+        plain = verify_theorem(cfg, range(5))
+        moved = verify_theorem(cfg, range(5), perturb=1e-6)
+        assert plain[0].passed and not moved[0].passed
+        assert moved[0].max_abs_dev == pytest.approx(1e-6, rel=1e-6)
+        assert as_json(moved[1:]) == as_json(plain[1:])
+
+    def test_no_block_sizes_give_no_reports(self):
+        assert verify_theorem(SectorConfig.finite((1, 1)), []) == []
+        assert verify_uniform_mixture(2, 2, []) == []
+
+
 class TestVerifyTheorem:
     def test_small_sweep_passes(self):
         for L in range(1, 6):
             for N0 in range(L + 1):
                 cfg = SectorConfig.finite((N0, L - N0))
-                for n in range(L + 1):
-                    report = verify_theorem(cfg, n)
+                for report in verify_theorem(cfg, range(L + 1)):
                     assert report.passed, report.to_json_obj()
                     assert report.max_abs_dev < 1e-10
 
     def test_qutrit_case(self):
-        report = verify_theorem(SectorConfig.finite((2, 1, 1)), 2)
+        (report,) = verify_theorem(SectorConfig.finite((2, 1, 1)), [2])
         assert report.passed
 
     def test_support_count_matches_formula(self):
         cfg = SectorConfig.finite((3, 2, 1))
-        for n in range(cfg.L + 1):
-            report = verify_theorem(cfg, n)
+        for n, report in enumerate(verify_theorem(cfg, range(cfg.L + 1))):
+            assert report.n == n
             assert report.support_size_dense == report.support_size_formula
             assert report.support_size_formula == len(exact_spectrum(cfg, n).entries)
 
     def test_empty_level_equivalence(self):
-        padded = verify_theorem(SectorConfig.finite((2, 0, 2)), 2)
-        plain = verify_theorem(SectorConfig.finite((2, 2)), 2)
+        (padded,) = verify_theorem(SectorConfig.finite((2, 0, 2)), [2])
+        (plain,) = verify_theorem(SectorConfig.finite((2, 2)), [2])
         assert padded.passed and plain.passed
         assert padded.support_size_dense == plain.support_size_dense
 
     def test_fault_injection_hook(self):
-        report = verify_theorem(SectorConfig.finite((2, 2)), 2, perturb=1e-6)
+        (report,) = verify_theorem(SectorConfig.finite((2, 2)), [2], perturb=1e-6)
         assert not report.passed
         assert report.max_abs_dev >= 1e-6
 
     def test_report_serialization(self):
-        obj = verify_theorem(SectorConfig.finite((1, 1)), 1).to_json_obj()
+        obj = verify_theorem(SectorConfig.finite((1, 1)), [1])[0].to_json_obj()
         assert list(obj) == [
             "config",
             "n",
@@ -345,17 +421,17 @@ class TestVerifyTheorem:
 
 class TestVerifyUniformMixture:
     def test_four_qubits(self):
-        report = verify_uniform_mixture(4, 2, 2)
+        (report,) = verify_uniform_mixture(4, 2, [2])
         assert report.passed
         assert report.support_size_dense == 3
 
     def test_three_qutrits(self):
-        report = verify_uniform_mixture(3, 3, 1)
+        (report,) = verify_uniform_mixture(3, 3, [1])
         assert report.passed
         assert report.support_size_dense == 3
 
     def test_empty_block(self):
-        report = verify_uniform_mixture(3, 2, 0)
+        (report,) = verify_uniform_mixture(3, 2, [0])
         assert report.passed
         assert report.support_size_dense == 1
 
@@ -368,7 +444,7 @@ class TestVerifyUniformMixture:
             return SimpleNamespace(weights=weights)
 
         monkeypatch.setattr(oracle, "uniform_mixed_spectrum", perturbed)
-        report = verify_uniform_mixture(4, 2, 2)
+        (report,) = verify_uniform_mixture(4, 2, [2])
         assert not report.passed
         assert report.max_abs_dev == pytest.approx(1e-6, rel=1e-6)
 
@@ -376,7 +452,7 @@ class TestVerifyUniformMixture:
         # a dense side that finds one eigenvalue fewer is padded with a zero
         real = oracle.dense_eigenvalues
         monkeypatch.setattr(oracle, "dense_eigenvalues", lambda rho, tol: real(rho, tol)[:-1])
-        report = verify_uniform_mixture(4, 2, 2)
+        (report,) = verify_uniform_mixture(4, 2, [2])
         assert not report.passed
         assert (report.support_size_formula, report.support_size_dense) == (3, 2)
         assert report.max_abs_dev == pytest.approx(1 / 3, abs=1e-12)

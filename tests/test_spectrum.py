@@ -293,6 +293,31 @@ class TestThermoSpectrum:
         assert all(e.parts[2] == 0 for e in s.entries)
         assert sum(e.weight_exact for e in s.entries) == 1
 
+    def test_distinct_denominators_summing_to_one_stay_exact(self):
+        dens = (HALF, THIRD, Fraction(1, 7), Fraction(1, 42))  # 21 + 14 + 6 + 1 = 42
+        s = thermo_spectrum(dens, 5)
+        assert s.is_exact
+        assert sum(e.weight_exact for e in s.entries) == 1
+        with pytest.raises(ValueError, match="must sum to 1 within 1e-12"):
+            thermo_spectrum(dens[:3] + (Fraction(1, 43),), 5)  # 1/1806 short
+
+    def test_sum_off_by_less_than_a_float_is_not_exact(self):
+        # float(sum) is 1.0, so the 1e-12 check admits it, but the exact sum is not 1
+        dens = (HALF, HALF + Fraction(1, 2**1100))
+        assert not thermo_spectrum(dens, 3).is_exact
+        with pytest.raises(ValueError, match="summing to exactly 1"):
+            thermo_spectrum(dens, 3, exact=True)
+
+    def test_wide_sparse_densities_take_no_fraction_addition_per_level(self, monkeypatch):
+        added = []
+        for name in ("__add__", "__radd__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, real=real: added.append(1) or real(a, b))
+        s = thermo_spectrum((1,) + (0,) * 10_000, 3)
+        assert len(added) < 10
+        assert s.support_size == 1 and s.entries[0].parts == (3,) + (0,) * 10_000
+        assert s.entries[0].weight_exact == 1 and s.log2_weights.tolist() == [0.0]
+
     def test_cutoff_reports_dropped_mass(self):
         cutoff = 1e-8
         full = thermo_spectrum((0.2, 0.3, 0.5), 60, exact=False)
