@@ -326,9 +326,9 @@ class TestBatchedChecks:
         assert [r.n for r in reports] == list(ns)
 
     @pytest.mark.parametrize("L, d", [(3, 2), (4, 3)])
-    @pytest.mark.parametrize("ns", [[1], "all"])
-    def test_mixture_builds_each_sector_state_once(self, monkeypatch, L, d, ns):
-        ns = range(L + 1) if ns == "all" else ns
+    @pytest.mark.parametrize("every_n", [False, True])
+    def test_mixture_builds_each_sector_state_once(self, monkeypatch, L, d, every_n):
+        ns = range(L + 1) if every_n else [1]
         calls = counted_builds(monkeypatch)
         reports = verify_uniform_mixture(L, d, ns)
         assert len(calls) == math.comb(L + d - 1, d - 1)  # K sectors
