@@ -12,8 +12,8 @@ same nonzero spectrum.  With the amplitudes reshaped to a d^n x d^(L-n)
 matrix Y, the block's reduced state is Y Y^T and its complement's is Y^T Y,
 and both have the squared singular values of Y as their nonzero eigenvalues
 (the Schmidt decomposition).  A mixture of K states stacks their Y side by
-side, so its Y Y^T / K and Y^T Y / K agree in the same way.  Either way the
-check is a partial trace and a dense diagonalisation of the state itself.
+side, so its Y Y^T / K and Y^T Y / K agree in the same way.  One loop,
+_check_states, runs both checks: a pure state is the case K = 1.
 """
 
 from __future__ import annotations
@@ -209,41 +209,43 @@ def _match(
     )
 
 
+def _check_states(
+    config: dict, states: list[np.ndarray], ns: list[int], formula, tol: float, perturb: float = 0.0
+) -> list[MatchReport]:
+    """The one dense loop of the verify_* checks: per n, the smaller Gram side of K states.
+
+    The dense eigenvalues are matched against ``formula(n)``, both descending;
+    ``perturb`` moves the largest dense eigenvalue of the first report only.
+    """
+    reports = []
+    for n in ns:
+        y = np.hstack([state.reshape(state.shape[0] ** n, -1) for state in states])
+        gram = y @ y.T if y.shape[0] <= y.shape[1] else y.T @ y
+        dense = dense_eigenvalues(gram / len(states), tol=1e-8)
+        if perturb and dense and not reports:
+            dense[0] += perturb
+        reports.append(_match(dict(config), n, dense, sorted(formula(n), reverse=True), tol))
+    return reports
+
+
 def verify_theorem(
     cfg: SectorConfig, ns: list[int] | range, tol: float = 1e-10, *, perturb: float = 0.0
 ) -> list[MatchReport]:
     """Match the hypergeometric weights against dense partial-trace eigenvalues.
 
-    One report per block size in ``ns``, in order, all from one state: it is
-    built once per sector.  The state is pure, so the block and its
-    complement have the same nonzero reduced spectrum: the first n sites are
-    kept when 2n <= L, otherwise the last L - n (``state.T`` reverses the site
-    axes).  The solver sees a d^min(n, L-n) square matrix.  Each n gets its
-    own partial trace and diagonalisation; the spectrum of n is never reused
-    for L - n, since that symmetry is part of what is checked.  A block past
-    MAX_DENSITY_DIM is refused before the state is built, whichever side
-    would be diagonalised.
-
-    ``perturb`` shifts the largest dense eigenvalue of the first report by
-    the given amount before the comparison; it exists purely as a self-test
-    hook for the harness.
+    One report per block size in ``ns``, from one state built once per sector and run
+    through _check_states as K = 1.  The solver sees a d^min(n, L-n) square matrix, built
+    anew for each n: the spectrum of n is never reused for L - n, since that symmetry is
+    part of what is checked.  A block past MAX_DENSITY_DIM is refused before the state is
+    built, whichever side would be diagonalised.  ``perturb`` is a self-test hook.
     """
     ns = list(ns)
     if cfg.L is not None:  # build_state refuses an infinite sector
         for n in ns:
             _block_dim(cfg.d, cfg.L, n)
-    state = build_state(cfg)
-    L = state.ndim
-    reports = []
-    for n in ns:
-        rho = partial_trace(state, n) if 2 * n <= L else partial_trace(state.T, L - n)
-        dense = dense_eigenvalues(rho, tol=1e-8)
-        if perturb and dense and not reports:
-            dense[0] += perturb
-        formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
-        config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
-        reports.append(_match(config, n, dense, formula, tol))
-    return reports
+    config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
+    formula = lambda n: exact_spectrum(cfg, n).weights  # noqa: E731
+    return _check_states(config, [build_state(cfg)], ns, formula, tol, perturb)
 
 
 def verify_uniform_mixture(
@@ -251,20 +253,16 @@ def verify_uniform_mixture(
 ) -> list[MatchReport]:
     """Check the flat reduced spectrum of the equally-weighted sector mixture.
 
-    One report per block size in ``ns``, in order; the K sector states are
-    built once per mixture.  The mixture is the average of the K sector
-    projectors.  With each sector state reshaped to d^n x d^(L-n) and the K
-    of them side by side in Y, its reduced state is Y Y^T / K, the sum of the
-    sector partial traces over K.  Y^T Y / K has the same nonzero
-    eigenvalues, so whichever of the two is smaller (d^n against K d^(L-n))
-    is diagonalised, and its nonzero eigenvalues are compared against the
-    weights of uniform_mixed_spectrum, kappa(n) copies of 1/kappa(n).  A
-    block past MAX_DENSITY_DIM at any n, and a Y of more than
-    MAX_STATE_AMPLITUDES amplitudes (K = C(L + d - 1, d - 1) states of d^L
-    each), are refused before any sector is listed.
+    One report per block size in ``ns``, from the K sector states built once
+    per mixture (_check_states with all K); Y Y^T / K is the sum of the sector
+    partial traces over K, matched against uniform_mixed_spectrum's kappa(n)
+    copies of 1/kappa(n).  A block past MAX_DENSITY_DIM at any n, and a Y of
+    more than MAX_STATE_AMPLITUDES amplitudes (K = C(L + d - 1, d - 1) states
+    of d^L each), are refused before any sector is listed.
     """
     ns = list(ns)
-    dims = [_block_dim(d, L, n) for n in ns]
+    for n in ns:
+        _block_dim(d, L, n)
     stacked = math.comb(L + d - 1, L) * _check_power("state", d, L, MAX_STATE_AMPLITUDES)
     if stacked > MAX_STATE_AMPLITUDES:
         raise ResourceLimitError(
@@ -272,11 +270,5 @@ def verify_uniform_mixture(
         )
     sectors = [o for o in itertools.product(range(L + 1), repeat=d) if sum(o) == L]
     states = [build_state(SectorConfig.finite(o)) for o in sectors]
-    reports = []
-    for n, dim_block in zip(ns, dims):
-        y = np.hstack([state.reshape(dim_block, -1) for state in states])
-        gram = y @ y.T if dim_block <= y.shape[1] else y.T @ y
-        dense = dense_eigenvalues(gram / len(sectors), tol=1e-8)
-        formula = uniform_mixed_spectrum(n, d).weights
-        reports.append(_match({"L": L, "d": d, "occupations": None}, n, dense, formula, tol))
-    return reports
+    formula = lambda n: uniform_mixed_spectrum(n, d).weights  # noqa: E731
+    return _check_states({"L": L, "d": d, "occupations": None}, states, ns, formula, tol)

@@ -88,7 +88,8 @@ class SectorConfig:
                 raise ValueError("finite sector needs at least one site")
         else:
             assert self.densities is not None
-            if any(p < 0 for p in self.densities):
+            # a Fraction's sign is its numerator's: comparing each Fraction with 0 is slow
+            if any(getattr(p, "numerator", p) < 0 for p in self.densities):
                 raise ValueError("densities must be nonnegative")
             if abs(float(self._density_sum) - 1.0) > DENSITY_SUM_TOL:
                 raise ValueError("densities must sum to 1 within 1e-12")

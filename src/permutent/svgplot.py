@@ -34,9 +34,7 @@ class Series(NamedTuple):
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About seven ticks over [lo, hi], spaced 1, 2 or 5 times a power of ten."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About seven ticks over [lo, hi], lo < hi, spaced 1, 2 or 5 times a power of ten."""
     raw_step = (hi - lo) / 7
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):

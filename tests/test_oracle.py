@@ -376,6 +376,41 @@ class TestBatchedChecks:
         assert verify_uniform_mixture(2, 2, []) == []
 
 
+def traced_theorem(cfg, tol=1e-10):
+    """verify_theorem's reports by explicit partial traces: the block, or past L/2 the rest."""
+    state = build_state(cfg)
+    L = state.ndim
+    reports = []
+    for n in range(L + 1):
+        rho = partial_trace(state, n) if 2 * n <= L else partial_trace(state.T, L - n)
+        dense = dense_eigenvalues(rho, tol=1e-8)
+        formula = sorted(exact_spectrum(cfg, n).weights, reverse=True)
+        config = {"L": L, "d": cfg.d, "occupations": list(cfg.occupations)}
+        reports.append(oracle._match(config, n, dense, formula, tol))
+    return reports
+
+
+class TestOneDenseLoop:
+    """The theorem runs as the one-state case of the mixture's Gram loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "occupations", [(3, 2), (2, 0, 2), (0, 3), (3, 2, 1), (1, 1, 1, 1), (4, 4)]
+    )
+    def test_theorem_reports_equal_the_explicit_partial_traces(self, occupations):
+        cfg = SectorConfig.finite(occupations)
+        assert as_json(verify_theorem(cfg, range(cfg.L + 1))) == as_json(traced_theorem(cfg))
+
+    @pytest.mark.parametrize(
+        "occupations", [(3, 2), (2, 0, 2), (0, 3), (3, 2, 1), (1, 1, 1, 1), (4, 4)]
+    )
+    def test_one_state_gram_is_the_block_partial_trace(self, occupations):
+        state = build_state(SectorConfig.finite(occupations))
+        d, L = state.shape[0], state.ndim
+        for n in range(L // 2 + 1):
+            y = state.reshape(d**n, -1)
+            assert np.array_equal(y @ y.T, partial_trace(state, n))
+
+
 class TestVerifyTheorem:
     def test_small_sweep_passes(self):
         for L in range(1, 6):
@@ -456,6 +491,19 @@ class TestVerifyUniformMixture:
         assert not report.passed
         assert (report.support_size_formula, report.support_size_dense) == (3, 2)
         assert report.max_abs_dev == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_oracle_diagonalises_from_one_loop():
+    """Every verify_* check reaches dense_eigenvalues through the one shared loop."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    callers = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dense_eigenvalues"
+    ]
+    assert callers == ["_check_states"]
 
 
 def test_oracle_imports_only_its_comparison_targets():

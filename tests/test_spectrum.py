@@ -85,6 +85,21 @@ class TestSectorConfig:
             SectorConfig.infinite((None, 1))
 
     @pytest.mark.parametrize(
+        "densities",
+        [(Fraction(3, 2), Fraction(-1, 2)), (1.5, -0.5), (-math.inf, 1.0), (-1, 2), (-0.5, 0.5)],
+    )
+    def test_negative_densities_refused_before_the_sum(self, densities):
+        # (-0.5, 0.5) also misses the sum: the sign check comes first
+        with pytest.raises(ValueError, match="densities must be nonnegative"):
+            SectorConfig(densities=densities)
+
+    def test_float_densities_taken_as_given(self):
+        cfg = SectorConfig(densities=(0.25, -0.0, 0.75))
+        assert cfg.density_floats == (0.25, 0.0, 0.75)
+        with pytest.raises(ValueError, match="densities must sum to 1"):
+            SectorConfig(densities=(0.25, 0.5))
+
+    @pytest.mark.parametrize(
         "occupations",
         [(2.7, 3), (2.5, 1.5), (2, Fraction(7, 2)), (math.inf, 1), (1, -math.inf), (math.nan, 2)],
     )
