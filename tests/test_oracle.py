@@ -390,19 +390,18 @@ def traced_theorem(cfg, tol=1e-10):
     return reports
 
 
+ONE_STATE_SECTORS = [(3, 2), (2, 0, 2), (0, 3), (3, 2, 1), (1, 1, 1, 1), (4, 4)]
+
+
 class TestOneDenseLoop:
     """The theorem runs as the one-state case of the mixture's Gram loop, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "occupations", [(3, 2), (2, 0, 2), (0, 3), (3, 2, 1), (1, 1, 1, 1), (4, 4)]
-    )
+    @pytest.mark.parametrize("occupations", ONE_STATE_SECTORS)
     def test_theorem_reports_equal_the_explicit_partial_traces(self, occupations):
         cfg = SectorConfig.finite(occupations)
         assert as_json(verify_theorem(cfg, range(cfg.L + 1))) == as_json(traced_theorem(cfg))
 
-    @pytest.mark.parametrize(
-        "occupations", [(3, 2), (2, 0, 2), (0, 3), (3, 2, 1), (1, 1, 1, 1), (4, 4)]
-    )
+    @pytest.mark.parametrize("occupations", ONE_STATE_SECTORS)
     def test_one_state_gram_is_the_block_partial_trace(self, occupations):
         state = build_state(SectorConfig.finite(occupations))
         d, L = state.shape[0], state.ndim
