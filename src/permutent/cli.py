@@ -187,12 +187,24 @@ def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> Iterator[str]
     """Each row as template % (k_0, ..., k_{d-1}, log2 weight[, weight string]), sep-joined,
     yielded SPECTRUM_CHUNK_ROWS rows at a time.
 
-    %r prints floats as json does; the weight strings (digits, "/") need no escaping."""
+    %r prints floats as json does; the weight strings (digits, "/") need no escaping.  When
+    every level holds the same occupation or density (or in the uniform mixture), permuted
+    compositions repeat each weight, so each distinct log2 weight and numerator is formatted
+    once, in memos kept across chunks; elsewhere most values are distinct and a memo costs
+    more than it saves.  Every exact spectrum formats each reduced denominator once."""
+    sector = spectrum.sector
+    memo = sector is None or len(set(sector.occupations or sector.densities)) == 1
+    reprs, numerators, tails = {}, {} if memo else None, {}
+    if memo:  # the log2 field takes the memo's repr strings
+        template = template.replace("%r", "%s")
     for start in range(0, spectrum.support_size, SPECTRUM_CHUNK_ROWS):
         rows = slice(start, start + SPECTRUM_CHUNK_ROWS)
-        columns = [*spectrum.compositions[rows].T.tolist(), spectrum.log2_weights[rows].tolist()]
+        logs = spectrum.log2_weights[rows].tolist()
+        if memo:
+            logs = [reprs[x] if x in reprs else reprs.setdefault(x, repr(x)) for x in logs]
+        columns = [*spectrum.compositions[rows].T.tolist(), logs]
         if spectrum.is_exact:
-            columns.append(weight_strings(spectrum, rows))
+            columns.append(weight_strings(spectrum, rows, tails, numerators))
         yield (sep if start else "") + sep.join(map(template.__mod__, zip(*columns)))
 
 
@@ -246,7 +258,7 @@ def cmd_spectrum(L, d, occ, dens, n, uniform, out_format, out, exact, cutoff):
             raise ValueError("--cutoff applies only to --L inf spectra")
         spectrum = exact_spectrum(sector, n, exact=exact)
     else:
-        spectrum = thermo_spectrum(sector.densities, n, cutoff, exact=exact)
+        spectrum = thermo_spectrum(sector, n, cutoff, exact=exact)
     _write_text(out, _spectrum_json(spectrum) if out_format == "json" else _spectrum_csv(spectrum))
     weights = spectrum.weights
     click.echo(

@@ -210,18 +210,22 @@ def _match(
 
 
 def _check_states(
-    config: dict, states: list[np.ndarray], ns: list[int], formula, tol: float, perturb: float = 0.0
+    config: dict, states: np.ndarray, ns: list[int], formula, tol: float, perturb: float = 0.0
 ) -> list[MatchReport]:
     """The one dense loop of the verify_* checks: per n, the smaller Gram side of K states.
 
-    The dense eigenvalues are matched against ``formula(n)``, both descending;
-    ``perturb`` moves the largest dense eigenvalue of the first report only.
+    ``states`` is one (K, d, ..., d) array.  Y, the K states reshaped to d^n x d^(L-n) and
+    put side by side, is a reshaped transposed view: a copy for K > 1, none for K = 1.  The
+    dense eigenvalues are matched against ``formula(n)``, both descending; ``perturb`` moves
+    the largest dense eigenvalue of the first report only.
     """
     reports = []
+    k, d = states.shape[:2]
     for n in ns:
-        y = np.hstack([state.reshape(state.shape[0] ** n, -1) for state in states])
+        y = states.reshape(k, d**n, -1).transpose(1, 0, 2).reshape(d**n, -1)
         gram = y @ y.T if y.shape[0] <= y.shape[1] else y.T @ y
-        dense = dense_eigenvalues(gram / len(states), tol=1e-8)
+        gram /= k
+        dense = dense_eigenvalues(gram, tol=1e-8)
         if perturb and dense and not reports:
             dense[0] += perturb
         reports.append(_match(dict(config), n, dense, sorted(formula(n), reverse=True), tol))
@@ -245,7 +249,7 @@ def verify_theorem(
             _block_dim(cfg.d, cfg.L, n)
     config = {"L": cfg.L, "d": cfg.d, "occupations": list(cfg.occupations or ())}
     formula = lambda n: exact_spectrum(cfg, n).weights  # noqa: E731
-    return _check_states(config, [build_state(cfg)], ns, formula, tol, perturb)
+    return _check_states(config, build_state(cfg)[np.newaxis], ns, formula, tol, perturb)
 
 
 def verify_uniform_mixture(
@@ -269,6 +273,6 @@ def verify_uniform_mixture(
             f"mixture of {stacked} amplitudes exceeds guard {MAX_STATE_AMPLITUDES}"
         )
     sectors = [o for o in itertools.product(range(L + 1), repeat=d) if sum(o) == L]
-    states = [build_state(SectorConfig.finite(o)) for o in sectors]
+    states = np.stack([build_state(SectorConfig.finite(o)) for o in sectors])
     formula = lambda n: uniform_mixed_spectrum(n, d).weights  # noqa: E731
     return _check_states({"L": L, "d": d, "occupations": None}, states, ns, formula, tol)

@@ -362,7 +362,7 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
 
 
 def thermo_spectrum(
-    densities: Sequence,
+    densities: Sequence | SectorConfig,
     n: int,
     cutoff: float = 0.0,
     *,
@@ -375,13 +375,16 @@ def thermo_spectrum(
     drops entries below cutoff * max_weight, reports the dropped mass on the
     result, and is only available on the log-domain path.  With
     ``exact=None`` and no cutoff, rational weights are kept for n <= 300
-    when the densities sum to exactly 1.
+    when the densities sum to exactly 1.  ``densities`` may also be an L = inf
+    SectorConfig, which is used as it is.
     """
     if n < 0:
         raise ValueError(f"block size must be nonnegative, got {n}")
     if not 0.0 <= cutoff < MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF:g}), got {cutoff!r}")
-    cfg = SectorConfig.infinite(densities)
+    cfg = densities if isinstance(densities, SectorConfig) else SectorConfig.infinite(densities)
+    if cfg.is_finite:
+        raise ValueError("thermo_spectrum needs densities; use exact_spectrum for finite L")
     dens = cfg.density_fractions
     # a density that rounds to float 0.0 drops its level, harmless only in the log domain
     exact_possible = cfg._density_sum == 1 and all(
@@ -457,16 +460,29 @@ def spectrum_header(spectrum: Spectrum) -> dict:
     }
 
 
-def weight_strings(spectrum: Spectrum, rows: slice = slice(None)) -> list[str] | None:
+def weight_strings(
+    spectrum: Spectrum, rows: slice = slice(None), tails: dict | None = None, memo: dict | None = None
+) -> list[str] | None:
     """Each exact weight of the rows as str(Fraction(num, den)), without the Fraction; None in
-    the log domain."""
+    the log domain.
+
+    ``tails`` maps each gcd g of a numerator with den to what follows the reduced numerator,
+    "" or "/" + str(den // g), and ``memo``, if given, each numerator to its string; pass the
+    same dicts with each row slice to format each distinct value once per spectrum."""
     if spectrum.numerators is None:
         return None
-    den = spectrum.denominator
-    return [
-        str(num // g) if (g := math.gcd(num, den)) == den else f"{num // g}/{den // g}"
-        for num in spectrum.numerators[rows]
-    ]
+    den, tails = spectrum.denominator, {} if tails is None else tails
+
+    def string(num: int) -> str:
+        g = math.gcd(num, den)
+        if g not in tails:
+            tails[g] = "" if g == den else f"/{den // g}"
+        return f"{num // g}{tails[g]}"
+
+    nums = spectrum.numerators[rows]
+    if memo is None:
+        return list(map(string, nums))
+    return [memo[num] if num in memo else memo.setdefault(num, string(num)) for num in nums]
 
 
 def spectrum_to_json_obj(spectrum: Spectrum) -> dict:

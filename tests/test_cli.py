@@ -164,6 +164,14 @@ class TestSpectrumCommand:
         assert result.exit_code == 3
         assert "exceeds guard" in result.output
 
+    def test_thermo_sector_is_checked_once(self, runner, monkeypatch):
+        # the validated config goes to thermo_spectrum as it is, not rebuilt from its densities
+        checked = []
+        check = SectorConfig.__post_init__
+        monkeypatch.setattr(SectorConfig, "__post_init__", lambda cfg: checked.append(cfg) or check(cfg))
+        run_ok(runner, ["spectrum", "--L", "inf", "--dens", "1/2,1/3,1/6", "--n", "4"])
+        assert len(checked) == 1
+
     def test_summary_reads_each_weight_once(self, runner, monkeypatch, conversion_counter):
         build = cli.exact_spectrum
         monkeypatch.setattr(
@@ -190,6 +198,18 @@ def reference_spectrum_csv(spectrum):
 
 
 EXACT_FLAGS = {None: [], True: ["--exact"], False: ["--no-exact"]}
+
+# Sectors whose levels are all equal, which the writers' memo serves
+SYMMETRIC_SECTORS = [
+    pytest.param(["--occ", "6,6,6", "--n", "9"],
+                 lambda: exact_spectrum(SectorConfig.finite((6, 6, 6)), 9), id="finite-exact"),
+    pytest.param(["--occ", "400,400,400", "--n", "9"],
+                 lambda: exact_spectrum(SectorConfig.finite((400,) * 3), 9), id="finite-log"),
+    pytest.param(["--L", "inf", "--dens", "1/4,1/4,1/4,1/4", "--n", "6"],
+                 lambda: thermo_spectrum([Fraction(1, 4)] * 4, 6), id="thermo-exact"),
+    pytest.param(["--uniform", "--d", "3", "--n", "6"],
+                 lambda: uniform_mixed_spectrum(6, 3), id="uniform"),
+]
 
 
 class TestSpectrumWriters:
@@ -320,6 +340,64 @@ class TestSpectrumWriters:
         spectrum = exact_spectrum(SectorConfig.finite((3, 2, 4)), 4)
         assert spectrum.support_size == 11
         self.assert_writers_match(["--occ", "3,2,4", "--n", "4"], lambda: spectrum)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("args, build", SYMMETRIC_SECTORS)
+    def test_symmetric_sectors_format_each_value_once(self, monkeypatch, chunk_rows, args, build):
+        # every level equal: permuted compositions repeat weights, and one memo per spectrum,
+        # shared by chunks of 1-3 rows, formats each distinct log2 weight and numerator once
+        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", chunk_rows)
+        spectrum = build()
+        logs = spectrum.log2_weights.tolist()
+        assert len(set(logs)) < len(logs)
+        self.assert_writers_match(args, lambda: spectrum)
+        reprs, dicts = self.spy_on_formatting(monkeypatch)
+        assert "".join(cli._spectrum_csv(spectrum)) == reference_spectrum_csv(spectrum)
+        assert sorted(reprs) == sorted(set(logs))
+        if spectrum.is_exact:
+            assert len(dicts) == -(-len(logs) // chunk_rows)
+            assert all(tails is dicts[0][0] and memo is dicts[0][1] for tails, memo in dicts)
+            assert len(dicts[0][1]) == len(set(spectrum.numerators)) < len(logs)
+
+    def test_other_sectors_format_each_row(self, monkeypatch):
+        # unequal levels repeat few weights: no memo, but one tail per reduced denominator
+        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", 3)
+        spectrum = exact_spectrum(SectorConfig.finite((6, 6, 5)), 8)
+        reprs, dicts = self.spy_on_formatting(monkeypatch)
+        assert "".join(cli._spectrum_json(spectrum)) == reference_spectrum_json(spectrum)
+        assert reprs == []
+        assert all(tails is dicts[0][0] and memo is None for tails, memo in dicts)
+
+    @staticmethod
+    def spy_on_formatting(monkeypatch):
+        """Record the writers' memoised repr calls and the dicts each weight_strings call gets."""
+        reprs, dicts = [], []
+        monkeypatch.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
+        real = cli.weight_strings
+
+        def spy(spectrum, rows, tails, memo):
+            dicts.append((tails, memo))
+            return real(spectrum, rows, tails, memo)
+        monkeypatch.setattr(cli, "weight_strings", spy)
+        return reprs, dicts
+
+    @pytest.mark.parametrize(
+        "args, build",
+        [
+            pytest.param(["--occ", "6,6,6", "--n", "0"],
+                         lambda: exact_spectrum(SectorConfig.finite((6, 6, 6)), 0), id="finite"),
+            pytest.param(["--L", "inf", "--dens", "1/4,1/4,1/4,1/4", "--n", "0"],
+                         lambda: thermo_spectrum([Fraction(1, 4)] * 4, 0), id="thermo"),
+        ],
+    )
+    def test_memoised_zero_keeps_its_sign(self, args, build):
+        # a float-keyed memo takes 0.0 and -0.0 as one key; only one-row spectra carry a zero
+        # log2 weight, and at n = 0 the all-equal sectors carry and write +0.0
+        spectrum = build()
+        assert spectrum.support_size == 1 and math.copysign(1.0, spectrum.log2_weights[0]) == 1.0
+        self.assert_writers_match(args, lambda: spectrum)
+        csv = run_ok(CliRunner(), ["spectrum", *args, "--format", "csv"]).stdout
+        assert csv.splitlines()[1].endswith(",0.0,1")
 
     def test_writer_memory_is_bounded_by_a_chunk(self, tmp_path):
         # 176,851 exact rows, 44.7 MB of JSON: the whole document held as rows, joined string

@@ -109,11 +109,19 @@ class TestExactMomentsBitExact:
         assert spec.is_exact
         assert sorted(map(tuple, spec.compositions.tolist())) == sorted(weights)
         d = spec.d
-        mean = [sum(w * k[i] for k, w in weights.items()) for i in range(d)]
+        # the weights as integers a over one common denominator D, summed as integers, one
+        # Fraction per moment: with S = sum a, M_i = sum a k_i and M_ij = sum a k_i k_j, the
+        # mean is M_i / D and sum w (k_i - mean_i)(k_j - mean_j) is
+        # sum a (D k_i - M_i)(D k_j - M_j) / D^3 = (D^2 M_ij - (2D - S) M_i M_j) / D^3
+        D = math.lcm(*(w.denominator for w in weights.values()))
+        a = {k: w.numerator * (D // w.denominator) for k, w in weights.items()}
+        S = sum(a.values())
+        M = [sum(ak * k[i] for k, ak in a.items()) for i in range(d)]
         got_mean, got_cov = composition_moments(spec)
-        assert got_mean.tolist() == [float(m) for m in mean]
+        assert got_mean.tolist() == [float(Fraction(M[i], D)) for i in range(d)]
         expected_cov = [
-            [float(sum(w * (k[i] - mean[i]) * (k[j] - mean[j]) for k, w in weights.items()))
+            [float(Fraction(D * D * sum(ak * k[i] * k[j] for k, ak in a.items())
+                            - (2 * D - S) * M[i] * M[j], D**3))
              for j in range(d)]
             for i in range(d)
         ]

@@ -333,6 +333,15 @@ class TestThermoSpectrum:
         assert s.support_size == 1 and s.entries[0].parts == (3,) + (0,) * 10_000
         assert s.entries[0].weight_exact == 1 and s.log2_weights.tolist() == [0.0]
 
+    def test_takes_a_sector_config_as_it_is(self):
+        cfg = SectorConfig.infinite((HALF, THIRD, Fraction(1, 6)))
+        given_config, given_densities = thermo_spectrum(cfg, 7), thermo_spectrum(cfg.densities, 7)
+        assert given_config.sector is cfg
+        assert given_config.entries == given_densities.entries
+        assert given_config.log2_weights.tolist() == given_densities.log2_weights.tolist()
+        with pytest.raises(ValueError, match="use exact_spectrum for finite L"):
+            thermo_spectrum(SectorConfig.finite((2, 3)), 2)
+
     def test_cutoff_reports_dropped_mass(self):
         cutoff = 1e-8
         full = thermo_spectrum((0.2, 0.3, 0.5), 60, exact=False)
