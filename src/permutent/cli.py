@@ -185,26 +185,19 @@ def _json_text(obj: dict) -> str:
 
 def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> Iterator[str]:
     """Each row as template % (k_0, ..., k_{d-1}, log2 weight[, weight string]), sep-joined,
-    yielded SPECTRUM_CHUNK_ROWS rows at a time.
+    yielded SPECTRUM_CHUNK_ROWS rows at a time; the log2 weight is its repr, which prints
+    floats as json does, and the weight strings (digits, "/") need no escaping.
 
-    %r prints floats as json does; the weight strings (digits, "/") need no escaping.  When
-    every level holds the same occupation or density (or in the uniform mixture), permuted
-    compositions repeat each weight, so each distinct log2 weight and numerator is formatted
-    once, in memos kept across chunks; elsewhere most values are distinct and a memo costs
-    more than it saves.  Every exact spectrum formats each reduced denominator once."""
-    sector = spectrum.sector
-    memo = sector is None or len(set(sector.occupations or sector.densities)) == 1
-    reprs, numerators, tails = {}, {} if memo else None, {}
-    if memo:  # the log2 field takes the memo's repr strings
-        template = template.replace("%r", "%s")
+    Compositions that permute equal levels share a weight, so each chunk formats each
+    distinct log2 weight once (np.unique), as weight_strings does each distinct numerator."""
     for start in range(0, spectrum.support_size, SPECTRUM_CHUNK_ROWS):
         rows = slice(start, start + SPECTRUM_CHUNK_ROWS)
-        logs = spectrum.log2_weights[rows].tolist()
-        if memo:
-            logs = [reprs[x] if x in reprs else reprs.setdefault(x, repr(x)) for x in logs]
+        logs, inverse = np.unique(spectrum.log2_weights[rows], return_inverse=True)
+        reprs = list(map(repr, logs.tolist()))
+        logs = list(map(reprs.__getitem__, inverse.tolist()))
         columns = [*spectrum.compositions[rows].T.tolist(), logs]
         if spectrum.is_exact:
-            columns.append(weight_strings(spectrum, rows, tails, numerators))
+            columns.append(weight_strings(spectrum, rows))
         yield (sep if start else "") + sep.join(map(template.__mod__, zip(*columns)))
 
 
@@ -218,14 +211,14 @@ def _spectrum_json(spectrum: Spectrum) -> Iterator[str]:
     weight = ',\n      "weight": "%s"' if spectrum.is_exact else ""
     template = (
         f'    {{\n      "composition": [\n        {levels}\n      ],\n'
-        f'      "log2_weight": %r{weight}\n    }}'
+        f'      "log2_weight": %s{weight}\n    }}'
     )
     records = _spectrum_rows(spectrum, template, ",\n")  # lazy: nothing is formatted yet
     return chain([f'{head},\n  "entries": [\n'], records, ["\n  ]\n}\n"])
 
 
 def _spectrum_csv(spectrum: Spectrum) -> Iterator[str]:
-    template = ";".join(["%d"] * spectrum.d) + (",%r,%s" if spectrum.is_exact else ",%r,")
+    template = ";".join(["%d"] * spectrum.d) + (",%s,%s" if spectrum.is_exact else ",%s,")
     records = _spectrum_rows(spectrum, template, "\n")
     return chain(["composition,log2_weight,weight\n"], records, ["\n"])
 

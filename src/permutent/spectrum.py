@@ -460,18 +460,16 @@ def spectrum_header(spectrum: Spectrum) -> dict:
     }
 
 
-def weight_strings(
-    spectrum: Spectrum, rows: slice = slice(None), tails: dict | None = None, memo: dict | None = None
-) -> list[str] | None:
+def weight_strings(spectrum: Spectrum, rows: slice = slice(None)) -> list[str] | None:
     """Each exact weight of the rows as str(Fraction(num, den)), without the Fraction; None in
     the log domain.
 
-    ``tails`` maps each gcd g of a numerator with den to what follows the reduced numerator,
-    "" or "/" + str(den // g), and ``memo``, if given, each numerator to its string; pass the
-    same dicts with each row slice to format each distinct value once per spectrum."""
+    Each distinct numerator of the rows is formatted once, and each distinct reduced
+    denominator den // g once: compositions that permute equal levels share a numerator, and
+    the rows hold few distinct g = gcd(num, den)."""
     if spectrum.numerators is None:
         return None
-    den, tails = spectrum.denominator, {} if tails is None else tails
+    den, tails = spectrum.denominator, {}
 
     def string(num: int) -> str:
         g = math.gcd(num, den)
@@ -480,9 +478,8 @@ def weight_strings(
         return f"{num // g}{tails[g]}"
 
     nums = spectrum.numerators[rows]
-    if memo is None:
-        return list(map(string, nums))
-    return [memo[num] if num in memo else memo.setdefault(num, string(num)) for num in nums]
+    distinct = dict.fromkeys(nums)
+    return list(map(dict(zip(distinct, map(string, distinct))).__getitem__, nums))
 
 
 def spectrum_to_json_obj(spectrum: Spectrum) -> dict:

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +200,7 @@ def reference_spectrum_csv(spectrum):
 
 EXACT_FLAGS = {None: [], True: ["--exact"], False: ["--no-exact"]}
 
-# Sectors whose levels are all equal, which the writers' memo serves
+# Sectors whose levels are all equal: compositions that permute each other share weights
 SYMMETRIC_SECTORS = [
     pytest.param(["--occ", "6,6,6", "--n", "9"],
                  lambda: exact_spectrum(SectorConfig.finite((6, 6, 6)), 9), id="finite-exact"),
@@ -341,45 +342,28 @@ class TestSpectrumWriters:
         assert spectrum.support_size == 11
         self.assert_writers_match(["--occ", "3,2,4", "--n", "4"], lambda: spectrum)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, None])
     @pytest.mark.parametrize("args, build", SYMMETRIC_SECTORS)
     def test_symmetric_sectors_format_each_value_once(self, monkeypatch, chunk_rows, args, build):
-        # every level equal: permuted compositions repeat weights, and one memo per spectrum,
-        # shared by chunks of 1-3 rows, formats each distinct log2 weight and numerator once
-        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", chunk_rows)
+        # repeated weights, in chunks of 1-3 rows and in one whole chunk: each chunk formats
+        # each of its distinct log2 weights and numerators once
+        if chunk_rows:
+            monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", chunk_rows)
         spectrum = build()
         logs = spectrum.log2_weights.tolist()
         assert len(set(logs)) < len(logs)
         self.assert_writers_match(args, lambda: spectrum)
-        reprs, dicts = self.spy_on_formatting(monkeypatch)
-        assert "".join(cli._spectrum_csv(spectrum)) == reference_spectrum_csv(spectrum)
-        assert sorted(reprs) == sorted(set(logs))
-        if spectrum.is_exact:
-            assert len(dicts) == -(-len(logs) // chunk_rows)
-            assert all(tails is dicts[0][0] and memo is dicts[0][1] for tails, memo in dicts)
-            assert len(dicts[0][1]) == len(set(spectrum.numerators)) < len(logs)
-
-    def test_other_sectors_format_each_row(self, monkeypatch):
-        # unequal levels repeat few weights: no memo, but one tail per reduced denominator
-        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_ROWS", 3)
-        spectrum = exact_spectrum(SectorConfig.finite((6, 6, 5)), 8)
-        reprs, dicts = self.spy_on_formatting(monkeypatch)
-        assert "".join(cli._spectrum_json(spectrum)) == reference_spectrum_json(spectrum)
-        assert reprs == []
-        assert all(tails is dicts[0][0] and memo is None for tails, memo in dicts)
-
-    @staticmethod
-    def spy_on_formatting(monkeypatch):
-        """Record the writers' memoised repr calls and the dicts each weight_strings call gets."""
-        reprs, dicts = [], []
-        monkeypatch.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
-        real = cli.weight_strings
-
-        def spy(spectrum, rows, tails, memo):
-            dicts.append((tails, memo))
-            return real(spectrum, rows, tails, memo)
-        monkeypatch.setattr(cli, "weight_strings", spy)
-        return reprs, dicts
+        size = cli.SPECTRUM_CHUNK_ROWS
+        chunks = [slice(i, i + size) for i in range(0, len(logs), size)]
+        reprs, gcds = [], []
+        with monkeypatch.context() as spy:
+            spy.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
+            spy.setattr(math, "gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+            written = "".join(cli._spectrum_csv(spectrum))
+        assert written == reference_spectrum_csv(spectrum)
+        assert sorted(reprs) == sorted(x for rows in chunks for x in set(logs[rows]))
+        nums = spectrum.numerators or []
+        assert sorted(gcds) == sorted(num for rows in chunks for num in set(nums[rows]))
 
     @pytest.mark.parametrize(
         "args, build",
@@ -390,14 +374,30 @@ class TestSpectrumWriters:
                          lambda: thermo_spectrum([Fraction(1, 4)] * 4, 0), id="thermo"),
         ],
     )
-    def test_memoised_zero_keeps_its_sign(self, args, build):
-        # a float-keyed memo takes 0.0 and -0.0 as one key; only one-row spectra carry a zero
-        # log2 weight, and at n = 0 the all-equal sectors carry and write +0.0
+    def test_zero_log2_weight_keeps_its_sign(self, args, build):
+        # np.unique takes 0.0 and -0.0 as one value; only one-row spectra carry a zero log2
+        # weight, and at n = 0 the all-equal sectors carry and write +0.0
         spectrum = build()
         assert spectrum.support_size == 1 and math.copysign(1.0, spectrum.log2_weights[0]) == 1.0
         self.assert_writers_match(args, lambda: spectrum)
         csv = run_ok(CliRunner(), ["spectrum", *args, "--format", "csv"]).stdout
         assert csv.splitlines()[1].endswith(",0.0,1")
+
+    def test_write_holds_one_chunk(self, tmp_path):
+        # equal levels repeat each weight at most d! times, so the 50,001 rows of d = 2 hold
+        # 25,001 distinct log2 weights: strings kept across chunks would grow with them
+        spectrum = exact_spectrum(SectorConfig.finite((50_000, 50_000)), 50_000)
+        for writer, reference in [(cli._spectrum_json, reference_spectrum_json),
+                                  (cli._spectrum_csv, reference_spectrum_csv)]:
+            out = tmp_path / "spectrum"
+            tracemalloc.start()
+            try:
+                cli._write_text(out, writer(spectrum))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+            assert out.read_text() == reference(spectrum)
 
     def test_writer_memory_is_bounded_by_a_chunk(self, tmp_path):
         # 176,851 exact rows, 44.7 MB of JSON: the whole document held as rows, joined string
