@@ -192,8 +192,8 @@ def _spectrum_rows(spectrum: Spectrum, template: str, sep: str) -> Iterator[str]
     distinct log2 weight once (np.unique), as weight_strings does each distinct numerator."""
     for start in range(0, spectrum.support_size, SPECTRUM_CHUNK_ROWS):
         rows = slice(start, start + SPECTRUM_CHUNK_ROWS)
-        logs, inverse = np.unique(spectrum.log2_weights[rows], return_inverse=True)
-        reprs = list(map(repr, logs.tolist()))
+        values, inverse = np.unique(spectrum.log2_weights[rows], return_inverse=True)
+        reprs = list(map(repr, values.tolist()))
         logs = list(map(reprs.__getitem__, inverse.tolist()))
         columns = [*spectrum.compositions[rows].T.tolist(), logs]
         if spectrum.is_exact:

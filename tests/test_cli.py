@@ -8,7 +8,6 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +354,7 @@ class TestSpectrumWriters:
         self.assert_writers_match(args, lambda: spectrum)
         size = cli.SPECTRUM_CHUNK_ROWS
         chunks = [slice(i, i + size) for i in range(0, len(logs), size)]
-        reprs, gcds = [], []
+        reprs, gcds, gcd = [], [], math.gcd
         with monkeypatch.context() as spy:
             spy.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
             spy.setattr(math, "gcd", lambda a, b: gcds.append(a) or gcd(a, b))
