@@ -8,8 +8,10 @@ For a permutation-invariant pure state fixed by the occupation numbers
 over bounded compositions k of the block size n.  In the thermodynamic limit
 (L -> inf at fixed densities p_i) the weights become multinomial,
 ``multinomial(n; k) * prod p_i^{k_i}``; for the uniformly mixed global state
-the spectrum is flat.  Each is a constant times one factor per level, read by
-one builder, with log factors centred so that no digits cancel at any size.
+the spectrum is flat.  The first two are a constant times one factor per
+level, built by one private builder, ``_sector_spectrum``, with log factors
+centred so that no digits cancel at any size (``_product_form``); it holds
+both exact recipes, chosen by the sector kind.
 """
 
 from __future__ import annotations
@@ -280,53 +282,57 @@ def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:
     return np.array(xs).repeat(sizes), k, starts
 
 
-def _product_spectrum(
-    n: int,
-    form: tuple,
-    walk: tuple,
-    exact_factors: Sequence[int] | None = None,
-    multinomial: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
-    """Columns of the spectrum of a product form (c, f, x, b), weight(k) = 2^c prod_i 2^f(x_i, k_i).
+def _sector_spectrum(cfg: SectorConfig, n: int, exact: bool) -> Spectrum:
+    """The spectrum of a finite or L = inf sector at block size n, exact weights if ``exact``.
 
-    Returns the composition matrix, the log2 weights and, unless
-    ``exact_factors`` is None, the integer numerators.  f is called once,
-    over every level's ``_level_ranges``; a row's log2 weight is the
-    left-to-right sum of its per-level factors plus c.  A row's numerator is
-    the product of its ``exact_factors`` (over the same ranges, concatenated),
-    times multinomial(n; k) with ``multinomial``: the binomials
-    binom(left_i, k_i) over the sites left before each level.
+    Each weight is 2^c prod_i 2^f(x_i, k_i) (``_product_form``): f is called once, over every
+    level's ``_level_ranges``, and a row's log2 weight is c plus the left-to-right sum of its
+    per-level factors.  A one-row spectrum is a point mass, of log2 weight +0.0.  An exact
+    numerator is one integer per level by the sector's recipe: binom(N_i, k_i) over binom(L, n)
+    at finite L; a_i^{k_i} over B^n at L = inf, a_i = p_i * B integer, times multinomial(n; k)
+    as the binomials binom(left_i, k_i) over the sites left before each level.
 
-    ``walk`` is combinatorics' _walk(n, b), run by the caller before any
-    table is built, so that the walk's guard decides the size alone; its rows
-    come out in lexicographic order, and factors and numerators are gathered
-    along its links.  Every level's range is at most the support, so the
-    tables are as bounded as the walk.
+    The walk (combinatorics' _walk) runs first, so that its guard decides the size alone, then
+    the exact guard, on the estimate and then on the denominator; only then is a table built.
+    The rows come out in lexicographic order, and factors and numerators are gathered along
+    the walk's links.  Every level's range is at most the support, so the tables are as
+    bounded as the walk.
     """
-    log_const, f, xs, bounds = form
+    log_const, f, xs, bounds = _product_form(cfg, n)  # O(1): its bounds are what the walk needs
+    links, last = _walk(n, bounds)
     ranges = _level_ranges(n, bounds)
+    denominator, table, nums, left = 1, None, None, None
+    if exact:  # prod_i factor(a_i, k_i) / factor(B, n), times multinomial(n; k) at L = inf
+        if cfg.is_finite:
+            factor, B, a, log2_den = math.comb, cfg.L, xs, log2_binom(cfg.L, n)
+        else:
+            B = math.lcm(*(p.denominator for p in cfg.densities))
+            factor, log2_den, left = pow, n * math.log2(B), np.array([n])
+            a = [p.numerator * (B // p.denominator) for p in cfg.densities]
+        _check_exact_bits(last.size, None, log2_den)
+        denominator = factor(B, n)
+        _check_exact_bits(last.size, denominator)
+        table = [factor(a_i, k) for a_i, (lo, hi) in zip(a, ranges) for k in range(lo, hi + 1)]
+        table, nums = np.array(table, dtype=object), np.ones(1, dtype=object)
     x, ks, starts = _stacked(xs, ranges)
     log_factors = f(x, ks)
     offsets = [start - lo for start, (lo, _) in zip(starts, ranges)]  # k sits at index k + offset
-    links, last = walk
     log_sum = np.zeros(1)
-    exact = None if exact_factors is None else np.array(exact_factors, dtype=object)
-    nums = None if exact is None else np.ones(1, dtype=object)
-    left = np.array([n])
     for link, offset in zip(links, offsets):
         if link is None:  # k = 0 in every row, at bound 0 or n = 0: a factor of 1, 2^(+-0.0)
             continue
         prefix, k = link
         log_sum = log_sum[prefix] + log_factors[k + offset]
         if nums is not None:
-            nums = nums[prefix] * exact[k + offset]
-            if multinomial:
+            nums = nums[prefix] * table[k + offset]
+            if left is not None:  # the multinomial, binom(left_i, k_i) per level
                 nums *= _comb(left[prefix], k)
                 left = left[prefix] - k
     log_sum = log_sum + log_factors[last + offsets[-1]]
+    log2_weights = log_sum + log_const if last.size > 1 else np.zeros(1)  # one row: a point mass
     if nums is not None:
-        nums *= exact[last + offsets[-1]]
-    return _matrix(links, last), log_sum + log_const, None if nums is None else nums.tolist()
+        nums = (nums * table[last + offsets[-1]]).tolist()
+    return Spectrum(_matrix(links, last), log2_weights, n, cfg, nums, denominator)
 
 
 def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> Spectrum:
@@ -338,27 +344,12 @@ def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> S
     """
     if not cfg.is_finite:
         raise ValueError("exact_spectrum needs a finite sector; use thermo_spectrum for L=inf")
-    occupations = cfg.occupations
-    assert occupations is not None
-    L = sum(occupations)
+    L = cfg.L
     if n < 0:
         raise ValueError(f"block size must be nonnegative, got {n}")
     if n > L:
         raise ValueError(f"n exceeds L: n={n}, L={L}")
-    if exact is None:
-        exact = L <= EXACT_AUTO_MAX_L
-    walk = _walk(n, occupations)
-    support = walk[1].size
-    binoms, denominator = None, 1
-    if exact:
-        _check_exact_bits(support, None, log2_binom(L, n))
-        denominator = math.comb(L, n)
-        _check_exact_bits(support, denominator)
-        ranges = zip(occupations, _level_ranges(n, occupations))
-        binoms = [math.comb(N, k) for N, (lo, hi) in ranges for k in range(lo, hi + 1)]
-    form = _product_form(cfg, n)
-    compositions, log2_weights, numerators = _product_spectrum(n, form, walk, binoms)
-    return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator)
+    return _sector_spectrum(cfg, n, L <= EXACT_AUTO_MAX_L if exact is None else exact)
 
 
 def thermo_spectrum(
@@ -385,10 +376,9 @@ def thermo_spectrum(
     cfg = densities if isinstance(densities, SectorConfig) else SectorConfig.infinite(densities)
     if cfg.is_finite:
         raise ValueError("thermo_spectrum needs densities; use exact_spectrum for finite L")
-    dens = cfg.density_fractions
     # a density that rounds to float 0.0 drops its level, harmless only in the log domain
     exact_possible = cfg._density_sum == 1 and all(
-        f > 0 or p == 0 for p, f in zip(dens, cfg.density_floats)
+        f > 0 or p == 0 for p, f in zip(cfg.density_fractions, cfg.density_floats)
     )
     if exact is None:
         exact = exact_possible and cutoff == 0.0 and n <= EXACT_AUTO_MAX_L
@@ -397,35 +387,18 @@ def thermo_spectrum(
     if exact and cutoff > 0.0:
         raise ValueError("cutoff truncation is a log-domain feature; pass exact=False")
 
-    form = _product_form(cfg, n)  # O(1): its bounds b_i are what the walk needs
-    walk = _walk(n, form[3])
-    support = walk[1].size
-    pows, denominator = None, 1
-    if exact:
-        # weight = multinomial(n; k) * prod_i a_i^{k_i} / B^n, with a_i = p_i * B integer
-        B = math.lcm(*(p.denominator for p in dens))
-        _check_exact_bits(support, None, n * math.log2(B))
-        denominator = B**n
-        _check_exact_bits(support, denominator)
-        scaled = [p.numerator * (B // p.denominator) for p in dens]
-        ranges = zip(scaled, _level_ranges(n, form[3]))
-        pows = [a**k for a, (lo, hi) in ranges for k in range(lo, hi + 1)]
-    compositions, log2_weights, numerators = _product_spectrum(
-        n, form, walk, pows, multinomial=True
-    )
-
-    dropped_mass = 0.0
+    spec = _sector_spectrum(cfg, n, exact)
     if cutoff > 0.0:
-        threshold = log2_weights.max() + math.log2(cutoff)
-        keep = log2_weights >= threshold
-        dropped_mass = math.fsum(2.0**x for x in log2_weights[~keep].tolist())
-        compositions, log2_weights = compositions[keep], log2_weights[keep]
-        if dropped_mass > 10.0 * cutoff:
+        log2_weights = spec.log2_weights
+        keep = log2_weights >= log2_weights.max() + math.log2(cutoff)
+        spec.dropped_mass = math.fsum(2.0**x for x in log2_weights[~keep].tolist())
+        spec.compositions, spec.log2_weights = spec.compositions[keep], log2_weights[keep]
+        if spec.dropped_mass > 10.0 * cutoff:
             raise ValueError(
-                f"cutoff {cutoff:g} drops {dropped_mass:.3e} of the weight; "
+                f"cutoff {cutoff:g} drops {spec.dropped_mass:.3e} of the weight; "
                 "lower the cutoff to keep at least 1 - 10*cutoff"
             )
-    return Spectrum(compositions, log2_weights, n, cfg, numerators, denominator, dropped_mass)
+    return spec
 
 
 def uniform_mixed_spectrum(n: int, d: int) -> Spectrum:

@@ -187,6 +187,10 @@ class TestBlockEntropy:
             thermo_spectrum((0, 1, 0), 3),
             thermo_spectrum((0, 1, 0), 3, exact=False),
             uniform_mixed_spectrum(0, 3),
+            # one occupied level at 0 < n < L
+            exact_spectrum(SectorConfig.finite((0, 5, 0)), 3),
+            exact_spectrum(SectorConfig.finite((0, 5, 0)), 3, exact=False),
+            exact_spectrum(SectorConfig.finite((400, 0)), 170, exact=False),
         ):
             s = entropy_of_spectrum(spec)
             assert s == 0.0 and math.copysign(1.0, s) == 1.0

@@ -437,6 +437,41 @@ class TestEntryOrder:
         self.assert_order(spec, brute_compositions(n, (n,) * d))
 
 
+class TestOneBuilder:
+    """Both sector spectra come from the one private builder; the uniform mixture does not."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen, build = [], spectrum._sector_spectrum
+
+        def spy(*args):
+            seen.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(spectrum, "_sector_spectrum", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: exact_spectrum(SectorConfig.finite((3, 2, 1)), 3),
+            lambda: exact_spectrum(SectorConfig.finite((3, 2, 1)), 3, exact=False),
+            lambda: thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 6),
+            lambda: thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 6, exact=False),
+            lambda: thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 30, cutoff=1e-3),
+        ],
+        ids=["finite-exact", "finite-log", "thermo-exact", "thermo-log", "thermo-cutoff"],
+    )
+    def test_each_sector_build_reaches_it_once(self, calls, build):
+        spec = build()
+        ((cfg, n, exact),) = calls
+        assert (cfg, n, exact) == (spec.sector, spec.block_size, spec.is_exact)
+
+    def test_the_uniform_mixture_keeps_its_own(self, calls):
+        uniform_mixed_spectrum(4, 3)
+        assert calls == []
+
+
 class TestExactAgainstLogDomain:
     """The exact and log-domain paths of one sector agree entry by entry."""
 
@@ -648,9 +683,9 @@ class TestSupportGuard:
 
     def test_exact_weights_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("_product_spectrum called")
+            raise AssertionError("_stacked called")
 
-        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
+        monkeypatch.setattr(spectrum, "_stacked", fail)
         # 40,001 entries over 2^40000 and over C(80000, 40000): >= 1.6e9 bits each
         with pytest.raises(ResourceLimitError, match="numerator bits"):
             thermo_spectrum((HALF, HALF), 40_000, exact=True)
@@ -665,8 +700,7 @@ class TestSupportGuard:
         built = []
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda a, b: built.append((a, b)) or comb(a, b))
-        monkeypatch.setattr(spectrum, "_product_form", fail)
-        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
+        monkeypatch.setattr(spectrum, "_stacked", fail)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         # 1,000,001 entries over C(1.6e7, 1e6), of about 5.4e6 bits
         with pytest.raises(ResourceLimitError, match="numerator bits"):
@@ -703,9 +737,9 @@ class TestSupportGuard:
 
     def test_denominators_past_the_digit_limit_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("_product_spectrum called")
+            raise AssertionError("_stacked called")
 
-        monkeypatch.setattr(spectrum, "_product_spectrum", fail)
+        monkeypatch.setattr(spectrum, "_stacked", fail)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         # C(14400, 7200) has 4,333 digits; 2^14500 has 4,365; both within MAX_EXACT_BITS
         with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
@@ -793,7 +827,18 @@ class TestSerialization:
             assert rec["weight"] == str(Fraction(num, s.denominator))
 
     def test_point_mass_weight_is_one(self):
-        records = spectrum_to_json_obj(exact_spectrum(SectorConfig.finite((4, 4)), 8))["entries"]
-        assert records == [{"composition": [4, 4], "log2_weight": 0.0, "weight": "1"}]
-        records = spectrum_to_json_obj(uniform_mixed_spectrum(0, 3))["entries"]
-        assert records == [{"composition": [0, 0, 0], "log2_weight": 0.0, "weight": "1"}]
+        # one occupied level at 0 < n < L included: its full level must cancel to +0.0 exactly
+        lone, wide = SectorConfig.finite((0, 5, 0)), SectorConfig.finite((400, 0))
+        for spec, composition in (
+            (exact_spectrum(SectorConfig.finite((4, 4)), 8), [4, 4]),
+            (uniform_mixed_spectrum(0, 3), [0, 0, 0]),
+            (exact_spectrum(lone, 3), [0, 3, 0]),
+            (exact_spectrum(lone, 3, exact=False), [0, 3, 0]),
+            (exact_spectrum(wide, 170, exact=False), [170, 0]),
+        ):
+            (record,) = spectrum_to_json_obj(spec)["entries"]
+            expected = {"composition": composition, "log2_weight": 0.0}
+            if spec.is_exact:
+                expected["weight"] = "1"
+            assert record == expected
+            assert math.copysign(1.0, record["log2_weight"]) == 1.0
