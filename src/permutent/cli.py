@@ -273,8 +273,8 @@ def cmd_entropy(L, d, occ, dens, n, units, out):
     obj = dataclasses.asdict(entropy_report(sector, n))
     if units == "nats":
         for key in ("exact_bits", "asymptotic_bits", "gaussian_bits", "sup_bound_bits", "constant_C_bits"):
-            if obj[key] is not None:
-                obj[key.replace("_bits", "_nats")] = bits_to_nats(obj.pop(key))
+            bits = obj.pop(key)
+            obj[key.replace("_bits", "_nats")] = None if bits is None else bits_to_nats(bits)
     L_field = sector.L if sector.is_finite else "inf"
     payload = {"L": L_field, "d": sector.d, "n": n, "units": units, "report": obj}
     _write_text(out, _json_text(payload))

@@ -27,12 +27,10 @@ from .spectrum import (SectorConfig, Spectrum, _check_symmetric, _level_ranges, 
 __all__ = [
     "EntropyReport",
     "CorrectionReport",
-    "EffectiveSpin",
     "entropy_of_spectrum",
     "block_entropy",
     "asymptotic_entropy",
     "max_entropy_bound",
-    "effective_spin",
     "finite_size_corrections",
     "fit_prefactor",
     "entropy_report",
@@ -41,8 +39,9 @@ __all__ = [
 LN2 = math.log(2.0)
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
-# The asymptotic formula assumes n * prod(p_k) >> 1; below this product the
-# value is still returned but flagged as outside stated validity.
+# The asymptotic formula assumes g * prod(p_k) >> 1, g its geometric factor (see
+# _law); below this product the value is still returned but flagged as outside
+# stated validity.
 ASYMPTOTIC_VALIDITY_FLOOR = 10.0
 
 ZERO_DENSITY_TOL = 1e-12
@@ -61,7 +60,7 @@ class EntropyReport:
 
     The asymptotic / Gaussian fields are None where the closed forms are
     undefined (block boundaries n in {0, L}, or fewer than two occupied
-    levels after the effective-spin reduction).
+    levels).
     """
 
     exact_bits: float
@@ -81,15 +80,6 @@ class CorrectionReport:
     central_charge: float
     delta_per_leading_bits: float
     delta_cr_leading_bits: float
-
-
-@dataclass
-class EffectiveSpin:
-    """Reduced growth rate when z spin levels carry no density."""
-
-    sigma_eff: float
-    z: int
-    reduced_densities: tuple
 
 
 def entropy_of_spectrum(spectrum: Spectrum) -> float:
@@ -145,9 +135,17 @@ def block_entropy(cfg: SectorConfig, n: int) -> float:
     return 0.0 - math.fsum([c, *means.tolist()])  # +0.0, not -0.0, for a pure block
 
 
-def _occupied(cfg: SectorConfig) -> tuple[float, ...]:
-    """The densities of the levels that effective_spin keeps, as floats."""
-    return tuple(map(float, effective_spin(cfg.density_fractions).reduced_densities))
+def _law(cfg: SectorConfig, n: int) -> tuple[tuple[float, ...], float | None]:
+    """The paper's law's inputs at block size n: the occupied densities p and the factor g.
+
+    Only levels above ZERO_DENSITY_TOL count, so sigma_eff = (len(p) - 1)/2.  g is n(L-n)/L
+    for 0 < n < L, n for n >= 1 at L = inf, and None where the law is undefined.
+    """
+    p = tuple(x for x in cfg.density_floats if x > ZERO_DENSITY_TOL)
+    L = cfg.L
+    if L is None:
+        return p, n if n >= 1 else None
+    return p, n * (L - n) / L if 0 < n < L else None
 
 
 def _closed_form(p: tuple[float, ...], g: float) -> float:
@@ -158,17 +156,16 @@ def _closed_form(p: tuple[float, ...], g: float) -> float:
 def asymptotic_entropy(cfg: SectorConfig, n: int) -> float:
     """Large-n entropy: C + sigma_eff*log2(2*pi*e * n(L-n)/L), C = log2(prod p)/2.
 
-    Only the occupied levels count (effective_spin), so empty levels give the reduced
-    sector's value.  For the thermodynamic limit the geometric factor is just n.
+    Only the occupied levels count (_law), so empty levels give the reduced sector's
+    value.  For the thermodynamic limit the geometric factor is just n.
     """
-    p, L = _occupied(cfg), cfg.L
+    (p, g), L = _law(cfg, n), cfg.L
     if len(p) < 2:
         raise ValueError("asymptotic form needs at least two occupied levels")
-    if L is None and n < 1:
-        raise ValueError("asymptotic form needs n >= 1")
-    if L is not None and not 0 < n < L:
-        raise ValueError(f"asymptotic form needs 0 < n < L, got n={n}, L={L}")
-    return _closed_form(p, n * (L - n) / L if L else n)
+    if g is None:
+        raise ValueError("asymptotic form needs n >= 1" if L is None else
+                         f"asymptotic form needs 0 < n < L, got n={n}, L={L}")
+    return _closed_form(p, g)
 
 
 def max_entropy_bound(n: int, d: int) -> float:
@@ -177,43 +174,29 @@ def max_entropy_bound(n: int, d: int) -> float:
     return log2_binom(n + d - 1, d - 1)
 
 
-def effective_spin(densities: Sequence) -> EffectiveSpin:
-    """Count vanished levels: z zero densities reduce sigma to sigma - z/2.
-
-    The surviving densities are returned as given, so exact inputs stay exact.
-    """
-    p = tuple(densities)
-    if not p:
-        raise ValueError("density vector is empty")
-    sigma = (len(p) - 1) / 2.0
-    reduced = tuple(x for x in p if float(x) > ZERO_DENSITY_TOL)
-    z = len(p) - len(reduced)
-    if not reduced:
-        raise ValueError("all densities vanish within tolerance")
-    return EffectiveSpin(sigma_eff=sigma - z / 2.0, z=z, reduced_densities=reduced)
-
-
 def finite_size_corrections(
     cfg: SectorConfig, n: int, central_charge: float = 1.0
 ) -> CorrectionReport:
     """Finite-size corrections of the block entropy at fixed n.
 
-    delta_per is the exact shift sigma*log2(1 - n/L) of the permutation-
-    invariant form; delta_cr is the shift (c/3)*log2((L/(pi*n))*sin(pi*n/L))
-    of the conformal comparison curve against its L->inf limit.  The leading
-    orders are -sigma*(n/L)/ln2 and -(c/18)*(pi*n/L)^2/ln2; the quadratic
+    delta_per is the exact shift sigma_eff*log2(1 - n/L) of the permutation-
+    invariant form, sigma_eff over the occupied levels as in the law itself;
+    delta_cr is the shift (c/3)*log2((L/(pi*n))*sin(pi*n/L)) of the conformal
+    comparison curve against its L->inf limit.  The leading orders are
+    -sigma_eff*(n/L)/ln2 and -(c/18)*(pi*n/L)^2/ln2; the quadratic
     coefficient follows from sin(y) = y*(1 - y^2/6 + ...).
     """
     if not cfg.is_finite:
         raise ValueError("finite-size corrections need a finite sector")
-    L = cfg.L
-    assert L is not None
-    if not 0 < n < L:
+    (p, g), L = _law(cfg, n), cfg.L
+    if g is None:
         raise ValueError(f"corrections need 0 < n < L, got n={n}, L={L}")
     c = float(central_charge)
     if not math.isfinite(c):
         raise ValueError(f"central charge must be finite, got {central_charge!r}")
-    sigma = float(cfg.sigma)
+    if len(p) < 2:
+        raise ValueError("corrections need at least two occupied levels")
+    sigma = (len(p) - 1) / 2.0
     x = n / L
     delta_per = sigma * math.log2(1.0 - x)
     delta_cr = (c / 3.0) * math.log2(math.sin(math.pi * x) / (math.pi * x))
@@ -247,14 +230,14 @@ def entropy_report(cfg: SectorConfig, n: int) -> EntropyReport:
     determinant of the hypergeometric covariance; at L = inf the two are equal.
     """
     exact = block_entropy(cfg, n)  # validates n first
-    p, L = _occupied(cfg), cfg.L
+    (p, g), L = _law(cfg, n), cfg.L
     asym = gauss = C = None
     valid = False
     if len(p) >= 2:
         C = 0.5 * math.fsum(map(math.log2, p))
-        valid = n * math.prod(p) >= ASYMPTOTIC_VALIDITY_FLOOR
-        if (0 < n < L) if L else n >= 1:
-            asym = _closed_form(p, n * (L - n) / L if L else n)  # asymptotic_entropy(cfg, n)
+        if g is not None:
+            valid = g * math.prod(p) >= ASYMPTOTIC_VALIDITY_FLOOR
+            asym = _closed_form(p, g)  # asymptotic_entropy(cfg, n)
             gauss = _closed_form(p, n * (L - n) / (L - 1)) if L else asym
     return EntropyReport(exact_bits=exact, asymptotic_bits=asym, gaussian_bits=gauss,
                          sup_bound_bits=max_entropy_bound(n, cfg.d), constant_C_bits=C,

@@ -142,8 +142,7 @@ def build_gaussian(densities: Sequence, n: int, L: int | None = None) -> Gaussia
         raise ValueError(f"block size must be < L, got n={n}, L={L}")
     if any(x <= 0.0 for x in p):
         raise ValueError(
-            "zero density makes the covariance singular; apply effective_spin "
-            "to drop empty levels first"
+            "zero density makes the covariance singular; drop empty levels first"
         )
     if abs(math.fsum(p) - 1.0) > 1e-9:
         raise ValueError("densities must sum to 1")

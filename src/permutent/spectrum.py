@@ -118,10 +118,6 @@ class SectorConfig:
         return sum(self.occupations) if self.occupations is not None else None
 
     @property
-    def sigma(self) -> Fraction:
-        return Fraction(self.d - 1, 2)
-
-    @property
     def density_fractions(self) -> tuple[Fraction, ...]:
         if self.densities is not None:
             return self.densities

@@ -83,3 +83,13 @@ def test_the_traced_builders_record_what_they_built(name, args, kwargs):
         assert walked > spec.support_size
     else:
         assert walked == spec.support_size
+
+
+def test_sweep_chain_passes_its_own_checks(tmp_path):
+    # both sweeps against the benchmark's closed form, symmetry and bound; both figure SVGs
+    with loaded_run() as run:
+        problems = {
+            op.name: op.check(run.run_in_process(op, run.spans.Tracer()))
+            for op in run.sweep_chain(tmp_path, 0)
+        }
+    assert problems == {"sweep-finite": [], "sweep-thermo": [], "figures": []}

@@ -435,6 +435,13 @@ class TestEntropyCommand:
         assert nats["report"]["exact_nats"] == pytest.approx(
             bits["report"]["exact_bits"] * math.log(2.0), abs=1e-12
         )
+        # at a block boundary the closed forms are null, and null fields are renamed too
+        edge = json.loads(
+            run_ok(runner, ["entropy", "--occ", "3,3", "--n", "0", "--units", "nats"]).stdout
+        )
+        assert_valid(edge, REPORT_SCHEMA)
+        assert edge["report"]["asymptotic_nats"] is None
+        assert not [key for key in edge["report"] if key.endswith("_bits")]
 
     @pytest.mark.parametrize("d, n, gaussian_bits", [(200, 1, -357.0136), (400, 10, -249.2554)],
                              ids=["d200-n1", "d400-n10"])

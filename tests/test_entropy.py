@@ -14,7 +14,6 @@ from permutent.entropy import (
     asymptotic_entropy,
     bits_to_nats,
     block_entropy,
-    effective_spin,
     entropy_of_spectrum,
     entropy_report,
     finite_size_corrections,
@@ -517,36 +516,6 @@ class TestMaxEntropyBound:
             assert S == pytest.approx(max_entropy_bound(n, d), abs=1e-12)
 
 
-class TestEffectiveSpin:
-    def test_one_vanished_level(self):
-        eff = effective_spin((0.5, 0.5, 0.0))
-        assert eff.sigma_eff == 0.5
-        assert eff.z == 1
-        assert eff.reduced_densities == (0.5, 0.5)
-
-    def test_fully_polarized(self):
-        eff = effective_spin((1.0, 0.0))
-        assert eff.sigma_eff == 0.0
-        assert eff.z == 1
-
-    def test_two_vanished_levels(self):
-        eff = effective_spin((THIRD, THIRD, THIRD, 0, 0))
-        assert eff.sigma_eff == 1.0
-        assert eff.z == 2
-
-    def test_fraction_inputs_returned_unchanged(self):
-        densities = (THIRD, Fraction(0), Fraction(2, 3))
-        eff = effective_spin(densities)
-        assert eff.reduced_densities == (THIRD, Fraction(2, 3))
-        assert all(a is b for a, b in zip(eff.reduced_densities, densities[::2]))
-
-    def test_all_vanished_rejected(self):
-        with pytest.raises(ValueError):
-            effective_spin((0.0, 0.0))
-        with pytest.raises(ValueError, match="density vector is empty"):
-            effective_spin(())
-
-
 class TestFiniteSizeCorrections:
     def test_half_filling_per_value(self):
         cfg = SectorConfig.finite((20, 20, 20))  # sigma = 1
@@ -580,6 +549,21 @@ class TestFiniteSizeCorrections:
         assert abs(rep.delta_per_bits) < 2e-3
         assert abs(rep.delta_cr_bits) < 1e-5
 
+    @pytest.mark.parametrize(
+        "occupations, ns",
+        [((30, 0, 30), (1, 17, 30, 59)), ((1, 1, 1, 0, 0), (1, 2)),
+         ((40, 0, 30, 20), (1, 45, 89)), ((20, 20, 20), (1, 30, 59))],
+    )
+    def test_per_correction_is_the_laws_finite_size_shift(self, occupations, ns):
+        # sigma_eff counts the occupied levels only, as the law itself does
+        cfg = SectorConfig.finite(occupations)
+        limit = SectorConfig.infinite(cfg.density_fractions)
+        for n in ns:
+            shift = asymptotic_entropy(cfg, n) - asymptotic_entropy(limit, n)
+            assert finite_size_corrections(cfg, n).delta_per_bits == pytest.approx(
+                shift, abs=1e-12
+            ), n
+
     def test_per_correction_is_negative(self):
         cfg = SectorConfig.finite((6, 6))
         for n in range(1, 12):
@@ -593,6 +577,8 @@ class TestFiniteSizeCorrections:
             finite_size_corrections(cfg, 10)
         with pytest.raises(ValueError):
             finite_size_corrections(SectorConfig.infinite((HALF, HALF)), 3)
+        with pytest.raises(ValueError, match="at least two occupied levels"):
+            finite_size_corrections(SectorConfig.finite((5, 0)), 2)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_non_finite_central_charge_rejected(self, c):
@@ -712,6 +698,15 @@ class TestEntropyReport:
         cfg = SectorConfig.infinite((THIRD, THIRD, THIRD))
         assert not entropy_report(cfg, 100).asymptotic_valid
         assert entropy_report(cfg, 1000).asymptotic_valid
+
+    @pytest.mark.parametrize("occupations", [(1000, 1000, 1000), (100, 100)])
+    def test_validity_flag_is_symmetric_in_n_and_L_minus_n(self, occupations):
+        # the exact entropy and the law are symmetric under n <-> L - n, so the flag is too
+        cfg = SectorConfig.finite(occupations)
+        valid = [entropy_report(cfg, n).asymptotic_valid for n in range(cfg.L + 1)]
+        assert valid == valid[::-1]
+        assert not valid[0] and not valid[-1]
+        assert any(valid)
 
     def test_json_keys(self):
         obj = dataclasses.asdict(entropy_report(SectorConfig.finite((10, 10)), 5))

@@ -276,7 +276,7 @@ class TestBuildGaussian:
         assert np.allclose(model.mean, [12.0, 20.0])
 
     def test_zero_density_rejected(self):
-        with pytest.raises(ValueError, match="effective_spin"):
+        with pytest.raises(ValueError, match="drop empty levels first"):
             build_gaussian((0.5, 0.5, 0.0), 10)
 
     def test_bad_inputs_rejected(self):

@@ -16,9 +16,9 @@ PUBLIC = {
     "ResourceLimitError", "composition_count", "enumerate_compositions", "log2_binom",
     "SectorConfig", "Spectrum", "SpectrumEntry", "exact_spectrum", "spectrum_to_json_obj",
     "thermo_spectrum", "uniform_mixed_spectrum",
-    "CorrectionReport", "EffectiveSpin", "EntropyReport", "asymptotic_entropy", "block_entropy",
-    "effective_spin", "entropy_of_spectrum", "entropy_report", "finite_size_corrections",
-    "fit_prefactor", "max_entropy_bound",
+    "CorrectionReport", "EntropyReport", "asymptotic_entropy", "block_entropy",
+    "entropy_of_spectrum", "entropy_report", "finite_size_corrections", "fit_prefactor",
+    "max_entropy_bound",
     "GaussianModel", "build_gaussian", "composition_moments", "gaussian_entropy",
     "EigensolverConvergenceError", "MatchReport", "build_state", "dense_eigenvalues",
     "partial_trace", "verify_theorem", "verify_uniform_mixture",

@@ -54,17 +54,12 @@ class TestSectorConfig:
         cfg = SectorConfig.finite((2, 3, 1))
         assert cfg.L == 6
         assert cfg.d == 3
-        assert cfg.sigma == 1
         assert cfg.density_fractions == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
 
     def test_infinite_properties(self):
         cfg = SectorConfig.infinite(("1/4", "1/4", "1/4", "1/4"))
         assert cfg.L is None
         assert not cfg.is_finite
-        assert cfg.sigma == Fraction(3, 2)
-
-    def test_half_integer_spin(self):
-        assert SectorConfig.finite((1, 1)).sigma == Fraction(1, 2)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
