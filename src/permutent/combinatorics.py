@@ -110,10 +110,10 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
 
     The only support guard: every prefix extends to a composition and rows never decrease,
     so a level past min(MAX_SPECTRUM_SUPPORT, MAX_SPECTRUM_CELLS // d) rows is refused
-    unbuilt.  Each prefix's count is clipped at guard + 1 before summing, so the sum cannot
-    wrap and passes exactly when the true count does; each bound, and what the later levels
-    can hold, is clamped to total, which changes no composition and keeps every count in
-    int64.  A total past 2^63 - 1 is refused.
+    unbuilt.  Each prefix's count is clipped at guard + 1 before summing, where the level's
+    bound passes the guard, so the sum cannot wrap and passes exactly when the true count
+    does; each bound, and what the later levels can hold, is clamped to total, which changes
+    no composition and keeps every count in int64.  A total past 2^63 - 1 is refused.
     """
     if total > 2**63 - 1:
         raise ResourceLimitError("composition total past 2^63 - 1, the int64 counts")
@@ -123,18 +123,31 @@ def _walk(total: int, bounds: Sequence[int]) -> tuple[list, np.ndarray]:
     links = []
     for b in bounds[:-1]:
         rest -= b  # what the later levels can hold
-        if min(b, total) == 0:
+        b = min(b, total)
+        if b == 0:
             links.append(None)
             continue
-        lo = np.maximum(0, left - min(rest, total))
-        counts = np.minimum(np.minimum(min(b, total), left) - lo, guard) + 1
-        ends = np.cumsum(counts)
-        _check_size("composition support of at least", int(ends[-1]), guard)
-        prefix = np.repeat(np.arange(left.size), counts)
-        k = np.arange(ends[-1])
-        k -= np.repeat(ends - counts - lo, counts)
+        short = rest < total  # else every prefix's least part is 0
+        counts = np.minimum(left, b)
+        if short:
+            lo = left - rest
+            np.maximum(lo, 0, out=lo)
+            counts -= lo
+        if b > guard:  # else no count can pass the guard
+            np.minimum(counts, guard, out=counts)
+        counts += 1
+        ends = counts.cumsum()
+        size = int(ends[-1])
+        _check_size("composition support of at least", size, guard)
+        ends -= counts  # each prefix's first row less its least part: row - that is the part
+        if short:
+            ends -= lo
+        prefix = np.arange(left.size).repeat(counts)
+        k = np.arange(size)
+        k -= ends.repeat(counts)
         links.append((prefix, k))
-        left = left[prefix] - k
+        left = left[prefix]
+        left -= k
     return links, left
 
 

@@ -41,6 +41,7 @@ MAX_STATE_AMPLITUDES = 2_000_000
 MAX_DENSITY_DIM = 2000
 JACOBI_CONVERGENCE_TOL = 1e-12
 JACOBI_SWEEP_BUDGET_FACTOR = 100  # rotations allowed: factor * dim^2
+_TINY = np.finfo(float).tiny  # the floor of the convergence target, for a zero trace
 
 
 class EigensolverConvergenceError(RuntimeError):
@@ -116,8 +117,10 @@ def _check_power(what: str, d: int, e: int, guard: int) -> int:
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
+    off = a.copy()  # C order whatever a's, so the sum runs in one fixed order
+    np.fill_diagonal(off, 0.0)
+    off *= off
+    return float(np.sqrt(off.sum()))
 
 
 def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
@@ -142,19 +145,20 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
         raise ValueError("density matrix must be symmetric")
 
     # zero diagonal of a PSD matrix forces the whole row to zero: compress
-    diag = np.diag(a)
-    keep = np.nonzero(diag > 0.0)[0]
-    zeros = m - keep.size
-    if zeros and float(np.abs(a[diag <= 0.0]).max()) > 1e-10:
-        raise ValueError(
-            "density matrix is not positive semidefinite: a row with zero diagonal is not zero"
-        )
-    if keep.size and keep.size < m:
-        a = a[np.ix_(keep, keep)]
-        m = keep.size
+    positive = a.diagonal() > 0.0
+    zeros = m - int(np.count_nonzero(positive))
+    if zeros:
+        if float(np.abs(a[~positive]).max()) > 1e-10:
+            raise ValueError(
+                "density matrix is not positive semidefinite: a row with zero diagonal is not zero"
+            )
+        if zeros < m:
+            keep = np.nonzero(positive)[0]
+            a = a[np.ix_(keep, keep)]
+            m = keep.size
 
     trace = float(np.trace(a))
-    target = JACOBI_CONVERGENCE_TOL * max(trace, np.finfo(float).tiny)
+    target = JACOBI_CONVERGENCE_TOL * max(trace, _TINY)
     budget = JACOBI_SWEEP_BUDGET_FACTOR * m * m
     if m > 1:
         pair_threshold = target / math.sqrt(m * (m - 1))
@@ -188,7 +192,7 @@ def dense_eigenvalues(rho: np.ndarray, tol: float = 1e-12) -> list[float]:
                     rotated = True
             if not rotated:
                 break  # every pair is below threshold, so the norm target holds
-    values = sorted(np.diag(a).tolist(), reverse=True)
+    values = sorted(a.diagonal().tolist(), reverse=True)
     values.extend([0.0] * zeros)
     return [v for v in values if v > tol]
 

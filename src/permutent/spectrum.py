@@ -9,9 +9,10 @@ over bounded compositions k of the block size n.  In the thermodynamic limit
 (L -> inf at fixed densities p_i) the weights become multinomial,
 ``multinomial(n; k) * prod p_i^{k_i}``; for the uniformly mixed global state
 the spectrum is flat.  The first two are a constant times one factor per
-level, built by one private builder, ``_sector_spectrum``, with log factors
-centred so that no digits cancel at any size (``_product_form``); it holds
-both exact recipes, chosen by the sector kind.
+level, built by one private builder, ``_sector_spectrum``, which holds both
+exact recipes, chosen by the sector kind.  Their log2 column is derived on
+first read, from log factors centred so that no digits cancel at any size
+(``_product_form``).
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ MAX_EXACT_BITS = 600_000_000
 # Relative cutoffs must lie in [0, MAX_CUTOFF): the dropped-mass check below
 # (at most 10 * cutoff of the weight) only bounds anything while 10 * cutoff < 1.
 MAX_CUTOFF = 0.1
-
-_comb = np.frompyfunc(math.comb, 2, 1)  # elementwise binomials as Python integers
-
 
 @dataclass(frozen=True)
 class SectorConfig:
@@ -154,18 +152,30 @@ class Spectrum:
     """Block spectrum as columns, one row per composition of the block size.
 
     ``compositions`` is the int64 (support, d) matrix in lexicographic order
-    and ``log2_weights`` the float column beside it.  Exact spectra carry
-    integer ``numerators`` over one shared ``denominator``; log-domain
-    spectra carry None.
+    and ``log2_weights`` the float column beside it.  A sector's spectrum may
+    be built with ``log2_weights=None``: the column is then derived from the
+    sector and the matrix on first read (``_log2_column``) and kept.  Exact
+    spectra carry integer ``numerators`` over one shared ``denominator``;
+    log-domain spectra carry None.
     """
 
     compositions: np.ndarray
-    log2_weights: np.ndarray
+    log2_weights: np.ndarray | None
     block_size: int
     sector: SectorConfig | None = None
     numerators: list[int] | None = None
     denominator: int = 1
     dropped_mass: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.log2_weights is None:
+            del self.log2_weights  # derived by __getattr__ on first read
+
+    def __getattr__(self, name: str):
+        if name != "log2_weights":
+            raise AttributeError(name)
+        self.log2_weights = _log2_column(self)
+        return self.log2_weights
 
     @property
     def d(self) -> int:
@@ -173,7 +183,7 @@ class Spectrum:
 
     @property
     def support_size(self) -> int:
-        return len(self.log2_weights)
+        return len(self.compositions)
 
     @property
     def is_exact(self) -> bool:
@@ -278,57 +288,99 @@ def _stacked(xs: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple:
     return np.array(xs).repeat(sizes), k, starts
 
 
-def _sector_spectrum(cfg: SectorConfig, n: int, exact: bool) -> Spectrum:
-    """The spectrum of a finite or L = inf sector at block size n, exact weights if ``exact``.
+def _log2_column(spectrum: Spectrum) -> np.ndarray:
+    """The log2 weights of a sector's spectrum, read off its composition matrix.
 
     Each weight is 2^c prod_i 2^f(x_i, k_i) (``_product_form``): f is called once, over every
-    level's ``_level_ranges``, and a row's log2 weight is c plus the left-to-right sum of its
-    per-level factors.  A one-row spectrum is a point mass, of log2 weight +0.0.  An exact
-    numerator is one integer per level by the sector's recipe: binom(N_i, k_i) over binom(L, n)
-    at finite L; a_i^{k_i} over B^n at L = inf, a_i = p_i * B integer, times multinomial(n; k)
-    as the binomials binom(left_i, k_i) over the sites left before each level.
+    level's ``_level_ranges``, and a row's log2 weight is the left-to-right sum of its factors
+    in level order, then c.  A level whose bound, clamped to n, is 0 has k_i = 0 in every
+    row and is skipped, as the walk skips it, unless it is the last.  A one-row spectrum is
+    a point mass, of log2 weight +0.0.
+    """
+    matrix, n = spectrum.compositions, spectrum.block_size
+    if len(matrix) == 1:
+        return np.zeros(1)
+    c, f, xs, bounds = _product_form(spectrum.sector, n)
+    ranges = _level_ranges(n, bounds)
+    x, ks, starts = _stacked(xs, ranges)
+    factors = f(x, ks)
+    column = np.zeros(len(matrix))
+    last = len(bounds) - 1
+    for i, (b, start, (lo, _)) in enumerate(zip(bounds, starts, ranges)):
+        if min(b, n) > 0 or i == last:
+            column += factors[matrix[:, i] + (start - lo)]
+    column += c
+    return column
+
+
+def _exact_factors(
+    factor: Callable, a: Sequence[int], ranges: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, list[int]]:
+    """An object array of factor(a_i, k) over each level's range, and each level's offset:
+    level i's k sits at index k + offset_i."""
+    table, offsets = [], []
+    for a_i, (lo, hi) in zip(a, ranges):
+        offsets.append(len(table) - lo)
+        table += [factor(a_i, k) for k in range(lo, hi + 1)]
+    return np.array(table, dtype=object), offsets
+
+
+def _binomial_rows(lo: int, hi: int) -> np.ndarray:
+    """binom(m, k) for m = lo..hi and k = 0..m, row after row, as one object array: binom(m, k)
+    sits at index T(m) - T(lo) + k, T(m) = m(m + 1)/2.  Each row runs the exact ratio
+    binom(m, k + 1) = binom(m, k) * (m - k) // (k + 1)."""
+    table = []
+    for m in range(lo, hi + 1):
+        table += accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1)
+    return np.array(table, dtype=object)
+
+
+def _sector_spectrum(cfg: SectorConfig, n: int, exact: bool) -> Spectrum:
+    """The spectrum of a finite or L = inf sector at block size n, exact weights if ``exact``;
+    its log2 column is left to ``_log2_column``, on first read.
+
+    An exact numerator is one integer per level by the sector's recipe: binom(N_i, k_i) over
+    binom(L, n) at finite L; a_i^{k_i} over B^n at L = inf, a_i = p_i * B integer, times
+    multinomial(n; k) as binom(left_i, k_i) over the sites left before each level, from one
+    ``_binomial_rows`` table per level.  At L = inf every bound is n or 0, so left_i fills a
+    whole range, and the last level with sites to hold takes what is left: a binomial of 1.
 
     The walk (combinatorics' _walk) runs first, so that its guard decides the size alone, then
     the exact guard, on the estimate and then on the denominator; only then is a table built.
-    The rows come out in lexicographic order, and factors and numerators are gathered along
-    the walk's links.  Every level's range is at most the support, so the tables are as
-    bounded as the walk.
+    The rows come out in lexicographic order, and numerators are gathered along the walk's
+    links.  Every level's range, and every binomial table, is at most the support, so the
+    tables are as bounded as the walk.
     """
-    log_const, f, xs, bounds = _product_form(cfg, n)  # O(1): its bounds are what the walk needs
+    bounds = _product_form(cfg, n)[3]  # O(1), with the form's int64 guard
     links, last = _walk(n, bounds)
-    ranges = _level_ranges(n, bounds)
-    denominator, table, nums, left = 1, None, None, None
-    if exact:  # prod_i factor(a_i, k_i) / factor(B, n), times multinomial(n; k) at L = inf
-        if cfg.is_finite:
-            factor, B, a, log2_den = math.comb, cfg.L, xs, log2_binom(cfg.L, n)
-        else:
-            B = math.lcm(*(p.denominator for p in cfg.densities))
-            factor, log2_den, left = pow, n * math.log2(B), np.array([n])
-            a = [p.numerator * (B // p.denominator) for p in cfg.densities]
-        _check_exact_bits(last.size, None, log2_den)
-        denominator = factor(B, n)
-        _check_exact_bits(last.size, denominator)
-        table = [factor(a_i, k) for a_i, (lo, hi) in zip(a, ranges) for k in range(lo, hi + 1)]
-        table, nums = np.array(table, dtype=object), np.ones(1, dtype=object)
-    x, ks, starts = _stacked(xs, ranges)
-    log_factors = f(x, ks)
-    offsets = [start - lo for start, (lo, _) in zip(starts, ranges)]  # k sits at index k + offset
-    log_sum = np.zeros(1)
-    for link, offset in zip(links, offsets):
-        if link is None:  # k = 0 in every row, at bound 0 or n = 0: a factor of 1, 2^(+-0.0)
+    if not exact:
+        return Spectrum(_matrix(links, last), None, n, cfg)
+    left = None  # the sites left before each level, at L = inf
+    if cfg.is_finite:
+        factor, B, a, log2_den = math.comb, cfg.L, cfg.occupations, log2_binom(cfg.L, n)
+    else:
+        B = math.lcm(*(p.denominator for p in cfg.densities))
+        factor, log2_den, left = pow, n * math.log2(B), np.array([n])
+        a = [p.numerator * (B // p.denominator) for p in cfg.densities]
+    _check_exact_bits(last.size, None, log2_den)
+    denominator = factor(B, n)
+    _check_exact_bits(last.size, denominator)
+    table, offsets = _exact_factors(factor, a, _level_ranges(n, bounds))
+    nums, rest = np.ones(1, dtype=object), sum(bounds)
+    for link, offset, b in zip(links, offsets, bounds):
+        rest -= b  # the sites the later levels can hold
+        if link is None:  # k = 0 in every row, at bound 0 or n = 0: a factor of 1
             continue
         prefix, k = link
-        log_sum = log_sum[prefix] + log_factors[k + offset]
-        if nums is not None:
-            nums = nums[prefix] * table[k + offset]
-            if left is not None:  # the multinomial, binom(left_i, k_i) per level
-                nums *= _comb(left[prefix], k)
-                left = left[prefix] - k
-    log_sum = log_sum + log_factors[last + offsets[-1]]
-    log2_weights = log_sum + log_const if last.size > 1 else np.zeros(1)  # one row: a point mass
-    if nums is not None:
-        nums = (nums * table[last + offsets[-1]]).tolist()
-    return Spectrum(_matrix(links, last), log2_weights, n, cfg, nums, denominator)
+        nums = nums[prefix] * table[k + offset]
+        if left is not None and rest:  # at the last level with sites to hold, binom = 1
+            lo = int(left.min())
+            rows = _binomial_rows(lo, int(left.max()))
+            left = left[prefix]
+            nums *= rows[left * (left + 1) // 2 - lo * (lo + 1) // 2 + k]
+            left -= k
+    nums = (nums * table[last + offsets[-1]]).tolist()
+    return Spectrum(_matrix(links, last), None, n, cfg, nums, denominator)
 
 
 def exact_spectrum(cfg: SectorConfig, n: int, *, exact: bool | None = None) -> Spectrum:

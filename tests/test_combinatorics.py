@@ -6,12 +6,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutent.combinatorics import (
     ResourceLimitError,
+    _walk,
     composition_count,
     enumerate_compositions,
     log2_binom,
@@ -227,6 +229,32 @@ class TestEnumeration:
             assert list(enumerate_compositions(total, bounds)) == list(
                 brute_compositions(total, bounds)
             )
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_walk_links_match_a_prefix_reference(self, data):
+        # links[i] holds, per row after level i, the index of its prefix among the rows
+        # before level i and its part k_i (None where min(b_i, total) = 0); last holds the
+        # last parts.  Bounds of 0 and totals equal to the bound sum (every row full) included
+        bounds = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                                    max_size=5).map(tuple))
+        total = data.draw(st.one_of(st.just(sum(bounds)), st.just(0),
+                                    st.integers(min_value=0, max_value=sum(bounds))))
+        rows = list(brute_compositions(total, bounds))
+        prefixes = [sorted({row[:i] for row in rows}) for i in range(len(bounds) + 1)]
+        links, last = _walk(total, bounds)
+        assert len(links) == len(bounds) - 1
+        for i, link in enumerate(links):
+            if min(bounds[i], total) == 0:
+                assert link is None
+                continue
+            index = {prefix: j for j, prefix in enumerate(prefixes[i])}
+            prefix, k = link
+            assert prefix.dtype == k.dtype == np.int64
+            assert prefix.tolist() == [index[p[:i]] for p in prefixes[i + 1]]
+            assert k.tolist() == [p[i] for p in prefixes[i + 1]]
+        assert last.dtype == np.int64
+        assert last.tolist() == [row[-1] for row in rows]
 
     def test_wide_bounds_count(self):
         assert composition_count(9, (1,) * 18) == math.comb(18, 9)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from permutent import oracle
+from permutent import oracle, spectrum
 from permutent.oracle import (
     EigensolverConvergenceError,
     ResourceLimitError,
@@ -435,6 +435,23 @@ class TestVerifyTheorem:
         (plain,) = verify_theorem(SectorConfig.finite((2, 2)), [2])
         assert padded.passed and plain.passed
         assert padded.support_size_dense == plain.support_size_dense
+
+    def test_grid_never_evaluates_the_log_form(self, monkeypatch):
+        # the theorem compares exact weights only: no log2 factor table is built for it
+        def fail(*args):
+            raise AssertionError("log form evaluated")
+
+        monkeypatch.setattr(spectrum, "_stacked", fail)
+        cases = 0
+        for d, max_L in ((2, 6), (3, 4)):
+            for L in range(1, max_L + 1):
+                for occupations in itertools.product(range(L + 1), repeat=d):
+                    if sum(occupations) == L:
+                        reports = verify_theorem(SectorConfig.finite(occupations), range(L + 1))
+                        assert all(report.passed for report in reports)
+                        cases += len(reports)
+        # sum (L + 1)^2 over L <= 6 at d = 2 and sum C(L + 2, 2)(L + 1) over L <= 4 at d = 3
+        assert cases == 139 + 139
 
     def test_fault_injection_hook(self):
         (report,) = verify_theorem(SectorConfig.finite((2, 2)), [2], perturb=1e-6)

@@ -557,6 +557,129 @@ class TestThermoLogWeights:
         assert abs(spec.log2_weights[1] - math.log2(n * p)) < 1e-9
 
 
+def left_to_right_log2(spec) -> list[float]:
+    """Each row's log2 weight summed in the test: c after the level factors in level order,
+    skipping a level the walk leaves free (bound 0, or n = 0) unless it is the last; a
+    one-row spectrum is +0.0."""
+    if spec.sector is None:  # the uniform mixture: one flat weight, at small sizes exact
+        return [0.0 - math.log2(math.comb(spec.block_size + spec.d - 1, spec.d - 1))] * len(
+            spec.compositions
+        )
+    if len(spec.compositions) == 1:
+        return [0.0]
+    n = spec.block_size
+    c, f, xs, bounds = _product_form(spec.sector, n)
+    expected = []
+    for parts in spec.compositions.tolist():
+        total = 0.0
+        for i, (x, b, k) in enumerate(zip(xs, bounds, parts)):
+            if min(b, n) > 0 or i == len(parts) - 1:
+                total += float(f(np.array([x]), np.array([k]))[0])
+        expected.append(total + c)
+    return expected
+
+
+LAZY_CASES = [
+    *[(lambda occ=occ, n=n, exact=exact: exact_spectrum(SectorConfig.finite(occ), n, exact=exact))
+      for occ, n, exact in [
+          ((3, 4, 2), 4, True), ((3, 4, 2), 4, False), ((5, 5), 5, True), ((6, 0, 4), 3, True),
+          ((0, 6, 4), 7, False), ((6, 4, 0), 5, True), ((0, 0, 7), 3, True), ((7, 0, 0), 0, True),
+          ((2, 3, 1), 0, False), ((2, 3, 1), 6, True), ((2, 3, 1), 6, False), ((5, 0), 3, True),
+          ((0, 5), 2, False), ((40, 40, 40), 60, False), ((7, 6, 5, 4, 3), 11, False),
+          ((400, 0, 30, 20), 7, True), ((1, 1), 1, True), ((10, 1, 0, 3), 14, True),
+          ((4, 4), 8, False), ((0, 3, 3), 0, False),
+      ]],
+    *[(lambda dens=dens, n=n, exact=exact: thermo_spectrum(dens, n, exact=exact))
+      for dens, n, exact in [
+          ((HALF, HALF), 9, True), ((HALF, HALF), 9, False), ((THIRD,) * 3, 6, True),
+          ((HALF, 0, HALF), 5, True), ((0, THIRD, 1 - THIRD), 4, False), ((1, 0, 0), 8, True),
+          ((Fraction(1, 4),) * 4, 12, True), ((HALF, Fraction(1, 4), 0, Fraction(1, 4)), 7, False),
+          ((0.3, 0.7), 20, None), ((THIRD,) * 3, 0, True), ((HALF, HALF, 0, 0), 6, True),
+          ((HALF, HALF), 0, False),
+      ]],
+    *[(lambda dens=dens, n=n, cutoff=cutoff: thermo_spectrum(dens, n, cutoff))
+      for dens, n, cutoff in [((0.1, 0.9), 40, 1e-6), ((THIRD,) * 3, 30, 1e-3),
+                              ((HALF, 0, HALF), 25, 1e-4)]],
+    *[(lambda n=n, d=d: uniform_mixed_spectrum(n, d))
+      for n, d in [(0, 2), (1, 3), (3, 3), (5, 2), (2, 5)]],
+]
+
+
+class TestLazyLog2Column:
+    """The log2 column, derived on first read, is the left-to-right sum of the level factors."""
+
+    @pytest.mark.parametrize("build", LAZY_CASES, ids=range(len(LAZY_CASES)))
+    def test_matches_a_left_to_right_reference(self, build):
+        spec = build()
+        expected = left_to_right_log2(spec)
+        assert [x.hex() for x in spec.log2_weights.tolist()] == [x.hex() for x in expected]
+        if spec.support_size == 1:
+            assert math.copysign(1.0, spec.log2_weights[0]) == 1.0
+        assert spec.log2_weights is spec.log2_weights  # derived once and kept
+
+    def test_exact_builds_leave_the_log_form_unbuilt(self, monkeypatch):
+        stacked, seen = spectrum._stacked, []
+
+        def spy(*args):
+            seen.append(args)
+            return stacked(*args)
+
+        monkeypatch.setattr(spectrum, "_stacked", spy)
+        spec = thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 6, exact=True)
+        assert math.fsum(spec.weights) == 1.0 and spec.support_size == 28 and seen == []
+        spec.log2_weights
+        spec.log2_weights
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "build, reached",
+        [
+            (lambda: exact_spectrum(SectorConfig.finite((3, 2, 1)), 3), 1),
+            (lambda: exact_spectrum(SectorConfig.finite((3, 2, 1)), 3, exact=False), 0),
+            (lambda: thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 6), 1),
+            (lambda: thermo_spectrum((HALF, THIRD, 1 - HALF - THIRD), 6, exact=False), 0),
+        ],
+        ids=["finite-exact", "finite-log", "thermo-exact", "thermo-log"],
+    )
+    def test_every_exact_build_reaches_the_factor_table(self, monkeypatch, build, reached):
+        # the spy point of the guard tests below: every exact build passes it after its guard
+        table, seen = spectrum._exact_factors, []
+        monkeypatch.setattr(spectrum, "_exact_factors", lambda *a: seen.append(a) or table(*a))
+        build()
+        assert len(seen) == reached
+
+
+class TestThermoMultinomial:
+    """L = inf numerators: a_i^{k_i} times multinomial(n; k), over B^n, by math.comb."""
+
+    @pytest.mark.parametrize(
+        "dens",
+        [(HALF, HALF), (THIRD,) * 3, (HALF, 0, HALF), (0, THIRD, 1 - THIRD), (1, 0, 0),
+         (HALF, HALF, 0, 0), (Fraction(1, 4),) * 4, (HALF, Fraction(1, 4), 0, Fraction(1, 4)),
+         (Fraction(1, 5), Fraction(2, 3), Fraction(2, 15))],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 13])
+    def test_numerators_against_math_comb(self, dens, n):
+        spec = thermo_spectrum(dens, n, exact=True)
+        B = math.lcm(*(Fraction(p).denominator for p in dens))
+        assert spec.denominator == B**n
+        for parts, num in zip(spec.compositions.tolist(), spec.numerators):
+            expected, left = 1, n
+            for p, k in zip(dens, parts):
+                expected *= math.comb(left, k) * (Fraction(p) * B).numerator ** k
+                left -= k
+            assert num == expected
+
+    def test_half_at_5000_in_under_half_a_second(self):
+        # one exact binomial per row took 1.5 s here; one table by the running ratio, 10 ms
+        start = time.perf_counter()
+        spec = thermo_spectrum((HALF, HALF), 5000, exact=True)
+        assert time.perf_counter() - start < 0.5
+        assert spec.numerators[:3] == [1, 5000, math.comb(5000, 2)]
+        assert spec.numerators[2500] == math.comb(5000, 2500)
+        assert sum(spec.numerators) == spec.denominator == 2**5000
+
+
 class TestSupportGuard:
     def test_oversized_spectra_raise(self):
         # C(404, 4) ~ 1.1e9 compositions in both cases
@@ -678,9 +801,9 @@ class TestSupportGuard:
 
     def test_exact_weights_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("_stacked called")
+            raise AssertionError("_exact_factors called")
 
-        monkeypatch.setattr(spectrum, "_stacked", fail)
+        monkeypatch.setattr(spectrum, "_exact_factors", fail)
         # 40,001 entries over 2^40000 and over C(80000, 40000): >= 1.6e9 bits each
         with pytest.raises(ResourceLimitError, match="numerator bits"):
             thermo_spectrum((HALF, HALF), 40_000, exact=True)
@@ -695,7 +818,7 @@ class TestSupportGuard:
         built = []
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda a, b: built.append((a, b)) or comb(a, b))
-        monkeypatch.setattr(spectrum, "_stacked", fail)
+        monkeypatch.setattr(spectrum, "_exact_factors", fail)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         # 1,000,001 entries over C(1.6e7, 1e6), of about 5.4e6 bits
         with pytest.raises(ResourceLimitError, match="numerator bits"):
@@ -732,9 +855,9 @@ class TestSupportGuard:
 
     def test_denominators_past_the_digit_limit_refused_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("_stacked called")
+            raise AssertionError("_exact_factors called")
 
-        monkeypatch.setattr(spectrum, "_stacked", fail)
+        monkeypatch.setattr(spectrum, "_exact_factors", fail)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         # C(14400, 7200) has 4,333 digits; 2^14500 has 4,365; both within MAX_EXACT_BITS
         with pytest.raises(ResourceLimitError, match="4300 decimal digits"):
